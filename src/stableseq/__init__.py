@@ -40,7 +40,6 @@ from .regression import RegressionModel, SignedMeasureModel, average_over_partit
 from .estimator import (
     EstimatorState,
     batch_tau_search,
-    fixed_sample_estimate,
     histogram_estimate,
     variation_check,
 )

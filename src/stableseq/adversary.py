@@ -784,11 +784,9 @@ def verify_adversary_report(report: dict, seq: SampleSequence, phi=None) -> list
     if phi is None:
         name = str(report.get("phi", ""))
         for key, factory in builtin_procedures().items():
-            if name.startswith(key) or name.startswith(f"{key}_"):
+            if name.startswith(key):
                 phi = factory()
                 break
-        if phi is None and name.startswith("plugin_histogram"):
-            phi = PluginHistogramProcedure()
     xs, ys = seq.x, seq.y
     fitted = []
     for rec in report["blocks"]:

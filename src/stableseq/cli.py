@@ -9,7 +9,8 @@ Exit codes separate theory-meaningful outcomes from operational errors:
 
     0  success
     1  verification failure (verify subcommand)
-    2  config error (missing/invalid keys, malformed model)
+    2  config or input error (missing/invalid keys, malformed model,
+       unreadable or non-finite sequence CSV, missing or malformed report)
     3  generator precondition failure (noise/transition constraints)
     4  estimator stall (patience or required resolution not met;
        partial outputs are still written)
@@ -31,8 +32,13 @@ import sys
 from pathlib import Path
 
 from . import adversary as adv
-from .estimator import EstimatorState, checkpoint_to_dict, verify_checkpoint
-from .evaluation import ErrorCurve, error_curve_csv_bytes, l2_error_exact
+from .estimator import checkpoint_to_dict, verify_checkpoint
+from .evaluation import (
+    ErrorCurve,
+    consistency_curve,
+    error_curve_csv_bytes,
+    stream_checkpoints,
+)
 from .generators import (
     GeneratorError,
     RandomSource,
@@ -174,12 +180,16 @@ def cmd_generate(cfg: dict, out: Path, seed_override: int | None) -> int:
     return EXIT_OK
 
 
+def _read_sequence(path):
+    try:
+        return read_sequence_csv(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read sequence CSV {path!r}: {e}") from e
+
+
 def cmd_estimate(cfg: dict, out: Path, seed_override, horizon_override) -> int:
     seq_path = _require(cfg, "sequence")
-    try:
-        seq = read_sequence_csv(seq_path)
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"cannot read sequence CSV {seq_path!r}: {e}") from e
+    seq = _read_sequence(seq_path)
     if len(seq) == 0:
         raise ConfigError(f"sequence CSV {seq_path!r} holds no pairs")
     budget = _parse_budget(_require(cfg, "alpha"))
@@ -194,29 +204,13 @@ def cmd_estimate(cfg: dict, out: Path, seed_override, horizon_override) -> int:
     if truth is not None:
         mu = _parse_model(_require(truth, "distribution"))
         m = _parse_regression(_require(truth, "regression"))
-    checkpoints = sorted(
-        int(c) for c in (cfg.get("checkpoints") or _default_checkpoints(n_max))
-    )
-    checkpoints = [c for c in checkpoints if c <= n_max]
-
-    state = EstimatorState(budget)
-    rows: list[tuple[int, int, float]] = []
-    stalled_at = None
-    cp_i = 0
-    for i in range(n_max):
-        state.ingest(float(seq.x[i]), float(seq.y[i]))
-        n = i + 1
-        if patience is not None and state.open_search_age() > int(patience):
-            stalled_at = n
-            break
-        while cp_i < len(checkpoints) and checkpoints[cp_i] == n:
-            err = (
-                l2_error_exact(state.estimate_at(n), m, mu)
-                if truth is not None
-                else math.nan
-            )
-            rows.append((n, state.kappa(n), err))
-            cp_i += 1
+    checkpoints = cfg.get("checkpoints") or _default_checkpoints(n_max)
+    try:
+        state, rows, stalled_at = stream_checkpoints(
+            seq, budget, n_max, checkpoints, None if patience is None else int(patience), m, mu
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     out.mkdir(parents=True, exist_ok=True)
     chk = checkpoint_to_dict(state)
     chk["stalled_at"] = stalled_at
@@ -314,15 +308,19 @@ def cmd_adversary(cfg: dict, out: Path, seed_override, horizon_override) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    seq = read_sequence_csv(_require(cfg, "sequence"))
+    seq = _read_sequence(_require(cfg, "sequence"))
     report_path = _require(cfg, "report")
-    with open(report_path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    if "tau" in report:
-        results = verify_checkpoint(seq, report)
-    elif "blocks" in report:
-        results = adv.verify_adversary_report(report, seq)
-    else:
+    results = None
+    try:  # an unreadable or malformed report is an input error, not a FAIL
+        with open(report_path, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+        if "tau" in report:
+            results = verify_checkpoint(seq, report)
+        elif "blocks" in report:
+            results = adv.verify_adversary_report(report, seq)
+    except (OSError, LookupError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad report {report_path!r}: {type(e).__name__}: {e}") from e
+    if results is None:
         raise ConfigError(f"cannot tell what kind of report {report_path!r} is")
     all_ok = True
     for name, ok, detail in results:
@@ -340,8 +338,6 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     patience = exp.get("stall_patience")
     out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
-    from .evaluation import consistency_curve
-
     for seed in seeds:
         seq, mu, m, _ = build_generated_sequence(gen_cfg, seed_override=seed)
         curve = consistency_curve(

@@ -35,11 +35,12 @@ immutable snapshots and may be read concurrently.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .measures import SampleSequence
-from .partitions import PiecewiseDyadicFn, VariationBudget, cell_of, total_variation_window
+from .partitions import PiecewiseDyadicFn, VariationBudget, _smallest_window, adjacent_jumps, cell_of
 
 __all__ = [
     "HistogramEstimate",
@@ -48,7 +49,6 @@ __all__ = [
     "EstimatorState",
     "batch_tau_search",
     "kappa_index",
-    "fixed_sample_estimate",
     "checkpoint_to_dict",
     "checkpoint_from_dict",
     "verify_checkpoint",
@@ -95,10 +95,20 @@ def histogram_estimate(seq: SampleSequence, k: int, n: int) -> HistogramEstimate
 def variation_check(fn: PiecewiseDyadicFn, budget: VariationBudget) -> bool:
     """Strictly below 4*alpha on every window up to the function's resolution.
 
-    Ties (exact equality with 4*alpha(i)) fail.
+    Ties (exact equality with 4*alpha(i)) fail.  Each jump goes in the bucket
+    of the smallest window holding it; window i's variation is the fsum of
+    buckets 1..i, bit-equal to `total_variation_window(fn, i)`.
     """
-    for i in range(1, fn.k + 1):
-        if not total_variation_window(fn, i) < 4.0 * budget.alpha(i):
+    k = fn.k
+    buckets: list[list[float]] = [[] for _ in range(k + 1)]
+    for b, d in adjacent_jumps(fn):
+        i = _smallest_window(b, k)
+        if i <= k:
+            buckets[i].append(d)
+    terms: list[float] = []
+    for i in range(1, k + 1):
+        terms += buckets[i]
+        if not math.fsum(terms) < 4.0 * budget.alpha(i):
             return False
     return True
 
@@ -160,6 +170,8 @@ class EstimatorState:
     def ingest(self, x: float, y: float) -> int | None:
         x = float(x)
         y = float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"cannot ingest a non-finite pair ({x!r}, {y!r})")
         self.xs.append(x)
         self.ys.append(y)
         n = len(self.xs)
@@ -192,9 +204,6 @@ class EstimatorState:
                 events.append((k, self.tau[-1]))
         return events
 
-    def ingest_sequence(self, seq: SampleSequence) -> list[tuple[int, int]]:
-        return self.ingest_many(seq.x, seq.y)
-
     # -- internals ------------------------------------------------------------------
     def _advance_resolution(self) -> None:
         self._k += 1
@@ -203,6 +212,7 @@ class EstimatorState:
         self._rebuild_diffs()
 
     def _rebuild_diffs(self) -> None:
+        # raw-cell walk, not adjacent_jumps: its step function costs ~6% peak RSS at 2^16 pairs
         self._diffs = {}
         values = self._cells
         for j in sorted(values):
@@ -218,11 +228,6 @@ class EstimatorState:
                 self._diffs[j] = abs(v)
         self._resync()
 
-    def _imin(self, pair: int) -> int:
-        """Smallest window radius whose interior contains boundary `pair`."""
-        need = max(pair + 1, 1 - pair)
-        return max(1, -((-need) >> self._k))
-
     def _cell_value(self, j: int) -> float:
         c = self._cells.get(j)
         return c[1] / c[0] if c is not None else 0.0
@@ -236,7 +241,7 @@ class EstimatorState:
             self._diffs[pair] = new
         else:
             self._diffs.pop(pair, None)
-        m = self._imin(pair)
+        m = _smallest_window(pair, self._k)
         self._bucket[m] = self._bucket.get(m, 0.0) + (new - old)
 
     def _add_sample(self, x: float, y: float) -> None:
@@ -262,20 +267,12 @@ class EstimatorState:
 
     def _resync(self) -> None:
         bucket: dict[int, float] = {}
+        k = self._k
         for pair, d in self._diffs.items():
-            m = self._imin(pair)
+            m = _smallest_window(pair, k)
             bucket[m] = bucket.get(m, 0.0) + d
         self._bucket = bucket
         self._since_sync = 0
-
-    # -- serialization ----------------------------------------------------------------
-    def checkpoint(self) -> dict:
-        return checkpoint_to_dict(self)
-
-
-def fixed_sample_estimate(state: EstimatorState, n: int) -> PiecewiseDyadicFn:
-    """Module-level alias for the fixed-sample-size estimate."""
-    return state.estimate_at(n)
 
 
 def batch_tau_search(

@@ -12,9 +12,10 @@ Two routes to the same integral, kept deliberately separate:
     doubled-resolution Richardson check.  Disagreement beyond relative 1e-3
     is reported as NOT-CONVERGED alongside both values rather than raised.
 
-`consistency_curve` streams a generated sequence through the estimator once
-and records the exact error of the fixed-sample estimate at each
-checkpoint; it is the workhorse behind the convergence experiments.
+`stream_checkpoints` is the one stream-and-checkpoint loop: it feeds a
+sequence through the estimator and records the exact error of the
+fixed-sample estimate at each checkpoint.  `consistency_curve` (the
+convergence experiments) and the CLI's estimate subcommand both run it.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimator import EstimatorState, kappa_index
+from .estimator import EstimatorState
 from .measures import DistributionModel, SampleSequence
 from .partitions import PiecewiseDyadicFn, VariationBudget
 from .regression import RegressionModel
@@ -46,14 +47,7 @@ def _segment_cuts(
     a: float, b: float, est: PiecewiseDyadicFn, m: RegressionModel
 ) -> np.ndarray:
     cuts = {a, b}
-    if est.k > 0:
-        w = math.ldexp(1.0, -est.k)
-        j0 = math.floor(a / w) + 1
-        j1 = math.ceil(b / w) - 1
-        if j1 - j0 > 20_000_000:
-            raise ValueError("estimate resolution too fine for exact integration")
-        if j1 >= j0:
-            cuts.update((np.arange(j0, j1 + 1, dtype=float) * w).tolist())
+    cuts.update(RegressionModel.from_dyadic(est).breakpoints_in(a, b).tolist())
     cuts.update(float(t) for t in m.breakpoints_in(a, b))
     return np.array(sorted(cuts), dtype=float)
 
@@ -77,7 +71,7 @@ def l2_error_exact(
         cuts = _segment_cuts(a, b, est, m)
         for lo, hi in zip(cuts, cuts[1:]):
             mid = 0.5 * (lo + hi)
-            e = est.value_at_cell(_cell_idx(mid, est.k)) if est.k > 0 else est.value_at_cell(0)
+            e = est(mid)
             c, s = m.linear_piece_at(mid)
             p = e - c
             # integral of (p - s t)^2 over (lo, hi]
@@ -91,12 +85,6 @@ def l2_error_exact(
         diff = float(est(u)) - float(m.eval(u))
         terms.append(mass * diff * diff)
     return math.fsum(terms)
-
-
-def _cell_idx(x: float, k: int) -> int:
-    from .partitions import cell_of
-
-    return cell_of(x, k).j
 
 
 @dataclass(frozen=True)
@@ -180,6 +168,45 @@ def error_curve_csv_bytes(curve: ErrorCurve) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def stream_checkpoints(
+    seq: SampleSequence,
+    budget: VariationBudget,
+    n_stop: int,
+    checkpoints: Sequence[int],
+    stall_patience: int | None = None,
+    m: RegressionModel | None = None,
+    mu: DistributionModel | None = None,
+) -> tuple[EstimatorState, list[tuple[int, int, float]], int | None]:
+    """Stream the first n_stop pairs of seq through a fresh estimator.
+
+    Returns (state, rows, stalled_at).  Each checkpoint n <= n_stop adds a
+    row (n, kappa, exact L2(mu) error of the fixed-sample estimate vs m;
+    NaN when m is None).  Once the open search exceeds `stall_patience`
+    the stream stops there (`stalled_at`).  n_stop < 1 or a checkpoint < 1
+    raises ValueError.
+    """
+    checkpoints = sorted(int(c) for c in checkpoints)
+    if n_stop < 1:
+        raise ValueError(f"stream length (horizon) must be >= 1, got {n_stop}")
+    if checkpoints and checkpoints[0] < 1:
+        raise ValueError(f"checkpoints must be >= 1, got {checkpoints[0]}")
+    state = EstimatorState(budget)
+    rows: list[tuple[int, int, float]] = []
+    stalled_at = None
+    next_cp = 0
+    for i in range(n_stop):
+        state.ingest(float(seq.x[i]), float(seq.y[i]))
+        n = i + 1
+        if stall_patience is not None and state.open_search_age() > stall_patience:
+            stalled_at = n
+            break
+        while next_cp < len(checkpoints) and checkpoints[next_cp] == n:
+            err = math.nan if m is None else l2_error_exact(state.estimate_at(n), m, mu)
+            rows.append((n, state.kappa(n), err))
+            next_cp += 1
+    return state, rows, stalled_at
+
+
 def consistency_curve(
     seq: SampleSequence,
     m: RegressionModel,
@@ -199,27 +226,13 @@ def consistency_curve(
     exceeds it, the curve is truncated at the last completed checkpoint and
     `stalled_at` records the sample count where patience ran out.
     """
-    checkpoints = sorted(int(c) for c in checkpoints)
-    if not checkpoints or checkpoints[-1] > len(seq):
+    checkpoints = [int(c) for c in checkpoints]
+    if not checkpoints or max(checkpoints) > len(seq):
         raise ValueError("checkpoints must be nonempty and within the sequence")
     meta = dict(metadata or {})
     meta["budget"] = budget.to_dict()
     meta["declared_membership_ok"] = m.fits_budget(budget, membership_windows)
-    state = EstimatorState(budget)
-    rows: list[tuple[int, int, float]] = []
-    stalled_at = None
-    next_cp = 0
-    for i in range(len(seq)):
-        state.ingest(float(seq.x[i]), float(seq.y[i]))
-        n = i + 1
-        if stall_patience is not None and state.open_search_age() > stall_patience:
-            stalled_at = n
-            break
-        while next_cp < len(checkpoints) and checkpoints[next_cp] == n:
-            est = state.estimate_at(n)
-            err = l2_error_exact(est, m, mu)
-            rows.append((n, kappa_index(state.tau, n), err))
-            next_cp += 1
-        if next_cp >= len(checkpoints):
-            break
+    _, rows, stalled_at = stream_checkpoints(
+        seq, budget, max(checkpoints), checkpoints, stall_patience, m, mu
+    )
     return ErrorCurve(tuple(rows), meta, stalled_at)

@@ -584,12 +584,12 @@ def stability_diagnostic(
     """Track convergence evidence along increasing prefix sizes.
 
     Per checkpoint m: the exact interval-class discrepancies (plain and
-    y-weighted), the Levy distance of the empirical CDF to the model CDF,
-    and per-atom deviations |mu_hat_m({u}) - mu({u})| and
+    y-weighted), the Cramer and Levy distances of the empirical CDF to the
+    model CDF, and per-atom deviations |mu_hat_m({u}) - mu({u})| and
     |nu_hat_m({u}) - nu({u})| for every atom u of the model.
 
     The flag fires on the divergence pattern where the CDF part converges
-    (Levy distance drops) while some atom's plain deviation stays put --
+    (Cramer distance drops) while some atom's plain deviation stays put --
     evidence that the sequence approaches the atom's location without
     sampling it, so interval-class convergence cannot hold.
     """
@@ -664,4 +664,8 @@ def read_sequence_csv(path) -> SampleSequence:
                 continue
             xs.append(float(row[1]))
             ys.append(float(row[2]))
-    return SampleSequence(np.array(xs), np.array(ys))
+    x, y = np.array(xs), np.array(ys)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):  # one mask alive at a time
+        row = int(np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))[0]) + 1
+        raise ValueError(f"non-finite value in sequence CSV data row {row}")
+    return SampleSequence(x, y)

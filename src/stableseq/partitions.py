@@ -88,11 +88,6 @@ def cell_of(x: float, k: int) -> DyadicCell:
     return DyadicCell(k, j)
 
 
-def cell_index(x: float, k: int) -> int:
-    """Index j of the resolution-k cell containing x (k >= 1)."""
-    return cell_of(x, k).j
-
-
 @dataclass(frozen=True)
 class PiecewiseDyadicFn:
     """Sparse step function, constant on the cells of one dyadic partition.
@@ -119,15 +114,20 @@ class PiecewiseDyadicFn:
         return self.values.get(j, self.default)
 
     def eval_many(self, xs) -> "object":
+        """Vectorized `__call__`; NaN or +-inf anywhere raises ValueError."""
         import numpy as np
 
         xs = np.asarray(xs, dtype=float)
+        if not np.isfinite(xs).all():
+            raise ValueError("cannot locate non-finite values in a dyadic cell")
         out = np.full(xs.shape, self.default, dtype=float)
         flat = out.ravel()
         if self.k == 0:
             flat[:] = self.values.get(0, self.default)
             return out
-        if self.k <= 40:
+        # int64 indices need |x| * 2^k < 2^63; larger inputs take the exact
+        # path, which raises OverflowError where `cell_of` does
+        if self.k <= 40 and np.abs(xs).max(initial=0.0) < math.ldexp(1.0, 63 - self.k):
             # ldexp is an exact exponent shift and ceil is exact on floats
             idx = np.ceil(np.ldexp(xs, self.k)).astype(np.int64).ravel()
             for i, j in enumerate(idx):
@@ -161,11 +161,34 @@ class PiecewiseDyadicFn:
         )
 
 
+def adjacent_jumps(f: PiecewiseDyadicFn):
+    """Yield (b, |f(A_b) - f(A_{b+1})|) for every nonzero jump, ascending in b.
+
+    Boundary b (the point b/2^k) separates cells b and b+1.  Only mapped
+    cells can border a jump: each claims its left boundary, and its right
+    one when the right neighbor is unmapped.
+    """
+    values, default = f.values, f.default
+    for j in sorted(values):
+        v = values[j]
+        left = values.get(j - 1, default)
+        if left != v:
+            yield j - 1, abs(v - left)
+        if (j + 1) not in values and v != default:
+            yield j, abs(v - default)
+
+
+def _smallest_window(b: int, k: int) -> int:
+    """Smallest i >= 1 with boundary b inside (-i, i), i.e. -i*2^k < b < i*2^k."""
+    need = max(b + 1, 1 - b)
+    return max(1, -((-need) >> k))
+
+
 def total_variation_window(f: PiecewiseDyadicFn, i: int) -> float:
     """Total variation of f on the window (-i, i].
 
     Equals the sum of |f(A_{k,j}) - f(A_{k,j+1})| over adjacent cell pairs
-    with both cells inside the window, i.e. j ranging over
+    with both cells inside the window, i.e. boundaries b ranging over
     [-i*2^k + 1, i*2^k - 1].  The jump *into* the window at -i is excluded
     (grid points in the supremum definition are strictly greater than the
     left endpoint); jumps at interior boundaries, including transitions
@@ -180,32 +203,7 @@ def total_variation_window(f: PiecewiseDyadicFn, i: int) -> float:
     if f.k == 0:
         return 0.0
     span = i << f.k  # i * 2^k
-    lo, hi = -span + 1, span  # cells of the window
-    terms = _window_jump_terms(f.values, f.default, lo, hi)
-    return math.fsum(terms)
-
-
-def _window_jump_terms(
-    values: Mapping[int, float], default: float, lo: int, hi: int
-) -> list[float]:
-    """Nonzero |adjacent difference| terms for pairs (j, j+1), lo <= j < hi.
-
-    Only pairs touching a mapped cell can differ from |default - default| = 0,
-    so the walk visits mapped indices rather than the whole window.
-    """
-    terms: list[float] = []
-    for j in sorted(values):
-        if j < lo or j > hi:
-            continue
-        v = values[j]
-        if j - 1 >= lo:
-            left = values.get(j - 1, default)
-            if left != v:
-                terms.append(abs(v - left))
-        if j + 1 <= hi and (j + 1) not in values:
-            if values[j] != default:
-                terms.append(abs(v - default))
-    return terms
+    return math.fsum(d for b, d in adjacent_jumps(f) if -span < b < span)
 
 
 @dataclass(frozen=True)

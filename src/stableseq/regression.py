@@ -31,30 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DistributionModel, IntervalA
-from .partitions import PiecewiseDyadicFn, cell_of
+from .partitions import PiecewiseDyadicFn, adjacent_jumps, cell_of
 
 __all__ = [
     "RegressionModel",
     "SignedMeasureModel",
     "average_over_partition",
 ]
-
-
-def _step_jump_sum(values, default: float, boundary_in_range) -> float:
-    """Sum of |adjacent cell differences| over boundaries selected by the
-    predicate; boundary index b separates cells b and b+1.  Each boundary is
-    counted exactly once (mapped cells claim their left boundary, and their
-    right boundary only when the right neighbor is unmapped)."""
-    terms: list[float] = []
-    for j in sorted(values):
-        v = values[j]
-        if boundary_in_range(j - 1):
-            left = values.get(j - 1, default)
-            if left != v:
-                terms.append(abs(v - left))
-        if boundary_in_range(j) and (j + 1) not in values and v != default:
-            terms.append(abs(v - default))
-    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -217,11 +200,7 @@ class RegressionModel:
         if k == 0:
             return 0.0
         w = math.ldexp(1.0, -k)
-        return _step_jump_sum(
-            self.fn.values,
-            self.fn.default,
-            lambda b: lo < b * w < hi,
-        )
+        return math.fsum(d for b, d in adjacent_jumps(self.fn) if lo < b * w < hi)
 
     def variation_window(self, i: int) -> float:
         """V(m : -i, i)."""

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import stableseq
 from stableseq.cli import main
 from stableseq.measures import read_sequence_csv
 
@@ -152,6 +156,29 @@ class TestEstimate:
             tmp_path / "r2" / "checkpoint.json"
         ).read_bytes()
 
+    def test_checkpoint_below_one_exit2(self, tmp_path):
+        seq_csv = self._sequence(tmp_path, n=8)
+        cfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": seq_csv, "alpha": {"kind": "constant", "c": 2.0},
+             "checkpoints": [0, 2, 3],
+             "truth": {"distribution": UNIT_UNIFORM, "regression": H1_DYADIC}},
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+
+    def test_horizon_below_one_exit2(self, tmp_path):
+        seq_csv = self._sequence(tmp_path, n=8)
+        cfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": seq_csv, "alpha": {"kind": "constant", "c": 2.0}, "horizon": 0},
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        cfg = write_json(
+            tmp_path / "e2.json", {"sequence": seq_csv, "alpha": {"kind": "constant", "c": 2.0}}
+        )
+        argv = ["estimate", "--config", cfg, "--out", str(tmp_path / "e2"), "--horizon", "0"]
+        assert main(argv) == 2
+
     def test_single_pair_input(self, tmp_path):
         seq_csv = self._sequence(tmp_path, n=1)
         cfg = write_json(
@@ -260,6 +287,72 @@ class TestVerify:
         )
         assert main(["verify", "--config", vcfg]) == 1
 
+    def _verify(self, tmp_path, sequence, report):
+        vcfg = write_json(tmp_path / "v.json", {"sequence": sequence, "report": report})
+        return main(["verify", "--config", vcfg])
+
+    def _sequence(self, tmp_path):
+        gcfg = write_json(
+            tmp_path / "g.json", {"kind": "deterministic", "n": 64, "regression": H1_DYADIC}
+        )
+        main(["generate", "--config", gcfg, "--out", str(tmp_path / "g")])
+        return str(tmp_path / "g" / "sequence.csv")
+
+    def test_missing_sequence_exit2(self, tmp_path, capsys):
+        report = write_json(tmp_path / "r.json", {"tau": [1]})
+        assert self._verify(tmp_path, str(tmp_path / "absent.csv"), report) == 2
+        assert "absent.csv" in capsys.readouterr().err
+
+    def test_missing_report_exit2(self, tmp_path):
+        assert self._verify(tmp_path, self._sequence(tmp_path), str(tmp_path / "absent.json")) == 2
+
+    def test_unparseable_report_exit2(self, tmp_path):
+        (tmp_path / "r.json").write_text('{"tau": [1, 2')
+        assert self._verify(tmp_path, self._sequence(tmp_path), str(tmp_path / "r.json")) == 2
+
+    def test_block_without_certificates_exit2(self, tmp_path, capsys):
+        report = write_json(
+            tmp_path / "r.json",
+            {"phi": "plugin_histogram(offset=5)", "blocks": [{"k": 1, "n_k": 16}]},
+        )
+        assert self._verify(tmp_path, self._sequence(tmp_path), report) == 2
+        assert "certificates" in capsys.readouterr().err
+
+    def test_checkpoint_without_budget_exit2(self, tmp_path):
+        report = write_json(tmp_path / "r.json", {"tau": [1], "consumed": 1, "frozen": []})
+        assert self._verify(tmp_path, self._sequence(tmp_path), report) == 2
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*/*.json"))
+
+
+class TestConfigs:
+    """Every shipped experiment config runs through its subcommand."""
+
+    def test_every_subcommand_has_configs(self):
+        assert {p.parent.name for p in CONFIGS} == {"adversary", "generate", "sweep"}
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_runs_at_reduced_size(self, tmp_path, path):
+        command = path.parent.name
+        cfg = json.loads(path.read_text())
+        small = 1 << 10
+        extra = []
+        if command == "sweep":
+            exp = cfg["experiment"]
+            exp["generator"]["n"] = small
+            exp["checkpoints"] = [c for c in exp["checkpoints"] if c <= small]
+        elif command == "generate":
+            cfg["n"] = small
+            cfg["diagnostic_checkpoints"] = [
+                c for c in cfg["diagnostic_checkpoints"] if c <= small
+            ]
+        elif command == "adversary":
+            extra = ["--horizon", str(1 << 12)]
+        argv = [command, "--config", write_json(tmp_path / "c.json", cfg),
+                "--out", str(tmp_path / "o"), *extra]
+        assert main(argv) == 0
+
 
 class TestSweep:
     def test_summary(self, tmp_path):
@@ -282,11 +375,15 @@ class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": "harmonic_approach", "n": 10}))
+        # the child imports the same stableseq as this process, installed or not
+        src = str(Path(stableseq.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "stableseq.cli", "generate", "--config", str(cfg),
              "--out", str(tmp_path / "o")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert (tmp_path / "o" / "sequence.csv").exists()

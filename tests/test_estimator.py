@@ -1,14 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stableseq.estimator import (
     EstimatorState,
     batch_tau_search,
     checkpoint_from_dict,
     checkpoint_to_dict,
-    fixed_sample_estimate,
     histogram_estimate,
     kappa_index,
     variation_check,
@@ -78,6 +80,21 @@ class TestEstimatorState:
         assert dict(st.frozen[0].values) == {0: 0.9}
         assert st.search_resolution == 1
 
+    @given(
+        st.integers(0, 40),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.booleans(),
+    )
+    def test_non_finite_pair_rejected(self, n_before, bad, bad_is_x):
+        state = EstimatorState(VariationBudget.const(2.0))
+        xs = RandomSource(n_before).generator().random(n_before)
+        state.ingest_many(xs, xs * 0.5)
+        tau = list(state.tau)
+        pair = (bad, 0.5) if bad_is_x else (0.5, bad)
+        with pytest.raises(ValueError):
+            state.ingest(*pair)
+        assert state.consumed == n_before and state.tau == tau
+
     def test_slack_budget_sprints(self):
         # a budget that never binds freezes at the first admissible n each time
         st = EstimatorState(VariationBudget.const(1e6))
@@ -97,7 +114,7 @@ class TestEstimatorState:
         with pytest.raises(ValueError):
             st.estimate_at(21)
         with pytest.raises(ValueError):
-            fixed_sample_estimate(st, 0)
+            st.estimate_at(0)
 
     def test_frozen_equals_recomputed_histogram(self):
         seq = gen_iid(UNIFORM, H1, "binary", 800, RandomSource(13))

@@ -141,6 +141,11 @@ class TestConsistencyCurve:
         assert curve.stalled_at == 10 + 512 + 1
         assert [n for n, _, _ in curve.rows] == [64]  # truncated before 3000
 
+    def test_checkpoint_below_one_rejected(self):
+        seq = gen_deterministic(H1, 64)
+        with pytest.raises(ValueError):
+            consistency_curve(seq, H1, UNIFORM, VariationBudget.const(2.0), [0, 16, 64])
+
     def test_csv_bytes(self):
         curve = ErrorCurve(((4, 1, 0.5), (8, 2, 0.25)), {"alpha": "x"})
         text = error_curve_csv_bytes(curve).decode()

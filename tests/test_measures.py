@@ -328,3 +328,18 @@ class TestSequenceCsv:
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_sequence_csv(p)
+
+    @given(
+        st.integers(1, 20),
+        st.data(),
+        st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]),
+    )
+    def test_non_finite_rejected(self, tmp_path_factory, n, data, bad):
+        row = data.draw(st.integers(0, n - 1))
+        col = data.draw(st.integers(1, 2))
+        cells = [[str(i + 1), "0.5", "0.25"] for i in range(n)]
+        cells[row][col] = bad
+        p = tmp_path_factory.mktemp("csv") / "seq.csv"
+        p.write_text("i,x,y\n" + "".join(",".join(c) + "\n" for c in cells))
+        with pytest.raises(ValueError, match=f"row {row + 1}"):
+            read_sequence_csv(p)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,35 @@ class TestPiecewiseDyadicFn:
         xs = rng.uniform(-2, 2, size=64)
         out = f.eval_many(xs)
         assert [f(float(x)) for x in xs] == list(out)
+
+    @given(
+        st.lists(st.floats(-4, 4), max_size=8),
+        st.integers(0, 8),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 50),
+    )
+    def test_eval_many_rejects_non_finite(self, xs, pos, bad, k):
+        f = PiecewiseDyadicFn(k, {0: 1.0} if k == 0 else {1: 1.0, -3: 2.0}, 0.5)
+        xs.insert(min(pos, len(xs)), bad)
+        with pytest.raises(ValueError):
+            f.eval_many(np.array(xs))
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(1, 60),
+    )
+    def test_eval_many_matches_scalar_at_any_magnitude(self, x, k):
+        # beyond the int64 range eval_many must neither wrap nor warn
+        f = PiecewiseDyadicFn(k, {-1: 3.0, 0: 1.0, 1: 2.0}, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expect = f(x)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    f.eval_many(np.array([x]))
+                return
+            assert list(f.eval_many(np.array([x, x]))) == [expect, expect]
 
     def test_serialization_round_trip_exact(self, rng):
         f = PiecewiseDyadicFn(
