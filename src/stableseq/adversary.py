@@ -194,9 +194,8 @@ def l2_unit_distance(f, g, quad_cells: int = 1 << 16) -> QuadratureResult:
 
 # -- exact prefix discrepancies (fast array forms) -------------------------------
 
-def uniform_prefix_discrepancy(x: np.ndarray) -> float:
-    """sup over intervals of |empirical mass - uniform[0,1] mass|, exact."""
-    xs = np.sort(np.asarray(x, dtype=float))
+def _uniform_sorted(xs: np.ndarray) -> float:
+    """uniform_prefix_discrepancy of points already sorted by value."""
     m = len(xs)
     if m == 0:
         raise ValueError("need at least one point")
@@ -209,6 +208,51 @@ def uniform_prefix_discrepancy(x: np.ndarray) -> float:
     return hi - lo
 
 
+def _weighted_sorted(
+    xs: np.ndarray, ys: np.ndarray, t_xs: np.ndarray, target, distinct: bool
+) -> float:
+    """weighted_prefix_discrepancy of points in stable x order.
+
+    `ys` is in the same order as `xs`, and `t_xs` is target.cumulative(xs).
+    `distinct` promises strictly increasing xs: each point's right count
+    is then its rank and its left count one less, with no search.
+    """
+    m = len(xs)
+    if m == 0:
+        raise ValueError("need at least one point")
+    cum = np.concatenate([[0.0], np.cumsum(ys)])
+    bks = np.asarray(target.breakpoints(), dtype=float)
+    tail = max(float(xs[-1]), float(bks.max())) + 1.0
+    extra = np.concatenate([bks, [tail]])
+    t_extra = np.asarray(target.cumulative(extra), dtype=float)
+    if distinct:
+        right, left = cum[1:], cum[:-1]
+    else:
+        right = cum[np.searchsorted(xs, xs, side="right")]
+        left = cum[np.searchsorted(xs, xs, side="left")]
+    gr = right / m - t_xs
+    gl = left / m - t_xs
+    gr_e = cum[np.searchsorted(xs, extra, side="right")] / m - t_extra
+    gl_e = cum[np.searchsorted(xs, extra, side="left")] / m - t_extra
+    # np.maximum/np.minimum propagate NaN as one max over all candidates would
+    hi = max(
+        float(np.maximum(gr.max(), gr_e.max())),
+        float(np.maximum(gl.max(), gl_e.max())),
+        0.0,
+    )
+    lo = min(
+        float(np.minimum(gr.min(), gr_e.min())),
+        float(np.minimum(gl.min(), gl_e.min())),
+        0.0,
+    )
+    return hi - lo
+
+
+def uniform_prefix_discrepancy(x: np.ndarray) -> float:
+    """sup over intervals of |empirical mass - uniform[0,1] mass|, exact."""
+    return _uniform_sorted(np.sort(np.asarray(x, dtype=float)))
+
+
 def weighted_prefix_discrepancy(
     x: np.ndarray, y: np.ndarray, target
 ) -> float:
@@ -218,21 +262,45 @@ def weighted_prefix_discrepancy(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    m = len(x)
-    if m == 0:
-        raise ValueError("need at least one point")
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    cum = np.concatenate([[0.0], np.cumsum(y[order])])
-    bks = np.asarray(target.breakpoints(), dtype=float)
-    tail = max(float(xs[-1]), float(bks.max())) + 1.0
-    cands = np.concatenate([xs, bks, [tail]])
-    t_cum = np.asarray(target.cumulative(cands), dtype=float)
-    gr = cum[np.searchsorted(xs, cands, side="right")] / m - t_cum
-    gl = cum[np.searchsorted(xs, cands, side="left")] / m - t_cum
-    hi = max(float(gr.max()), float(gl.max()), 0.0)
-    lo = min(float(gr.min()), float(gl.min()), 0.0)
-    return hi - lo
+    t_xs = np.asarray(target.cumulative(xs), dtype=float)
+    return _weighted_sorted(xs, y[order], t_xs, target, distinct=False)
+
+
+class _SortedPrefixes:
+    """Both prefix discrepancies of one block, read from its sorted view.
+
+    The values of prefix m in sorted order are the entries of the block's
+    stable sorted view whose original index is below m (ties keep index
+    order, as a stable sort of the prefix would), so no evaluation sorts.
+    Every value is bitwise equal to uniform_prefix_discrepancy(x[:m]) and
+    weighted_prefix_discrepancy(x[:m], y[:m], target).
+    """
+
+    def __init__(self, block: SampleSequence, target):
+        self.order = block.sorted_index
+        self.x_sorted = block.x_sorted
+        self.y = block.y
+        self.target = target
+        self._weighted_view = None
+
+    def uniform(self, m: int) -> float:
+        return _uniform_sorted(self.x_sorted[self.order < m])
+
+    def weighted(self, m: int) -> float:
+        if self._weighted_view is None:  # built on first use only
+            xs = self.x_sorted
+            self._weighted_view = (
+                self.y[self.order],
+                np.asarray(self.target.cumulative(xs), dtype=float),
+                bool(np.all(xs[1:] > xs[:-1])),  # False on ties or NaN
+            )
+        ys, t_xs, distinct = self._weighted_view
+        sel = np.flatnonzero(self.order < m)
+        return _weighted_sorted(
+            self.x_sorted[sel], ys[sel], t_xs[sel], self.target, distinct
+        )
 
 
 # -- certified scans over all prefix lengths --------------------------------------
@@ -293,16 +361,9 @@ def compute_block_thresholds(
             f"block has {len(block)} pairs; need at least horizon = {horizon}"
         )
     theta = 1.0 / (k + 1)
-    x = block.x
-    y = block.y
-    target = RademacherMeasure(k)
-
-    lv_plain, _, _ = certified_prefix_scan(
-        lambda m: uniform_prefix_discrepancy(x[:m]), 1, horizon, theta
-    )
-    lv_wt, _, _ = certified_prefix_scan(
-        lambda m: weighted_prefix_discrepancy(x[:m], y[:m], target), 1, horizon, theta
-    )
+    prefixes = _SortedPrefixes(block, RademacherMeasure(k))
+    lv_plain, _, _ = certified_prefix_scan(prefixes.uniform, 1, horizon, theta)
+    lv_wt, _, _ = certified_prefix_scan(prefixes.weighted, 1, horizon, theta)
     if lv_plain >= horizon or lv_wt >= horizon:
         raise HorizonExhausted(
             f"prefix discrepancy still above {theta:.4g} at the horizon {horizon}"
@@ -445,6 +506,9 @@ def builtin_procedures() -> dict[str, Callable[[], object]]:
 
 # -- the splice --------------------------------------------------------------------
 
+_STREAM_SLACK = 64  # extra raw values per block, to cover dropped collisions
+
+
 @dataclass(frozen=True)
 class AdversaryConfig:
     n_blocks: int
@@ -455,6 +519,29 @@ class AdversaryConfig:
     block_source: str = "vdc_shift"  # or "iid"
     shift: float = math.sqrt(2.0)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_blocks < 2:
+            raise ValueError("n_blocks must be >= 2 (oscillation needs two targets)")
+        for name in ("horizon", "block_budget", "first_check", "quad_cells"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.block_source not in ("vdc_shift", "iid"):
+            raise ValueError(
+                f"unknown block_source {self.block_source!r}; use 'vdc_shift' or 'iid'"
+            )
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift!r}")
+        if self.block_source == "vdc_shift":
+            # the raw van der Corput values are multiples of 2^-grid; a block
+            # offset that is one too maps them onto each other's grid
+            grid = (self.horizon + _STREAM_SLACK).bit_length()
+            for j in range(1, self.n_blocks + 1):
+                if math.ldexp(math.fmod(j * self.shift, 1.0), grid).is_integer():
+                    raise ValueError(
+                        f"shift {self.shift!r} makes blocks {j} apart repeat each "
+                        f"other's points ({j} * shift is a multiple of 2^-{grid})"
+                    )
 
     def to_dict(self) -> dict:
         return {
@@ -470,15 +557,22 @@ class AdversaryConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdversaryConfig":
+        def num(key, kind, default=None):
+            value = d[key] if default is None else d.get(key, default)
+            try:
+                return kind(value)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValueError(f"{key} must be {kind.__name__}, got {value!r}") from e
+
         return cls(
-            n_blocks=int(d["n_blocks"]),
-            horizon=int(d.get("horizon", 1 << 20)),
-            block_budget=int(d.get("block_budget", 1 << 18)),
-            first_check=int(d.get("first_check", 16)),
-            quad_cells=int(d.get("quad_cells", 1 << 16)),
+            n_blocks=num("n_blocks", int),
+            horizon=num("horizon", int, 1 << 20),
+            block_budget=num("block_budget", int, 1 << 18),
+            first_check=num("first_check", int, 16),
+            quad_cells=num("quad_cells", int, 1 << 16),
             block_source=d.get("block_source", "vdc_shift"),
-            shift=float(d.get("shift", math.sqrt(2.0))),
-            seed=int(d.get("seed", 0)),
+            shift=num("shift", float, math.sqrt(2.0)),
+            seed=num("seed", int, 0),
         )
 
 
@@ -490,12 +584,19 @@ class BlockStreams:
     collisions, within or across blocks, are removed deterministically in
     block order so the emitted values are distinct by construction).  The
     i.i.d. source substitutes seeded uniforms, same dedup.
+
+    Each raw stream is sorted once, by a stable argsort.  A value equal to
+    its sorted predecessor repeats an earlier index and is dropped; a value
+    found, by binary search, in an earlier block's sorted values is dropped
+    too.  The kept part of that one sort is the block's sorted view, which
+    `block` hands to SampleSequence, so no block is sorted twice.
     """
 
     def __init__(self, config: AdversaryConfig):
         self.config = config
         self._streams: dict[int, np.ndarray] = {}
         self._labels: dict[int, np.ndarray] = {}
+        self._orders: dict[int, np.ndarray] = {}  # stable argsort of each block
 
     def _raw(self, k: int, count: int) -> np.ndarray:
         if self.config.block_source == "iid":
@@ -505,29 +606,41 @@ class BlockStreams:
         return np.mod(base + k * self.config.shift, 1.0)
 
     def _materialize(self, k: int) -> None:
-        if k in self._streams:
-            return
+        horizon = self.config.horizon
         for kk in range(1, k + 1):
             if kk in self._streams:
                 continue
-            need = self.config.horizon + 64  # slack for dropped collisions
-            raw = self._raw(kk, need)
-            # in-stream dedupe, order preserving
-            _, first_idx = np.unique(raw, return_index=True)
-            mask = np.zeros(len(raw), dtype=bool)
-            mask[first_idx] = True
-            if kk > 1:
-                prev = np.concatenate([self._streams[p] for p in range(1, kk)])
-                mask &= ~np.isin(raw, prev)
-            xs = raw[mask][: self.config.horizon]
-            if len(xs) < self.config.horizon:
+            raw = self._raw(kk, horizon + _STREAM_SLACK)
+            order = np.argsort(raw, kind="stable")
+            s = raw[order]
+            # in-stream dedupe: the stable sort puts each value's first
+            # occurrence first, the rule of np.unique(return_index=True)
+            fresh = np.empty(len(s), dtype=bool)
+            fresh[:1] = True
+            np.not_equal(s[1:], s[:-1], out=fresh[1:])
+            for p in range(1, kk):
+                prev = self._streams[p][self._orders[p]]
+                at = np.searchsorted(prev, s)
+                np.minimum(at, len(prev) - 1, out=at)
+                fresh &= prev[at] != s
+                del prev, at
+            kept = order[fresh]  # raw indices of the kept values, ascending by value
+            del s, order, fresh
+            keep = np.zeros(len(raw), dtype=bool)
+            keep[kept] = True
+            xs = raw[keep][:horizon]
+            if len(xs) < horizon:
                 raise RuntimeError("collision filtering exhausted the stream slack")
+            rank = np.cumsum(keep)[kept] - 1  # positions in xs, in sorted order
+            self._orders[kk] = rank[rank < horizon]
             self._streams[kk] = xs
             self._labels[kk] = rademacher_eval(kk, xs)
 
     def block(self, k: int) -> SampleSequence:
         self._materialize(k)
-        return SampleSequence(self._streams[k], self._labels[k])
+        return SampleSequence._presorted(
+            self._streams[k], self._labels[k], self._orders[k]
+        )
 
     def xs(self, k: int) -> np.ndarray:
         self._materialize(k)
@@ -621,7 +734,10 @@ def splice_next_block(
     """Append block k until all boundary conditions hold; record n_k.
 
     Checks run at geometrically growing block lengths (first_check, then
-    doubling), bounding the number of estimator evaluations.
+    doubling, capped by block_budget and by the block's own length),
+    bounding the number of estimator evaluations.  Raises
+    ConsistencyViolationWitness when block_budget pairs never satisfy the
+    conditions, and HorizonExhausted when the block runs out first.
     """
     cfg = state.config
     l_next, lt_next = _block_thresholds_cached(state, streams, k + 1)
@@ -635,7 +751,7 @@ def splice_next_block(
     offset = cfg.first_check
     trajectory: list[tuple[int, float]] = []
     while True:
-        take = min(offset, cfg.block_budget)
+        take = min(offset, cfg.block_budget, len(block_x))
         while appended < take:
             state.xs.append(float(block_x[appended]))
             state.ys.append(float(block_y[appended]))
@@ -669,6 +785,11 @@ def splice_next_block(
             return state
         if appended >= cfg.block_budget:
             raise ConsistencyViolationWitness(k, state, trajectory)
+        if appended >= len(block_x):
+            raise HorizonExhausted(
+                f"block {k} ran out after {appended} pairs (the horizon) before "
+                f"its boundary conditions held"
+            )
         offset *= 2
 
 

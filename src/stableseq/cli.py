@@ -88,6 +88,13 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}") from e
+
+
 def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -116,8 +123,8 @@ def _parse_budget(d: dict) -> VariationBudget:
 def build_generated_sequence(cfg: dict, seed_override: int | None = None):
     """Run a generator spec; returns (sequence, mu, m, extra-metadata)."""
     kind = _require(cfg, "kind")
-    n = int(_require(cfg, "n"))
-    seed = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
+    n = _int(_require(cfg, "n"), "n")
+    seed = _int(cfg.get("seed", 0), "seed") if seed_override is None else int(seed_override)
     noise_cfg = cfg.get("noise", {"kind": "none"})
     noise = noise_cfg.get("kind", "none")
     delta = float(noise_cfg.get("delta", 0.0))
@@ -196,9 +203,10 @@ def cmd_estimate(cfg: dict, out: Path, seed_override, horizon_override) -> int:
     horizon = cfg.get("horizon")
     if horizon_override is not None:
         horizon = horizon_override
-    n_max = len(seq) if horizon is None else min(int(horizon), len(seq))
+    n_max = len(seq) if horizon is None else min(_int(horizon, "horizon"), len(seq))
     patience = cfg.get("stall_patience")
     required = cfg.get("require_resolution")
+    required = None if required is None else _int(required, "require_resolution")
     truth = cfg.get("truth")
     mu = m = None
     if truth is not None:
@@ -211,6 +219,8 @@ def cmd_estimate(cfg: dict, out: Path, seed_override, horizon_override) -> int:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    except OverflowError as e:  # raised by cell_of, on an x in the sequence
+        raise ConfigError(f"sequence x out of range: {e}") from e
     out.mkdir(parents=True, exist_ok=True)
     chk = checkpoint_to_dict(state)
     chk["stalled_at"] = stalled_at
@@ -227,7 +237,7 @@ def cmd_estimate(cfg: dict, out: Path, seed_override, horizon_override) -> int:
         )
     if stalled_at is not None:
         return EXIT_STALL
-    if required is not None and state.kappa() < int(required):
+    if required is not None and state.kappa() < required:
         return EXIT_STALL
     return EXIT_OK
 
@@ -258,21 +268,21 @@ def _make_phi(spec) -> object:
 
 
 def cmd_adversary(cfg: dict, out: Path, seed_override, horizon_override) -> int:
-    n_blocks = int(_require(cfg, "n_blocks"))
-    if n_blocks < 2:
-        raise ConfigError("n_blocks must be >= 2 (oscillation needs two targets)")
+    _require(cfg, "n_blocks")
     phi = _make_phi(_require(cfg, "phi"))
-    config = adv.AdversaryConfig.from_dict(
-        {
-            **cfg,
-            "n_blocks": n_blocks,
-            **({"seed": seed_override} if seed_override is not None else {}),
-            **({"horizon": horizon_override} if horizon_override is not None else {}),
-        }
-    )
+    try:
+        config = adv.AdversaryConfig.from_dict(
+            {
+                **cfg,
+                **({"seed": seed_override} if seed_override is not None else {}),
+                **({"horizon": horizon_override} if horizon_override is not None else {}),
+            }
+        )
+    except (ValueError, OverflowError) as e:
+        raise ConfigError(f"bad adversary config: {e}") from e
     out.mkdir(parents=True, exist_ok=True)
     try:
-        state, report = adv.build_adversarial_sequence(phi, n_blocks, config)
+        state, report = adv.build_adversarial_sequence(phi, config.n_blocks, config)
     except adv.ConsistencyViolationWitness as w:
         seq = w.state.sequence()
         (out / "sequence.csv").write_bytes(sequence_csv_bytes(seq))
@@ -320,6 +330,8 @@ def cmd_verify(cfg: dict) -> int:
             results = adv.verify_adversary_report(report, seq)
     except (OSError, LookupError, TypeError, ValueError) as e:
         raise ConfigError(f"bad report {report_path!r}: {type(e).__name__}: {e}") from e
+    except OverflowError as e:  # raised by cell_of, on an x in the sequence
+        raise ConfigError(f"sequence x out of range: {e}") from e
     if results is None:
         raise ConfigError(f"cannot tell what kind of report {report_path!r} is")
     all_ok = True

@@ -172,6 +172,9 @@ class EstimatorState:
         y = float(y)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"cannot ingest a non-finite pair ({x!r}, {y!r})")
+        # locate first: an x too large for a cell index raises OverflowError
+        # here, before any state changes (the first pair is placed at k = 1)
+        j = cell_of(x, max(self._k, 1)).j
         self.xs.append(x)
         self.ys.append(y)
         n = len(self.xs)
@@ -180,7 +183,7 @@ class EstimatorState:
             self.frozen.append(PiecewiseDyadicFn(0, {0: y}, 0.0))
             self._advance_resolution()
             return 0
-        self._add_sample(x, y)
+        self._add_sample(j, y)
         if self._prefilter_passes():
             fn = _cells_to_fn(self._cells, self._k)
             if variation_check(fn, self.budget):
@@ -244,8 +247,7 @@ class EstimatorState:
         m = _smallest_window(pair, self._k)
         self._bucket[m] = self._bucket.get(m, 0.0) + (new - old)
 
-    def _add_sample(self, x: float, y: float) -> None:
-        j = cell_of(x, self._k).j
+    def _add_sample(self, j: int, y: float) -> None:
         c = self._cells.get(j)
         if c is None:
             self._cells[j] = [1, y]

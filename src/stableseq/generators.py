@@ -74,17 +74,26 @@ class RandomSource:
 def van_der_corput(n: int, start: int = 1) -> np.ndarray:
     """First n base-2 radical inverses of start, start+1, ...
 
-    Exact: each value is a sum of distinct negative powers of two, and every
-    partial sum is exactly representable, so the matmul never rounds.
+    The radical inverse of i with nbits binary digits is rev(i) / 2^nbits,
+    where rev reverses those digits.  The reversal runs in place on one
+    unsigned integer array (32-bit when the indices fit), one pass per bit,
+    so memory stays a few arrays of length n.  Exact: rev(i) < 2^53
+    converts to float64 without rounding, and ldexp only moves the exponent.
     """
     if n <= 0:
         return np.zeros(0, dtype=float)
-    ii = np.arange(start, start + n, dtype=np.uint64)
     nbits = int(start + n - 1).bit_length()
-    shifts = np.arange(nbits, dtype=np.uint64)
-    bits = ((ii[:, None] >> shifts[None, :]) & 1).astype(float)
-    weights = np.ldexp(1.0, -(np.arange(nbits) + 1))
-    return bits @ weights
+    word = np.uint32 if nbits <= 32 else np.uint64
+    ii = np.arange(start, start + n, dtype=word)
+    rev = np.zeros(n, dtype=word)
+    bit = np.empty(n, dtype=word)
+    for _ in range(nbits):
+        np.bitwise_and(ii, 1, out=bit)
+        rev <<= 1
+        rev |= bit
+        ii >>= 1
+    del ii, bit
+    return np.ldexp(rev, -nbits)
 
 
 def _apply_noise(base: np.ndarray, noise: str, delta: float, gen) -> np.ndarray:

@@ -335,11 +335,23 @@ class SampleSequence:
             raise ValueError("x and y must be 1-d arrays of equal length")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        order = np.argsort(x, kind="stable")
+        self._index(np.argsort(x, kind="stable"))
+
+    def _index(self, order: np.ndarray) -> None:
         object.__setattr__(self, "sorted_index", order)
-        object.__setattr__(self, "x_sorted", x[order])
-        cs = np.concatenate([[0.0], _compensated_cumsum(y[order])])
+        object.__setattr__(self, "x_sorted", self.x[order])
+        cs = np.concatenate([[0.0], _compensated_cumsum(self.y[order])])
         object.__setattr__(self, "y_cumsum_sorted", cs)
+
+    @classmethod
+    def _presorted(cls, x: np.ndarray, y: np.ndarray, order: np.ndarray) -> "SampleSequence":
+        """Instance over float64 arrays x, y whose stable argsort by x is
+        already known; builds the sorted view without sorting again."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "x", x)
+        object.__setattr__(seq, "y", y)
+        seq._index(order)
+        return seq
 
     def __len__(self) -> int:
         return len(self.x)
@@ -655,13 +667,19 @@ def write_sequence_csv(seq: SampleSequence, path) -> None:
 def read_sequence_csv(path) -> SampleSequence:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
+        if header is None:
+            raise ValueError("sequence CSV is empty (no i,x,y header)")
         if [h.strip() for h in header] != ["i", "x", "y"]:
             raise ValueError(f"unexpected sequence CSV header: {header}")
         xs, ys = [], []
         for row in r:
             if not row:
                 continue
+            if len(row) < 3:
+                raise ValueError(
+                    f"sequence CSV line {r.line_num} has {len(row)} columns, need 3"
+                )
             xs.append(float(row[1]))
             ys.append(float(row[2]))
     x, y = np.array(xs), np.array(ys)

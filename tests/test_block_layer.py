@@ -1,0 +1,259 @@
+"""The adversary's block layer against the forms it replaced, compared with ==.
+
+The reference functions below are the earlier implementations, kept here
+verbatim as oracles: the bit-matrix van der Corput, the per-prefix
+discrepancies that sort every prefix, the threshold search built on them,
+and collision filtering by np.unique plus np.isin against the concatenated
+earlier blocks.  The rewritten paths must agree with them bit for bit.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stableseq.adversary import (
+    AdversaryConfig,
+    BlockStreams,
+    HorizonExhausted,
+    RademacherMeasure,
+    _SortedPrefixes,
+    certified_prefix_scan,
+    compute_block_thresholds,
+    rademacher_eval,
+    uniform_prefix_discrepancy,
+    weighted_prefix_discrepancy,
+)
+from stableseq.generators import van_der_corput
+from stableseq.measures import SampleSequence
+
+
+# -- reference forms ----------------------------------------------------------------
+
+def ref_van_der_corput(n, start=1):
+    if n <= 0:
+        return np.zeros(0, dtype=float)
+    ii = np.arange(start, start + n, dtype=np.uint64)
+    nbits = int(start + n - 1).bit_length()
+    shifts = np.arange(nbits, dtype=np.uint64)
+    bits = ((ii[:, None] >> shifts[None, :]) & 1).astype(float)
+    weights = np.ldexp(1.0, -(np.arange(nbits) + 1))
+    return bits @ weights
+
+
+def ref_uniform(x):
+    xs = np.sort(np.asarray(x, dtype=float))
+    m = len(xs)
+    f = np.clip(xs, 0.0, 1.0)
+    rr = np.arange(1, m + 1, dtype=float) / m
+    ll = np.arange(0, m, dtype=float) / m
+    c1 = np.searchsorted(xs, 1.0, side="right") / m - 1.0
+    hi = max(float((rr - f).max()), float((ll - f).max()), float(c1), 0.0)
+    lo = min(float((rr - f).min()), float((ll - f).min()), float(c1), 0.0)
+    return hi - lo
+
+
+def ref_weighted(x, y, target):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m = len(x)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    cum = np.concatenate([[0.0], np.cumsum(y[order])])
+    bks = np.asarray(target.breakpoints(), dtype=float)
+    tail = max(float(xs[-1]), float(bks.max())) + 1.0
+    cands = np.concatenate([xs, bks, [tail]])
+    t_cum = np.asarray(target.cumulative(cands), dtype=float)
+    gr = cum[np.searchsorted(xs, cands, side="right")] / m - t_cum
+    gl = cum[np.searchsorted(xs, cands, side="left")] / m - t_cum
+    hi = max(float(gr.max()), float(gl.max()), 0.0)
+    lo = min(float(gr.min()), float(gl.min()), 0.0)
+    return hi - lo
+
+
+def ref_block_thresholds(k, block, horizon):
+    theta = 1.0 / (k + 1)
+    x, y, target = block.x, block.y, RademacherMeasure(k)
+    lv_plain, _, ev_plain = certified_prefix_scan(lambda m: ref_uniform(x[:m]), 1, horizon, theta)
+    lv_wt, _, ev_wt = certified_prefix_scan(
+        lambda m: ref_weighted(x[:m], y[:m], target), 1, horizon, theta
+    )
+    if lv_plain >= horizon or lv_wt >= horizon:
+        raise HorizonExhausted("reference")
+    return (lv_plain + 1, lv_wt + 1), ev_plain + ev_wt
+
+
+def ref_materialize(raws, horizon):
+    """Emitted xs per block from the raw streams, np.unique + np.isin form."""
+    streams = []
+    for raw in raws:
+        _, first_idx = np.unique(raw, return_index=True)
+        mask = np.zeros(len(raw), dtype=bool)
+        mask[first_idx] = True
+        if streams:
+            mask &= ~np.isin(raw, np.concatenate(streams))
+        xs = raw[mask][:horizon]
+        assert len(xs) == horizon
+        streams.append(xs)
+    return streams
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+# -- van der Corput ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 5, 1000])
+@pytest.mark.parametrize("start", [1, 3, 1000])
+def test_van_der_corput_matches_bit_matrix_form(n, start):
+    assert np.array_equal(bits(van_der_corput(n, start)), bits(ref_van_der_corput(n, start)))
+
+
+def test_van_der_corput_matches_bit_matrix_form_at_block_size():
+    # the radical inverse of i does not depend on how many digits the call
+    # uses, so the reference runs in slices and stays small in memory
+    n = (1 << 20) + 64
+    got = bits(van_der_corput(n))
+    step = 1 << 17
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        assert np.array_equal(got[lo:hi], bits(ref_van_der_corput(hi - lo, lo + 1)))
+
+
+def test_van_der_corput_wide_indices():
+    # indices past 2^32 take the 64-bit path
+    start = (1 << 40) + 12345
+    assert np.array_equal(bits(van_der_corput(1000, start)), bits(ref_van_der_corput(1000, start)))
+
+
+# -- sort-once prefix scans ---------------------------------------------------------------
+
+# coarse grids force ties; values outside [0, 1] exercise the clipping
+_xs = st.lists(
+    st.integers(-2, 18).map(lambda i: i / 16.0), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_xs, st.integers(0, 4), st.data())
+def test_scan_values_equal_per_prefix_functions(xs, k, data):
+    x = np.array(xs, dtype=float)
+    y = np.array(
+        data.draw(st.lists(st.integers(-2, 2), min_size=len(xs), max_size=len(xs))),
+        dtype=float,
+    )
+    target = RademacherMeasure(k)
+    prefixes = _SortedPrefixes(SampleSequence(x, y), target)
+    for m in range(1, len(x) + 1):
+        u = prefixes.uniform(m)
+        assert u == ref_uniform(x[:m]) == uniform_prefix_discrepancy(x[:m])
+        w = prefixes.weighted(m)
+        assert w == ref_weighted(x[:m], y[:m], target)
+        assert w == weighted_prefix_discrepancy(x[:m], y[:m], target)
+
+
+def test_scan_values_equal_on_a_real_block():
+    blk = BlockStreams(AdversaryConfig(n_blocks=2, horizon=1 << 12)).block(2)
+    target = RademacherMeasure(2)
+    prefixes = _SortedPrefixes(blk, target)
+    for m in [1, 2, 3, 17, 100, 1000, 4095, 4096]:
+        assert prefixes.uniform(m) == ref_uniform(blk.x[:m])
+        assert prefixes.weighted(m) == ref_weighted(blk.x[:m], blk.y[:m], target)
+
+
+def _tied_block(seed, n, k):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 64, size=n) / 64.0  # about five copies of each value
+    x[:8] = 0.5  # and a pile at the start, so the early prefixes violate
+    return SampleSequence(x, rademacher_eval(k, x))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_thresholds_on_tied_input_equal_reference(seed, k, monkeypatch):
+    import stableseq.adversary as adv
+
+    blk = _tied_block(seed, 300, k)
+    seen = []
+    real_scan = adv.certified_prefix_scan
+
+    def recording_scan(eval_at, lo, hi, threshold):
+        out = real_scan(eval_at, lo, hi, threshold)
+        seen.extend(out[2])
+        return out
+
+    monkeypatch.setattr(adv, "certified_prefix_scan", recording_scan)
+    want, want_evals = ref_block_thresholds(k, blk, 300)
+    assert compute_block_thresholds(k, blk, 300) == want
+    assert seen == want_evals  # same evaluation points, same values
+    assert len(want_evals) > 10
+
+
+# -- collision filtering ------------------------------------------------------------------
+
+class PlantedStreams(BlockStreams):
+    """Raw streams with planted in-stream and cross-block duplicates."""
+
+    def __init__(self, config, raws):
+        super().__init__(config)
+        self.raws = raws
+
+    def _raw(self, k, count):
+        return self.raws[k - 1][:count]
+
+
+def test_collision_filtering_equals_unique_isin_reference():
+    horizon = 200
+    count = horizon + 64
+    rng = np.random.default_rng(11)
+    grid = rng.integers(0, 1 << 12, size=(3, count)) / float(1 << 12)  # in-stream repeats
+    raws = [grid[0].copy(), grid[1].copy(), grid[2].copy()]
+    raws[1][:30] = raws[0][10:40]  # block 2 repeats emitted block-1 values
+    raws[2][5:25] = raws[1][100:120]
+    raws[2][50:60] = raws[0][:10]
+    raws[0][7] = raws[0][3]  # an early exact repeat, and a signed zero pair
+    raws[0][20], raws[0][21] = 0.0, -0.0
+    want = ref_materialize(raws, horizon)
+    streams = PlantedStreams(AdversaryConfig(n_blocks=2, horizon=horizon), raws)
+    for k in (1, 2, 3):
+        xs = streams.xs(k)
+        assert np.array_equal(bits(xs), bits(want[k - 1]))
+        blk = streams.block(k)
+        plain = SampleSequence(xs, rademacher_eval(k, xs))
+        assert np.array_equal(blk.sorted_index, plain.sorted_index)
+        assert np.array_equal(bits(blk.x_sorted), bits(plain.x_sorted))
+        assert np.array_equal(bits(blk.y_cumsum_sorted), bits(plain.y_cumsum_sorted))
+
+
+def test_collision_filtering_slack_check_kept():
+    raw = np.full(300, 0.25)  # one distinct value cannot fill a block
+    streams = PlantedStreams(AdversaryConfig(n_blocks=2, horizon=100), [raw, raw])
+    with pytest.raises(RuntimeError, match="slack"):
+        streams.xs(1)
+
+
+# -- memory guards ----------------------------------------------------------------------
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_van_der_corput_peak_memory():
+    # the bit-matrix form peaked at about 344 MB here
+    assert _peak_bytes(lambda: van_der_corput((1 << 20) + 64)) < 64 * 2**20
+
+
+def test_block_materialization_peak_memory():
+    # two blocks at 2^16 hold 3 MB (x, labels, sorted order); the
+    # bit-matrix and np.isin form peaked at about 20 MB
+    def two_blocks():
+        BlockStreams(AdversaryConfig(n_blocks=2, horizon=1 << 16)).xs(2)
+
+    assert _peak_bytes(two_blocks) < 10 * 2**20

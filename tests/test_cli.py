@@ -72,6 +72,18 @@ class TestGenerate:
         )
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_non_integer_n_exit2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {"kind": "harmonic_approach", "n": "ten"})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "'n'" in capsys.readouterr().err
+
+    def test_non_integer_seed_exit2(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "c.json", {"kind": "harmonic_approach", "n": 10, "seed": "x"}
+        )
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
     def test_reducible_markov_exit3(self, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -179,6 +191,44 @@ class TestEstimate:
         argv = ["estimate", "--config", cfg, "--out", str(tmp_path / "e2"), "--horizon", "0"]
         assert main(argv) == 2
 
+    def test_non_integer_horizon_exit2(self, tmp_path, capsys):
+        seq_csv = self._sequence(tmp_path, n=8)
+        cfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": seq_csv, "alpha": {"kind": "constant", "c": 2.0}, "horizon": "abc"},
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        assert "'horizon'" in capsys.readouterr().err
+
+    def test_non_integer_require_resolution_exit2(self, tmp_path, capsys):
+        seq_csv = self._sequence(tmp_path, n=8)
+        cfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": seq_csv, "alpha": {"kind": "constant", "c": 2.0},
+             "require_resolution": "x"},
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        assert "'require_resolution'" in capsys.readouterr().err
+
+    def _estimate_csv(self, tmp_path, text):
+        (tmp_path / "s.csv").write_text(text)
+        cfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": str(tmp_path / "s.csv"), "alpha": {"kind": "constant", "c": 2.0}},
+        )
+        return main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")])
+
+    def test_x_too_large_to_locate_exit2(self, tmp_path):
+        assert self._estimate_csv(tmp_path, "i,x,y\n1,1e300,0.5\n") == 2
+
+    def test_empty_csv_exit2(self, tmp_path, capsys):
+        assert self._estimate_csv(tmp_path, "") == 2
+        assert "empty" in capsys.readouterr().err
+
+    def test_short_csv_row_exit2(self, tmp_path, capsys):
+        assert self._estimate_csv(tmp_path, "i,x,y\n1,0.5,1\n2,0.25\n") == 2
+        assert "line 3 has 2 columns" in capsys.readouterr().err
+
     def test_single_pair_input(self, tmp_path):
         seq_csv = self._sequence(tmp_path, n=1)
         cfg = write_json(
@@ -230,6 +280,36 @@ class TestAdversary:
             {"phi": "oracle", "n_blocks": 2, "horizon": 2, "block_budget": 64},
         )
         assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 6
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_blocks": "four"},
+            {"horizon": "abc"},
+            {"horizon": 0},
+            {"block_budget": 0},
+            {"first_check": 0},
+            {"shift": 1.0},
+            {"block_source": "nope"},
+        ],
+        ids=["n_blocks-four", "horizon-abc", "horizon-0", "block_budget-0",
+             "first_check-0", "shift-1", "block_source-nope"],
+    )
+    def test_bad_config_value_exit2(self, tmp_path, capsys, bad):
+        cfg = write_json(
+            tmp_path / "a.json", {"phi": "plugin", "n_blocks": 2, "horizon": 256, **bad}
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+
+    def test_block_shorter_than_budget_exit6(self, tmp_path):
+        # the default block_budget (2^18) exceeds the 100-pair blocks: the
+        # check after 64 pairs is followed by one at the block's end (not at
+        # 128), and then the splice stops instead of reading past the block
+        cfg = write_json(tmp_path / "a.json", {"phi": "plugin", "n_blocks": 2, "horizon": 100})
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 6
+        w = json.loads((tmp_path / "a" / "witness.json").read_text())
+        assert w["horizon_exhausted"] and "ran out after 100 pairs" in w["message"]
 
     def test_external_phi_through_subprocess(self, tmp_path):
         est = tmp_path / "est.py"
@@ -317,6 +397,17 @@ class TestVerify:
         )
         assert self._verify(tmp_path, self._sequence(tmp_path), report) == 2
         assert "certificates" in capsys.readouterr().err
+
+    def test_x_too_large_to_locate_exit2(self, tmp_path):
+        (tmp_path / "ok.csv").write_text("i,x,y\n1,0.5,1\n2,0.25,0\n")
+        ecfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": str(tmp_path / "ok.csv"), "alpha": {"kind": "constant", "c": 2.0}},
+        )
+        assert main(["estimate", "--config", ecfg, "--out", str(tmp_path / "e")]) == 0
+        (tmp_path / "big.csv").write_text("i,x,y\n1,0.5,1\n2,1e300,0\n")
+        report = str(tmp_path / "e" / "checkpoint.json")
+        assert self._verify(tmp_path, str(tmp_path / "big.csv"), report) == 2
 
     def test_checkpoint_without_budget_exit2(self, tmp_path):
         report = write_json(tmp_path / "r.json", {"tau": [1], "consumed": 1, "frozen": []})

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -94,6 +95,18 @@ class TestEstimatorState:
         with pytest.raises(ValueError):
             state.ingest(*pair)
         assert state.consumed == n_before and state.tau == tau
+
+    @pytest.mark.parametrize("n_before", [0, 1, 5, 40])
+    def test_pair_too_large_to_locate_leaves_state_untouched(self, n_before):
+        state = EstimatorState(VariationBudget.const(2.0))
+        xs = RandomSource(n_before).generator().random(n_before)
+        state.ingest_many(xs, xs * 0.5)
+        before = copy.deepcopy(vars(state))
+        with pytest.raises(OverflowError):
+            state.ingest(1e300, 0.5)
+        assert vars(state) == before
+        state.ingest(0.3, 0.5)  # and the state still takes valid pairs
+        assert state.consumed == n_before + 1
 
     def test_slack_budget_sprints(self):
         # a budget that never binds freezes at the first admissible n each time
