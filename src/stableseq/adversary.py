@@ -43,6 +43,7 @@ truncated at the configured horizon) and reports label it as such.
 from __future__ import annotations
 
 import math
+import re
 import subprocess
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -50,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evaluation import QuadratureResult, l2_error_quadrature
-from .measures import DistributionModel, IntervalA, SampleSequence
+from .measures import DistributionModel, IntervalA, SampleSequence, _interval_sup
 from .partitions import PiecewiseDyadicFn
 from .generators import RandomSource, van_der_corput
 
@@ -192,60 +193,18 @@ def l2_unit_distance(f, g, quad_cells: int = 1 << 16) -> QuadratureResult:
     return l2_error_quadrature(f, g, _UNIT, cells=quad_cells)
 
 
-# -- exact prefix discrepancies (fast array forms) -------------------------------
+# -- exact prefix discrepancies ---------------------------------------------------
 
 def _uniform_sorted(xs: np.ndarray) -> float:
     """uniform_prefix_discrepancy of points already sorted by value."""
-    m = len(xs)
-    if m == 0:
-        raise ValueError("need at least one point")
-    f = np.clip(xs, 0.0, 1.0)
-    rr = np.arange(1, m + 1, dtype=float) / m
-    ll = np.arange(0, m, dtype=float) / m
-    c1 = np.searchsorted(xs, 1.0, side="right") / m - 1.0
-    hi = max(float((rr - f).max()), float((ll - f).max()), float(c1), 0.0)
-    lo = min(float((rr - f).min()), float((ll - f).min()), float(c1), 0.0)
-    return hi - lo
+    f = np.clip(xs, 0.0, 1.0)  # the uniform CDF at xs
+    return _interval_sup(xs, np.arange(len(xs) + 1, dtype=float), f, f, _UNIT)
 
 
-def _weighted_sorted(
-    xs: np.ndarray, ys: np.ndarray, t_xs: np.ndarray, target, distinct: bool
-) -> float:
-    """weighted_prefix_discrepancy of points in stable x order.
-
-    `ys` is in the same order as `xs`, and `t_xs` is target.cumulative(xs).
-    `distinct` promises strictly increasing xs: each point's right count
-    is then its rank and its left count one less, with no search.
-    """
-    m = len(xs)
-    if m == 0:
-        raise ValueError("need at least one point")
-    cum = np.concatenate([[0.0], np.cumsum(ys)])
-    bks = np.asarray(target.breakpoints(), dtype=float)
-    tail = max(float(xs[-1]), float(bks.max())) + 1.0
-    extra = np.concatenate([bks, [tail]])
-    t_extra = np.asarray(target.cumulative(extra), dtype=float)
-    if distinct:
-        right, left = cum[1:], cum[:-1]
-    else:
-        right = cum[np.searchsorted(xs, xs, side="right")]
-        left = cum[np.searchsorted(xs, xs, side="left")]
-    gr = right / m - t_xs
-    gl = left / m - t_xs
-    gr_e = cum[np.searchsorted(xs, extra, side="right")] / m - t_extra
-    gl_e = cum[np.searchsorted(xs, extra, side="left")] / m - t_extra
-    # np.maximum/np.minimum propagate NaN as one max over all candidates would
-    hi = max(
-        float(np.maximum(gr.max(), gr_e.max())),
-        float(np.maximum(gl.max(), gl_e.max())),
-        0.0,
-    )
-    lo = min(
-        float(np.minimum(gr.min(), gr_e.min())),
-        float(np.minimum(gl.min(), gl_e.min())),
-        0.0,
-    )
-    return hi - lo
+def _weighted_sorted(xs: np.ndarray, ys: np.ndarray, t_xs: np.ndarray, target) -> float:
+    """weighted_prefix_discrepancy of points in stable x order; `ys` is in
+    the same order and `t_xs` is target.cumulative(xs)."""
+    return _interval_sup(xs, np.concatenate([[0.0], np.cumsum(ys)]), t_xs, t_xs, target)
 
 
 def uniform_prefix_discrepancy(x: np.ndarray) -> float:
@@ -265,7 +224,7 @@ def weighted_prefix_discrepancy(
     order = np.argsort(x, kind="stable")
     xs = x[order]
     t_xs = np.asarray(target.cumulative(xs), dtype=float)
-    return _weighted_sorted(xs, y[order], t_xs, target, distinct=False)
+    return _weighted_sorted(xs, y[order], t_xs, target)
 
 
 class _SortedPrefixes:
@@ -274,7 +233,11 @@ class _SortedPrefixes:
     The values of prefix m in sorted order are the entries of the block's
     stable sorted view whose original index is below m (ties keep index
     order, as a stable sort of the prefix would), so no evaluation sorts.
-    Every value is bitwise equal to uniform_prefix_discrepancy(x[:m]) and
+    The labels in sorted order and the target's cumulative values at the
+    sorted points are computed once per block; each evaluation selects its
+    prefix from them and runs the one interval scan of `measures`, counting
+    with the plain cumulative sum of the prefix's labels.  Every value is
+    therefore bitwise equal to uniform_prefix_discrepancy(x[:m]) and
     weighted_prefix_discrepancy(x[:m], y[:m], target).
     """
 
@@ -290,17 +253,13 @@ class _SortedPrefixes:
 
     def weighted(self, m: int) -> float:
         if self._weighted_view is None:  # built on first use only
-            xs = self.x_sorted
             self._weighted_view = (
                 self.y[self.order],
-                np.asarray(self.target.cumulative(xs), dtype=float),
-                bool(np.all(xs[1:] > xs[:-1])),  # False on ties or NaN
+                np.asarray(self.target.cumulative(self.x_sorted), dtype=float),
             )
-        ys, t_xs, distinct = self._weighted_view
+        ys, t_xs = self._weighted_view
         sel = np.flatnonzero(self.order < m)
-        return _weighted_sorted(
-            self.x_sorted[sel], ys[sel], t_xs[sel], self.target, distinct
-        )
+        return _weighted_sorted(self.x_sorted[sel], ys[sel], t_xs[sel], self.target)
 
 
 # -- certified scans over all prefix lengths --------------------------------------
@@ -384,7 +343,9 @@ class PluginHistogramProcedure:
     def __init__(self, depth_offset: int = 5, max_depth: int = 16):
         self.depth_offset = depth_offset
         self.max_depth = max_depth
-        self.name = f"plugin_histogram(offset={depth_offset})"
+        # the name alone rebuilds the procedure (`_procedure_from_name`)
+        extra = "" if max_depth == 16 else f", max_depth={max_depth}"
+        self.name = f"plugin_histogram(offset={depth_offset}{extra})"
 
     def depth(self, n: int) -> int:
         return max(1, min(int(n).bit_length() - 1 - self.depth_offset, self.max_depth))
@@ -502,6 +463,16 @@ def builtin_procedures() -> dict[str, Callable[[], object]]:
         "constant": ConstantProcedure,
         "oracle": OracleProcedure,
     }
+
+
+def _procedure_from_name(name: str):
+    """The built-in procedure whose `name` a report records, or None.  (A
+    constant procedure never yields a report: it stays >= 1/4 from every
+    h_k in squared L2.)"""
+    m = re.fullmatch(r"plugin_histogram\(offset=(-?\d+)(?:, max_depth=(-?\d+))?\)", name)
+    if m:
+        return PluginHistogramProcedure(int(m[1]), int(m[2] or 16))
+    return OracleProcedure() if name == "oracle" else None
 
 
 # -- the splice --------------------------------------------------------------------
@@ -898,16 +869,12 @@ def verify_adversary_report(report: dict, seq: SampleSequence, phi=None) -> list
     """Re-validate a run report against its stored sequence.
 
     Recomputes boundary discrepancies and, when the procedure is available
-    (built-in name or explicit object), the boundary L2 certificates and
-    the pairwise distances.
+    (a built-in one rebuilt from its recorded name, or an explicit object),
+    the boundary L2 certificates and the pairwise distances.
     """
     results: list[tuple[str, bool, str]] = []
     if phi is None:
-        name = str(report.get("phi", ""))
-        for key, factory in builtin_procedures().items():
-            if name.startswith(key):
-                phi = factory()
-                break
+        phi = _procedure_from_name(str(report.get("phi", "")))
     xs, ys = seq.x, seq.y
     fitted = []
     for rec in report["blocks"]:

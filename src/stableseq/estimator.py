@@ -179,18 +179,20 @@ class EstimatorState:
         self.ys.append(y)
         n = len(self.xs)
         if n == 1:
-            self.tau.append(1)
-            self.frozen.append(PiecewiseDyadicFn(0, {0: y}, 0.0))
-            self._advance_resolution()
+            self._freeze(PiecewiseDyadicFn(0, {0: y}, 0.0))
             return 0
         self._add_sample(j, y)
         if self._prefilter_passes():
             fn = _cells_to_fn(self._cells, self._k)
             if variation_check(fn, self.budget):
-                self.tau.append(n)
-                self.frozen.append(fn)
                 k_frozen = self._k
-                self._advance_resolution()
+                try:
+                    self._freeze(fn)
+                except OverflowError:  # reject the pair: back to the state before it
+                    del self.xs[-1], self.ys[-1]
+                    self._cells = _accumulate_cells(self.xs, self.ys, self._k, n - 1)
+                    self._rebuild_diffs()
+                    raise
                 return k_frozen
             self._resync()
         self._since_sync += 1
@@ -208,10 +210,16 @@ class EstimatorState:
         return events
 
     # -- internals ------------------------------------------------------------------
-    def _advance_resolution(self) -> None:
+    def _freeze(self, fn: PiecewiseDyadicFn) -> None:
+        """Record tau = consumed with estimate fn and search one resolution
+        deeper.  The cells there are built first: an x with no cell index at
+        that resolution raises OverflowError before any state changes."""
+        cells = _accumulate_cells(self.xs, self.ys, self._k + 1, len(self.xs))
+        self.tau.append(len(self.xs))
+        self.frozen.append(fn)
         self._k += 1
         self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, self._k + 1)]
-        self._cells = _accumulate_cells(self.xs, self.ys, self._k, len(self.xs))
+        self._cells = cells
         self._rebuild_diffs()
 
     def _rebuild_diffs(self) -> None:

@@ -18,11 +18,12 @@ limits, plus the value 0 carried by a -> -inf / b beyond the data.  No
 epsilon-perturbation is involved; suprema that are approached but not
 attained are captured by the left limits.
 
-The same candidate-scan applies to the y-weighted empirical measure against
-any target exposing a cumulative function, its left limits, and its
-breakpoints (see `sup_weighted_discrepancy`); the weighted "CDFs" need not
-reach equal totals, so the constant tail value is included via the largest
-breakpoint.
+One scan, `_interval_sup`, evaluates that supremum on points sorted by
+value, for the plain class and the y-weighted one alike: it counts with
+prefix sums (0..n, or the sums of y) against any target with a cumulative
+function, its left limits and its breakpoints.  One extra candidate past
+the data and the breakpoints carries the constant tail value, which the
+weighted curves need not share.
 
 A separate, weaker statistic is the Levy metric between the empirical CDF
 and the model CDF (`levy_distance`).  It metrizes pointwise CDF convergence
@@ -39,6 +40,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -186,6 +188,10 @@ class DistributionModel:
         out = out + self._continuous_cdf(t_arr)
         return float(out[0]) if scalar else out
 
+    # mu as a target of the interval scan, which counts the plain class with y = 1
+    cumulative = cdf
+    cumulative_left = cdf_left
+
     def _continuous_cdf(self, t: np.ndarray) -> np.ndarray:
         if len(self._seg_a) == 0:
             return np.zeros_like(t)
@@ -314,10 +320,10 @@ class SampleSequence:
     """An observed finite prefix (x_i, y_i), i = 1..n, insertion order kept.
 
     The sorted view (stable argsort by x) and the prefix sums of y in sorted
-    order support O(log n) interval queries for both the plain and the
-    y-weighted empirical measures.  Ties in x keep insertion order in the
-    sorted view; every query is by x-value range, so the tie order never
-    changes an answer.
+    order, the latter built on first use, support O(log n) interval queries
+    for both the plain and the y-weighted empirical measures.  Ties in x keep
+    insertion order in the sorted view; every query is by x-value range, so
+    the tie order never changes an answer.
 
     Instances are immutable after construction; all query methods are pure.
     """
@@ -326,7 +332,6 @@ class SampleSequence:
     y: np.ndarray
     sorted_index: np.ndarray = field(repr=False, compare=False, default=None)
     x_sorted: np.ndarray = field(repr=False, compare=False, default=None)
-    y_cumsum_sorted: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -340,8 +345,11 @@ class SampleSequence:
     def _index(self, order: np.ndarray) -> None:
         object.__setattr__(self, "sorted_index", order)
         object.__setattr__(self, "x_sorted", self.x[order])
-        cs = np.concatenate([[0.0], _compensated_cumsum(self.y[order])])
-        object.__setattr__(self, "y_cumsum_sorted", cs)
+
+    @cached_property
+    def y_cumsum_sorted(self) -> np.ndarray:
+        """Prefix sums of y in sorted order, with a leading 0."""
+        return np.concatenate([[0.0], _compensated_cumsum(self.y[self.sorted_index])])
 
     @classmethod
     def _presorted(cls, x: np.ndarray, y: np.ndarray, order: np.ndarray) -> "SampleSequence":
@@ -367,7 +375,9 @@ class SampleSequence:
     def prefix(self, m: int) -> "SampleSequence":
         if not 0 <= m <= len(self):
             raise ValueError(f"prefix length {m} out of range")
-        return SampleSequence(self.x[:m].copy(), self.y[:m].copy())
+        # a stable sort of the prefix keeps the parent's order of its indices
+        order = self.sorted_index
+        return SampleSequence._presorted(self.x[:m], self.y[:m], order[order < m])
 
     # -- counting -------------------------------------------------------------
     def count_le(self, t) -> np.ndarray | int:
@@ -411,9 +421,39 @@ def empirical_weighted_mass(seq: SampleSequence, A: IntervalA) -> float:
     return float(seq.y_cumsum_sorted[hi] - seq.y_cumsum_sorted[lo]) / len(seq)
 
 
-def _scan_extrema(right_vals: np.ndarray, left_vals: np.ndarray) -> float:
-    hi = max(float(right_vals.max()), float(left_vals.max()), 0.0)
-    lo = min(float(right_vals.min()), float(left_vals.min()), 0.0)
+def _interval_sup(
+    xs: np.ndarray, cum: np.ndarray, right_at_xs: np.ndarray, left_at_xs: np.ndarray, target
+) -> float:
+    """sup over the interval class of |cum-weighted empirical mass - target|.
+
+    `xs` holds the n >= 1 points in stable x order and cum[i] the counted
+    weight of xs[:i], i = 0..n.  `right_at_xs` and `left_at_xs` are
+    target.cumulative(xs) and target.cumulative_left(xs).  Returns max - min
+    of D = cum/n - target over the candidates (xs, the target's breakpoints
+    and one anchor past both; right values and left limits) and 0.
+    """
+    n = len(xs)
+    if n < 1:
+        raise ValueError("need at least one sample")
+    bks = np.asarray(target.breakpoints(), dtype=float)
+    tail = max(float(xs[-1]), float(bks.max()) if len(bks) else -math.inf) + 1.0
+    extra = np.append(bks, tail)
+    if np.all(xs[1:] > xs[:-1]):  # strictly increasing: the counts are ranks
+        right, left = cum[1:], cum[:-1]
+    else:  # ties or NaN
+        right = cum[np.searchsorted(xs, xs, side="right")]
+        left = cum[np.searchsorted(xs, xs, side="left")]
+    d_right = right / n
+    d_right -= right_at_xs
+    d_left = left / n
+    d_left -= left_at_xs
+    e_right = cum[np.searchsorted(xs, extra, side="right")] / n - target.cumulative(extra)
+    e_left = cum[np.searchsorted(xs, extra, side="left")] / n - target.cumulative_left(extra)
+    # np.maximum/np.minimum propagate NaN as one max over all candidates would
+    hi = max(float(np.maximum(d_right.max(), e_right.max())),
+             float(np.maximum(d_left.max(), e_left.max())), 0.0)
+    lo = min(float(np.minimum(d_right.min(), e_right.min())),
+             float(np.minimum(d_left.min(), e_left.min())), 0.0)
     return hi - lo
 
 
@@ -425,38 +465,21 @@ def sup_interval_discrepancy(seq: SampleSequence, model: DistributionModel) -> f
     baseline 0 (the value of D at +/-inf, where both CDFs agree).  This is
     the exact supremum: D is piecewise linear between the candidates.
     """
-    if len(seq) < 1:
-        raise ValueError("need at least one sample")
-    n = len(seq)
-    cand = np.concatenate([seq.x_sorted, model.breakpoints()])
-    d_right = seq.count_le(cand) / n - model.cdf(cand)
-    d_left = seq.count_lt(cand) / n - model.cdf_left(cand)
-    return _scan_extrema(d_right, d_left)
+    xs = seq.x_sorted
+    counts = np.arange(len(xs) + 1, dtype=float)
+    return _interval_sup(xs, counts, model.cdf(xs), model.cdf_left(xs), model)
 
 
 def sup_weighted_discrepancy(seq: SampleSequence, target) -> float:
     """sup over the interval class of |y-weighted empirical mass - target|.
 
     `target` must expose cumulative(t), cumulative_left(t) (vectorized) and
-    breakpoints().  The scan mirrors `sup_interval_discrepancy`, with one
-    extra candidate beyond the largest breakpoint: the weighted curves need
-    not meet at +inf, and the constant tail value is attained by any finite
-    b past the data and target support.
+    breakpoints().  The scan is that of `sup_interval_discrepancy`, counting
+    with the prefix sums of y instead of 1 per point.
     """
-    if len(seq) < 1:
-        raise ValueError("need at least one sample")
-    n = len(seq)
-    bks = np.asarray(target.breakpoints(), dtype=float)
-    tail_anchor = max(
-        float(seq.x_sorted[-1]),
-        float(bks.max()) if len(bks) else -math.inf,
-    ) + 1.0
-    cand = np.concatenate([seq.x_sorted, bks, [tail_anchor]])
-    g_hat_right = seq.y_cumsum_sorted[seq.count_le(cand)] / n
-    g_hat_left = seq.y_cumsum_sorted[seq.count_lt(cand)] / n
-    d_right = g_hat_right - np.asarray(target.cumulative(cand), dtype=float)
-    d_left = g_hat_left - np.asarray(target.cumulative_left(cand), dtype=float)
-    return _scan_extrema(d_right, d_left)
+    xs = seq.x_sorted
+    right, left = target.cumulative(xs), target.cumulative_left(xs)
+    return _interval_sup(xs, seq.y_cumsum_sorted, right, left, target)
 
 
 def cramer_distance(seq: SampleSequence, model: DistributionModel) -> float:

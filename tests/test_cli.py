@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import stableseq
+from stableseq import adversary as adv
 from stableseq.cli import main
 from stableseq.measures import read_sequence_csv
 
@@ -258,6 +259,32 @@ class TestAdversary:
              "report": str(tmp_path / "a" / "report.json")},
         )
         assert main(["verify", "--config", vcfg]) == 0
+
+    @pytest.mark.parametrize(
+        "phi",
+        [{"kind": "plugin", "depth_offset": 3},
+         {"kind": "plugin", "depth_offset": 1, "max_depth": 3}],
+        ids=["offset-3", "offset-1-max_depth-3"],
+    )
+    def test_non_default_plugin_report_verifies(self, tmp_path, phi):
+        # verify must rebuild the procedure the report names, not the default
+        cfg = write_json(
+            tmp_path / "a.json",
+            {"phi": phi, "n_blocks": 2, "horizon": 16384, "block_budget": 4096},
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        vcfg = write_json(
+            tmp_path / "v.json",
+            {"sequence": str(tmp_path / "a" / "sequence.csv"),
+             "report": str(tmp_path / "a" / "report.json")},
+        )
+        assert main(["verify", "--config", vcfg]) == 0
+        if "max_depth" in phi:  # the default max_depth would not reproduce this run
+            assert report["phi"] == "plugin_histogram(offset=1, max_depth=3)"
+            seq = read_sequence_csv(tmp_path / "a" / "sequence.csv")
+            checks = adv.verify_adversary_report(report, seq, adv.PluginHistogramProcedure(1))
+            assert not all(ok for _, ok, _ in checks)
 
     def test_constant_phi_witness_exit5(self, tmp_path):
         cfg = write_json(

@@ -108,6 +108,34 @@ class TestEstimatorState:
         state.ingest(0.3, 0.5)  # and the state still takes valid pairs
         assert state.consumed == n_before + 1
 
+    def test_overflow_in_resolution_rebuild_rejects_the_pair(self):
+        # 1e70 locates up to resolution 23; the freeze that unlocks 24
+        # rebuilds every stored x there and overflows on it
+        budget = VariationBudget.const(1e6)
+        state = EstimatorState(budget)
+        accepted = [(1e70, 0.5)]
+        state.ingest(*accepted[0])
+        i = 1
+        with pytest.raises(OverflowError):
+            while True:
+                i += 1
+                before = {k: copy.copy(getattr(state, k)) for k in ("xs", "ys", "tau", "frozen")}
+                state.ingest(0.5 / i, 0.5)
+                accepted.append((0.5 / i, 0.5))
+        assert i == 24
+        for key, value in before.items():
+            assert getattr(state, key) == value
+        assert state.search_resolution == 23
+        fresh = EstimatorState(budget)
+        fresh.ingest_many(*zip(*accepted))
+        for x, y in [(0.25, 0.5), (-3.0, 1.0)]:  # both states reject the same pairs
+            with pytest.raises(OverflowError):
+                fresh.ingest(x, y)
+            with pytest.raises(OverflowError):
+                state.ingest(x, y)
+            for key in ("xs", "ys", "tau", "frozen", "search_resolution"):
+                assert getattr(state, key) == getattr(fresh, key)
+
     def test_slack_budget_sprints(self):
         # a budget that never binds freezes at the first admissible n each time
         st = EstimatorState(VariationBudget.const(1e6))

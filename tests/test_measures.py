@@ -120,6 +120,22 @@ class TestEmpiricalProperties:
         direct = sum(y for x, y in pairs if x <= b) / len(pairs)
         assert got == pytest.approx(direct, abs=1e-12)
 
+    @given(
+        st.lists(st.integers(0, 6).map(lambda i: i / 4.0), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_prefix_sorted_view_equals_stable_sort(self, xs, data):
+        # the prefix takes its sorted view from the parent's, without sorting
+        x = np.array(xs)
+        y = np.arange(len(xs), dtype=float) - 3.0
+        m = data.draw(st.integers(0, len(xs)))
+        pre = SampleSequence(x, y).prefix(m)
+        assert np.array_equal(pre.sorted_index, np.argsort(x[:m], kind="stable"))
+        plain = SampleSequence(x[:m], y[:m])
+        assert np.array_equal(pre.x_sorted, plain.x_sorted)
+        assert np.array_equal(pre.y_cumsum_sorted, plain.y_cumsum_sorted)
+        assert np.array_equal(pre.x, x[:m]) and np.array_equal(pre.y, y[:m])
+
 
 class TestEmpirical:
     def setup_method(self):
