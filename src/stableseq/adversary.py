@@ -865,14 +865,17 @@ def build_adversarial_sequence(
     return state, report
 
 
-def verify_adversary_report(report: dict, seq: SampleSequence, phi=None) -> list[tuple[str, bool, str]]:
+def verify_adversary_report(
+    report: dict, seq: SampleSequence, phi=None
+) -> list[tuple[str, bool | None, str]]:
     """Re-validate a run report against its stored sequence.
 
     Recomputes boundary discrepancies and, when the procedure is available
     (a built-in one rebuilt from its recorded name, or an explicit object),
-    the boundary L2 certificates and the pairwise distances.
+    the boundary L2 certificates and the pairwise distances.  Without it
+    those two checks come back as skipped: ok is None, not a verdict.
     """
-    results: list[tuple[str, bool, str]] = []
+    results: list[tuple[str, bool | None, str]] = []
     if phi is None:
         phi = _procedure_from_name(str(report.get("phi", "")))
     xs, ys = seq.x, seq.y
@@ -917,7 +920,11 @@ def verify_adversary_report(report: dict, seq: SampleSequence, phi=None) -> list
                     f"recomputed {e15.value:.6g}",
                 )
             )
-    if phi is not None and len(fitted) >= 2:
+    if phi is None:
+        why = f"procedure {report.get('phi')!r} is not rebuilt from its name"
+        results.append(("block-l2-certificates", None, why))
+        results.append(("pairwise-distances", None, why))
+    elif len(fitted) >= 2:
         dist = report["pairwise_sq_distances"]
         ok = True
         worst = ""

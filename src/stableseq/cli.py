@@ -17,6 +17,8 @@ Exit codes separate theory-meaningful outcomes from operational errors:
     5  consistency-violation witness from the adversary (witness files are
        written -- this is a success mode of the theory, not a crash)
     6  adversary horizon exhausted
+   70  internal error: any other exception (traceback on stderr), so a
+       crash never reads as a verification failure
 
 External estimators are addressed by {"kind": "external", "cmd": [...]}:
 per evaluation the command receives on stdin the prefix CSV (header
@@ -29,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 from . import adversary as adv
@@ -66,6 +69,7 @@ EXIT_GENERATOR = 3
 EXIT_STALL = 4
 EXIT_WITNESS = 5
 EXIT_HORIZON = 6
+EXIT_INTERNAL = 70
 
 
 class ConfigError(ValueError):
@@ -335,9 +339,9 @@ def cmd_verify(cfg: dict) -> int:
     if results is None:
         raise ConfigError(f"cannot tell what kind of report {report_path!r} is")
     all_ok = True
-    for name, ok, detail in results:
-        all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
+    for name, ok, detail in results:  # ok is None: the check was not re-run
+        all_ok = all_ok and (ok is None or bool(ok))
+        print(f"{'SKIP' if ok is None else 'PASS' if ok else 'FAIL'}  {name}  ({detail})")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
@@ -400,6 +404,9 @@ def main(argv=None) -> int:
     except (GeneratorError, ModelError) as e:
         print(f"generator precondition failed: {e}", file=sys.stderr)
         return EXIT_GENERATOR
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:  # console script

@@ -17,14 +17,18 @@ frozen one affordable with n samples.
 
 Exactness discipline.  The strict inequality against 4 * alpha(i) is a
 contract: ties fail, and a re-run from scratch must reproduce the same tau
-sequence bit for bit.  Per-sample incremental window sums cannot deliver
-that (float accumulation drifts), so they serve only as a conservative
-prefilter: whenever the drift-padded incremental sums pass, the decision is
-confirmed by `variation_check` on a snapshot -- the same public fsum-based
-function a from-scratch audit calls.  fsum is correctly rounded, hence
-order-independent, and per-cell y-sums accumulate in arrival order both
-here and in `histogram_estimate`, so all three paths (streaming, batch
-reference, certificate replay) see identical floats.
+sequence bit for bit.  Every finite double is an integer multiple of
+2^-1074, so the streaming state keeps each window bucket as the exact
+integer sum of its jumps in that unit; a pair refresh moves it by
+new - old without rounding.  A window sum acc / 2^1074 is one correctly
+rounded int/int division, hence the same float as the `math.fsum` of the
+same jumps that `variation_check` compares -- the public function a
+from-scratch audit calls -- so the streaming decision is
+`variation_check`'s bit for bit, with no snapshot and no re-check.  Per-cell
+y-sums accumulate in arrival order both here and in `histogram_estimate`,
+so all three paths (streaming, batch reference, certificate replay) see
+identical cell values.  Ingest rejects |y| >= 2^512 (the paper assumes
+bounded y): below it no cell sum, jump or window sum can overflow.
 
 Statistics at a freshly unlocked resolution are rebuilt by one pass over
 the retained prefix; the estimator keeps the whole prefix and is not
@@ -54,7 +58,8 @@ __all__ = [
     "verify_checkpoint",
 ]
 
-_RESYNC_EVERY = 8192
+_Y_BOUND = 2.0**512  # |y| below it: no cell sum, jump or window sum overflows
+_ULP_SCALE = 1 << 1074  # every finite double is an integer multiple of 2^-1074
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,12 @@ def variation_check(fn: PiecewiseDyadicFn, budget: VariationBudget) -> bool:
     return True
 
 
+def _units(d: float) -> int:
+    """d as an exact integer count of 2^-1074 (every finite double is one)."""
+    num, den = d.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
 def kappa_index(tau: list[int], n: int) -> int:
     """Largest k with tau[k] <= n (tau[0] = 1, so any n >= 1 is covered)."""
     if n < 1:
@@ -136,10 +147,9 @@ class EstimatorState:
         self.frozen: list[PiecewiseDyadicFn] = []
         self._k = 0  # resolution currently searched (0 = waiting for first pair)
         self._cells: dict[int, list] = {}
-        self._diffs: dict[int, float] = {}
-        self._bucket: dict[int, float] = {}
+        self._jumps: dict[int, float] = {}  # boundary -> |jump| in its bucket
+        self._bucket: dict[int, int] = {}  # smallest window -> sum of its jumps / 2^-1074
         self._alpha4: list[float] = []  # 4*alpha(i), i = 1.._k
-        self._since_sync = 0
 
     # -- public views -----------------------------------------------------------
     @property
@@ -172,6 +182,8 @@ class EstimatorState:
         y = float(y)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"cannot ingest a non-finite pair ({x!r}, {y!r})")
+        if not abs(y) < _Y_BOUND:
+            raise ValueError(f"cannot ingest y = {y!r}: |y| must be below 2^512")
         # locate first: an x too large for a cell index raises OverflowError
         # here, before any state changes (the first pair is placed at k = 1)
         j = cell_of(x, max(self._k, 1)).j
@@ -182,23 +194,17 @@ class EstimatorState:
             self._freeze(PiecewiseDyadicFn(0, {0: y}, 0.0))
             return 0
         self._add_sample(j, y)
-        if self._prefilter_passes():
-            fn = _cells_to_fn(self._cells, self._k)
-            if variation_check(fn, self.budget):
-                k_frozen = self._k
-                try:
-                    self._freeze(fn)
-                except OverflowError:  # reject the pair: back to the state before it
-                    del self.xs[-1], self.ys[-1]
-                    self._cells = _accumulate_cells(self.xs, self.ys, self._k, n - 1)
-                    self._rebuild_diffs()
-                    raise
-                return k_frozen
-            self._resync()
-        self._since_sync += 1
-        if self._since_sync >= _RESYNC_EVERY:
-            self._resync()
-        return None
+        if not self._windows_pass():
+            return None
+        k_frozen = self._k
+        try:
+            self._freeze(_cells_to_fn(self._cells, k_frozen))
+        except OverflowError:  # reject the pair: back to the state before it
+            del self.xs[-1], self.ys[-1]
+            self._cells = _accumulate_cells(self.xs, self.ys, self._k, n - 1)
+            self._rebuild_jumps()
+            raise
+        return k_frozen
 
     def ingest_many(self, xs, ys) -> list[tuple[int, int]]:
         """Ingest a batch; returns [(frozen resolution, tau)] events."""
@@ -220,40 +226,36 @@ class EstimatorState:
         self._k += 1
         self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, self._k + 1)]
         self._cells = cells
-        self._rebuild_diffs()
+        self._rebuild_jumps()
 
-    def _rebuild_diffs(self) -> None:
+    def _rebuild_jumps(self) -> None:
         # raw-cell walk, not adjacent_jumps: its step function costs ~6% peak RSS at 2^16 pairs
-        self._diffs = {}
-        values = self._cells
-        for j in sorted(values):
-            v = values[j][1] / values[j][0]
-            left = values.get(j - 1)
-            if left is not None:
-                lv = left[1] / left[0]
-                if lv != v:
-                    self._diffs[j - 1] = abs(v - lv)
-            elif v != 0.0:
-                self._diffs[j - 1] = abs(v)
-            if (j + 1) not in values and v != 0.0:
-                self._diffs[j] = abs(v)
-        self._resync()
+        self._jumps = {}
+        self._bucket = {}
+        for j in self._cells:
+            self._refresh_cell(j)
 
-    def _cell_value(self, j: int) -> float:
-        c = self._cells.get(j)
-        return c[1] / c[0] if c is not None else 0.0
+    def _refresh_cell(self, j: int) -> None:
+        """Set the jumps on both sides of cell j from the current values."""
+        cells = self._cells
+        c, left, right = cells.get(j), cells.get(j - 1), cells.get(j + 1)
+        v = c[1] / c[0] if c else 0.0
+        self._set_jump(j - 1, abs(v - (left[1] / left[0] if left else 0.0)))
+        self._set_jump(j, abs(v - (right[1] / right[0] if right else 0.0)))
 
-    def _refresh_pair(self, pair: int) -> None:
-        new = abs(self._cell_value(pair) - self._cell_value(pair + 1))
-        old = self._diffs.get(pair, 0.0)
-        if new == old:
+    def _set_jump(self, pair: int, d: float) -> None:
+        """Record jump d across boundary `pair`; its window bucket moves by
+        d - old exactly, in units of 2^-1074."""
+        old = self._jumps.get(pair, 0.0)
+        if d == old:
             return
-        if new != 0.0:
-            self._diffs[pair] = new
+        self._jumps[pair] = d
+        if old <= 2.0 * d and d <= 2.0 * old:  # Sterbenz: d - old is a double
+            delta = _units(d - old)
         else:
-            self._diffs.pop(pair, None)
+            delta = _units(d) - _units(old)
         m = _smallest_window(pair, self._k)
-        self._bucket[m] = self._bucket.get(m, 0.0) + (new - old)
+        self._bucket[m] = self._bucket.get(m, 0) + delta
 
     def _add_sample(self, j: int, y: float) -> None:
         c = self._cells.get(j)
@@ -262,27 +264,18 @@ class EstimatorState:
         else:
             c[0] += 1
             c[1] += y
-        self._refresh_pair(j - 1)
-        self._refresh_pair(j)
+        self._refresh_cell(j)
 
-    def _prefilter_passes(self) -> bool:
-        acc = 0.0
+    def _windows_pass(self) -> bool:
+        """`variation_check` on the current cells: the correctly rounded
+        window sum acc / 2^1074 is the fsum that function compares."""
+        acc = 0
         bucket = self._bucket
-        for i in range(1, self._k + 1):
-            acc += bucket.get(i, 0.0)
-            lim = self._alpha4[i - 1]
-            if not acc < lim + 1e-9 + 1e-12 * (abs(acc) + lim):
+        for i, lim in enumerate(self._alpha4, 1):
+            acc += bucket.get(i, 0)
+            if not acc / _ULP_SCALE < lim:
                 return False
         return True
-
-    def _resync(self) -> None:
-        bucket: dict[int, float] = {}
-        k = self._k
-        for pair, d in self._diffs.items():
-            m = _smallest_window(pair, k)
-            bucket[m] = bucket.get(m, 0.0) + d
-        self._bucket = bucket
-        self._since_sync = 0
 
 
 def batch_tau_search(

@@ -9,6 +9,7 @@ import pytest
 
 import stableseq
 from stableseq import adversary as adv
+from stableseq import cli
 from stableseq.cli import main
 from stableseq.measures import read_sequence_csv
 
@@ -222,6 +223,10 @@ class TestEstimate:
     def test_x_too_large_to_locate_exit2(self, tmp_path):
         assert self._estimate_csv(tmp_path, "i,x,y\n1,1e300,0.5\n") == 2
 
+    def test_label_out_of_bounds_exit2(self, tmp_path, capsys):
+        assert self._estimate_csv(tmp_path, "i,x,y\n1,0.5,1e300\n") == 2
+        assert "2^512" in capsys.readouterr().err
+
     def test_empty_csv_exit2(self, tmp_path, capsys):
         assert self._estimate_csv(tmp_path, "") == 2
         assert "empty" in capsys.readouterr().err
@@ -259,6 +264,30 @@ class TestAdversary:
              "report": str(tmp_path / "a" / "report.json")},
         )
         assert main(["verify", "--config", vcfg]) == 0
+
+    def test_external_procedure_report_prints_skips(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "a.json",
+            {"phi": "plugin", "n_blocks": 2, "horizon": 1 << 12, "block_budget": 1 << 13},
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        report["phi"] = "external"  # no procedure to rebuild from this name
+        vcfg = write_json(
+            tmp_path / "v.json",
+            {"sequence": str(tmp_path / "a" / "sequence.csv"),
+             "report": write_json(tmp_path / "ext.json", report)},
+        )
+        capsys.readouterr()
+        assert main(["verify", "--config", vcfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        skips = [line.split()[1] for line in lines if line.startswith("SKIP")]
+        assert skips == ["block-l2-certificates", "pairwise-distances"]
+        assert not any("l2-certificate" in line for line in lines if line.startswith("PASS"))
+        # a tampered discrepancy still fails: the exit code comes from the checks that ran
+        report["blocks"][0]["certificates"]["interval_discrepancy"] += 1.0
+        write_json(tmp_path / "ext.json", report)
+        assert main(["verify", "--config", vcfg]) == 1
 
     @pytest.mark.parametrize(
         "phi",
@@ -487,6 +516,18 @@ class TestSweep:
         assert len(lines) == 4
         for seed in (1, 2, 3):
             assert (tmp_path / "s" / f"curve_seed{seed}.csv").exists()
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit70(self, tmp_path, monkeypatch, capsys):
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_estimate", crash)
+        cfg = write_json(tmp_path / "e.json", {})
+        assert main(["estimate", "--config", cfg]) == cli.EXIT_INTERNAL == 70
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 class TestConsoleScript:

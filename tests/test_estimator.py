@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stableseq.estimator import (
@@ -83,18 +83,22 @@ class TestEstimatorState:
 
     @given(
         st.integers(0, 40),
-        st.sampled_from([math.nan, math.inf, -math.inf]),
-        st.booleans(),
+        st.one_of(
+            st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans()),
+            # |y| >= 2^512 is out of bounds: no exact window sum is promised there
+            st.tuples(st.sampled_from([2.0**512, -(2.0**512), 1.7e308, -1.7e308]), st.just(False)),
+        ),
     )
-    def test_non_finite_pair_rejected(self, n_before, bad, bad_is_x):
+    def test_non_finite_pair_rejected(self, n_before, bad):
+        bad, bad_is_x = bad
         state = EstimatorState(VariationBudget.const(2.0))
         xs = RandomSource(n_before).generator().random(n_before)
         state.ingest_many(xs, xs * 0.5)
-        tau = list(state.tau)
+        before = copy.deepcopy(vars(state))
         pair = (bad, 0.5) if bad_is_x else (0.5, bad)
         with pytest.raises(ValueError):
             state.ingest(*pair)
-        assert state.consumed == n_before and state.tau == tau
+        assert vars(state) == before
 
     @pytest.mark.parametrize("n_before", [0, 1, 5, 40])
     def test_pair_too_large_to_locate_leaves_state_untouched(self, n_before):
@@ -185,6 +189,51 @@ class TestEstimatorState:
             assert st.tau == tau_b
             for a, b in zip(st.frozen, frozen_b):
                 assert dict(a.values) == dict(b.values)
+
+    def test_streaming_equals_batch_after_cancelling_jumps(self):
+        # a +-3e12 pair cancels inside one cell: a float running window sum
+        # is left ~1.6e-4 off after it, enough to freeze at 6021, not 6016
+        ys = [0.0, 3e12 + 13.3, -3e12] + [4.2] * 2000 + [3.9] * 4500
+        xs = [0.25] * len(ys)
+        budget = VariationBudget.const(2.0)
+        state = EstimatorState(budget)
+        for x, y in zip(xs, ys):
+            # stop at the second freeze: the constant tail would then freeze
+            # one resolution per pair until cell_of overflows
+            if state.ingest(x, y) == 1:
+                break
+        tau_b, frozen_b = batch_tau_search(xs, ys, budget, n_max=state.consumed)
+        assert state.tau == tau_b == [1, 6016]
+        for a, b in zip(state.frozen, frozen_b):
+            assert dict(a.values) == dict(b.values)
+
+    @example(pairs=[(0.5, 0, 1.0)] * 3, c=0.5)  # V = 2 = 4*alpha: the tie fails
+    @example(pairs=[(0.3, 511, 1.0), (0.3, -1074, -1.0), (0.7, 511, -1.0), (0.6, -1074, 1.0)], c=0.25)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-0.75, 0.1, 0.3, 0.5, 0.6, 0.7, 1.0, 1.5]),
+                st.one_of(st.integers(-1074, 511), st.integers(-2, 2)),
+                st.sampled_from([-1.0, 0.0, 1.0]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([0.25, 0.5, 1.0, 2.0**-1000, 2.0**500]),
+    )
+    def test_streaming_equals_batch_on_powers_of_two(self, pairs, c):
+        # y = +-2^e spans every exponent ingest accepts; 4*alpha is a power
+        # of two, so a window sum can equal it exactly
+        xs = [x for x, _, _ in pairs]
+        ys = [s * math.ldexp(1.0, e) for _, e, s in pairs]
+        budget = VariationBudget.const(c)
+        state = EstimatorState(budget)
+        state.ingest_many(xs, ys)
+        tau_b, frozen_b = batch_tau_search(xs, ys, budget)
+        assert state.tau == tau_b
+        for a, b in zip(state.frozen, frozen_b):
+            assert a.k == b.k and dict(a.values) == dict(b.values)
 
     def test_non_member_target_stalls(self):
         # alternating pattern at depth 4 has windowed variation 16 >= 8 = 4*2:
