@@ -51,7 +51,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evaluation import QuadratureResult, l2_error_quadrature
-from .measures import DistributionModel, IntervalA, SampleSequence, _interval_sup
+from .measures import (
+    DistributionModel, IntervalA, SampleSequence, _interval_sup, sequence_csv_bytes
+)
 from .partitions import PiecewiseDyadicFn
 from .generators import RandomSource, van_der_corput
 
@@ -405,12 +407,16 @@ class OracleProcedure:
         return RademacherFn(best_k)
 
 
+class ExternalProcedureError(RuntimeError):
+    """The command of an ExternalProcedure failed or broke the protocol."""
+
+
 class ExternalProcedure:
     """Out-of-process estimator speaking the line protocol.
 
     Per fit+evaluation: the command is spawned; stdin receives the prefix
-    CSV (header i,x,y), a line `QUERIES <m>`, then m query x-values one per
-    line; stdout must answer m lines `x value`.
+    in the sequence.csv format (header i,x,y), a line `QUERIES <m>`, then m
+    query x-values one per line; stdout must answer m lines `x value`.
     """
 
     def __init__(self, cmd: Sequence[str], name: str | None = None):
@@ -418,27 +424,25 @@ class ExternalProcedure:
         self.name = name or f"external({self.cmd[0]})"
 
     def fit(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        prefix = sequence_csv_bytes(SampleSequence(xs, ys)).decode("utf-8")
 
         def query(points) -> np.ndarray:
             points = np.atleast_1d(np.asarray(points, dtype=float))
-            lines = ["i,x,y"]
-            lines.extend(
-                f"{i},{x!r},{y!r}" for i, (x, y) in enumerate(zip(xs, ys), start=1)
-            )
-            lines.append(f"QUERIES {len(points)}")
-            lines.extend(repr(float(p)) for p in points)
+            lines = [f"QUERIES {len(points)}", *(repr(float(p)) for p in points)]
             try:
                 out = subprocess.run(
                     self.cmd,
-                    input="\n".join(lines) + "\n",
+                    input=prefix + "\n".join(lines) + "\n",
                     capture_output=True,
                     text=True,
                     check=True,
                 ).stdout
+            except OSError as e:
+                raise ExternalProcedureError(
+                    f"cannot run external estimator {self.cmd[0]!r}: {e}"
+                ) from e
             except subprocess.CalledProcessError as e:
-                raise RuntimeError(
+                raise ExternalProcedureError(
                     f"external estimator {self.cmd[0]!r} failed "
                     f"(exit {e.returncode}): {e.stderr.strip()[:500]}"
                 ) from e
@@ -446,10 +450,10 @@ class ExternalProcedure:
             for row in out.strip().splitlines():
                 parts = row.split()
                 if len(parts) != 2:
-                    raise RuntimeError(f"bad external estimator line: {row!r}")
+                    raise ExternalProcedureError(f"bad external estimator line: {row!r}")
                 vals.append(float(parts[1]))
             if len(vals) != len(points):
-                raise RuntimeError(
+                raise ExternalProcedureError(
                     f"external estimator answered {len(vals)} of {len(points)} queries"
                 )
             return np.array(vals, dtype=float)
@@ -503,15 +507,23 @@ class AdversaryConfig:
             )
         if not math.isfinite(self.shift):
             raise ValueError(f"shift must be finite, got {self.shift!r}")
+        if self.quad_cells < 1 << 10 or self.quad_cells & (self.quad_cells - 1):
+            raise ValueError(f"quad_cells must be a power of two >= 2^10, got {self.quad_cells}")
         if self.block_source == "vdc_shift":
-            # the raw van der Corput values are multiples of 2^-grid; a block
-            # offset that is one too maps them onto each other's grid
+            # the raw van der Corput values are multiples of 2^-grid, and
+            # `BlockStreams._raw` adds j * shift to them and takes the sum mod 1;
+            # a sum that rounds back onto the grid (j * shift a multiple of
+            # 2^-grid, or too small to move a grid value) makes blocks repeat
+            # each other's points.  The rounding is coarsest at the grid's ends.
             grid = (self.horizon + _STREAM_SLACK).bit_length()
+            ends = np.array([math.ldexp(1.0, -grid), 1.0 - math.ldexp(1.0, -grid)])
             for j in range(1, self.n_blocks + 1):
-                if math.ldexp(math.fmod(j * self.shift, 1.0), grid).is_integer():
+                moved = np.mod(ends + j * self.shift, 1.0)
+                if any(math.ldexp(v, grid).is_integer() for v in moved.tolist()):
                     raise ValueError(
                         f"shift {self.shift!r} makes blocks {j} apart repeat each "
-                        f"other's points ({j} * shift is a multiple of 2^-{grid})"
+                        f"other's points ({j} * shift added to a multiple of 2^-{grid} "
+                        f"gives one)"
                     )
 
     def to_dict(self) -> dict:
@@ -525,26 +537,6 @@ class AdversaryConfig:
             "shift": self.shift,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdversaryConfig":
-        def num(key, kind, default=None):
-            value = d[key] if default is None else d.get(key, default)
-            try:
-                return kind(value)
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ValueError(f"{key} must be {kind.__name__}, got {value!r}") from e
-
-        return cls(
-            n_blocks=num("n_blocks", int),
-            horizon=num("horizon", int, 1 << 20),
-            block_budget=num("block_budget", int, 1 << 18),
-            first_check=num("first_check", int, 16),
-            quad_cells=num("quad_cells", int, 1 << 16),
-            block_source=d.get("block_source", "vdc_shift"),
-            shift=num("shift", float, math.sqrt(2.0)),
-            seed=num("seed", int, 0),
-        )
 
 
 class BlockStreams:

@@ -150,9 +150,6 @@ class ErrorCurve:
     metadata: dict = field(default_factory=dict)
     stalled_at: int | None = None
 
-    def final_error(self) -> float:
-        return self.rows[-1][2]
-
     def to_metadata_json(self) -> str:
         meta = dict(self.metadata)
         meta["stalled_at"] = self.stalled_at

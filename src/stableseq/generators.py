@@ -155,8 +155,13 @@ def _chain_period(adj: list[list[int]]) -> int:
     return abs(g) if g else 0
 
 
-def _validate_transition(transition: np.ndarray) -> None:
-    t = np.asarray(transition, dtype=float)
+def _transition_matrix(transition) -> np.ndarray:
+    """The transition matrix as floats, checked to be a stochastic matrix of
+    an irreducible, aperiodic chain."""
+    try:
+        t = np.asarray(transition, dtype=float)
+    except ValueError as e:  # rows of unequal length
+        raise GeneratorError("transition must be a square matrix") from e
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise GeneratorError("transition must be a square matrix")
     if np.any(t < 0):
@@ -182,12 +187,12 @@ def _validate_transition(transition: np.ndarray) -> None:
         raise GeneratorError("transition matrix is reducible")
     if _chain_period(adj) != 1:
         raise GeneratorError("transition matrix is periodic")
+    return t
 
 
 def markov_stationary_model(states, transition) -> DistributionModel:
     """Stationary law of the chain as an atomic distribution model."""
-    t = np.asarray(transition, dtype=float)
-    _validate_transition(t)
+    t = _transition_matrix(transition)
     s = t.shape[0]
     a = np.vstack([t.T - np.eye(s), np.ones((1, s))])
     b = np.concatenate([np.zeros(s), [1.0]])
@@ -210,8 +215,7 @@ def gen_markov(
     stream: int = 0,
 ) -> SampleSequence:
     """Stationary ergodic finite chain on state values inside [0, 1]."""
-    t = np.asarray(transition, dtype=float)
-    _validate_transition(t)
+    t = _transition_matrix(transition)
     values = np.asarray(states, dtype=float)
     if len(values) != t.shape[0]:
         raise GeneratorError("need one state value per transition row")

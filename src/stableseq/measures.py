@@ -258,11 +258,6 @@ class DistributionModel:
                 out[sel] = a + (u_arr[sel] - cum0) / d
         return out
 
-    def support_radius(self) -> float:
-        """Smallest R with all mass inside [-R, R]."""
-        pts = self.breakpoints()
-        return float(np.abs(pts).max()) if len(pts) else 0.0
-
     # -- serialization --------------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -388,10 +383,6 @@ class SampleSequence:
 
     def empirical_cdf(self, t) -> np.ndarray | float:
         return self.count_le(t) / len(self)
-
-    def weighted_cdf(self, t) -> np.ndarray | float:
-        """(1/n) * sum of y_i over x_i <= t."""
-        return self.y_cumsum_sorted[self.count_le(t)] / len(self)
 
     def atom_frequency(self, u: float) -> float:
         """Empirical mass of the single point {u}."""

@@ -8,11 +8,13 @@ which are disjoint, cover R, and refine as k grows (each cell of level k is
 the union of two cells of level k+1).  Resolution k = 0 denotes the trivial
 one-cell partition {R}.
 
-Cell membership is decided with *exact* scaled-integer arithmetic: x lies in
-cell ceil(x * 2^k), with the boundary case x * 2^k integral mapping to that
-integer (right-closed convention).  This matters because atom semantics at
-cell edges feed directly into measure queries downstream; floating rounding
-in the scaling step would silently move boundary points across cells.
+Cell membership is decided exactly: x lies in cell ceil(x * 2^k), with the
+boundary case x * 2^k integral mapping to that integer (right-closed
+convention).  Scaling by 2^k is an exponent shift, exact for every finite x
+unless it overflows, and ceil of a float is exact.  This matters because
+atom semantics at cell edges feed directly into measure queries downstream;
+floating rounding in the scaling step would silently move boundary points
+across cells.
 
 A `PiecewiseDyadicFn` is a sparse, immutable step function: a map from cell
 index to value, a default for unmapped cells, and the resolution.  Its total
@@ -26,11 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
-
-# Largest magnitude at which consecutive floats are still < 1 apart, so that
-# ceil() on the scaled coordinate is unambiguous.
-_MAX_EXACT = float(1 << 53)
-
 
 @dataclass(frozen=True)
 class DyadicCell:
@@ -57,13 +54,12 @@ class DyadicCell:
 def cell_of(x: float, k: int) -> DyadicCell:
     """Return the unique resolution-k cell containing x.
 
-    Exact on boundaries at every resolution: x is decomposed into its
-    integer mantissa and exponent, so x * 2^k is computed as an exact
-    integer shift and ceil() never sees a rounded value.  Boundary points
+    Exact on boundaries at every resolution: ldexp scales x by 2^k with no
+    rounding, so ceil() never sees a rounded value.  Boundary points
     (x * 2^k integral) map to that integer: right-closed convention.
 
-    Raises OverflowError when the cell index would exceed a 256-bit range
-    (far beyond any usable partition depth).
+    Raises OverflowError when x * 2^k overflows or the cell index would
+    exceed a 256-bit range (far beyond any usable partition depth).
     """
     if k < 0:
         raise ValueError(f"resolution must be >= 0, got {k}")
@@ -71,16 +67,7 @@ def cell_of(x: float, k: int) -> DyadicCell:
         return DyadicCell(0, 0)
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot locate {x!r} in a dyadic cell")
-    if x == 0.0:
-        return DyadicCell(k, 0)
-    m, e = math.frexp(x)  # x = m * 2^e with 0.5 <= |m| < 1
-    mant = int(m * _MAX_EXACT)  # exact: |m| * 2^53 is an integer-valued float
-    shift = e - 53 + k
-    if shift >= 0:
-        j = mant << shift
-    else:
-        # ceil(mant / 2^(-shift)); >> floors for either sign, so negate twice
-        j = -((-mant) >> (-shift))
+    j = math.ceil(math.ldexp(x, k))
     if j.bit_length() > 256:
         raise OverflowError(
             f"cell index at resolution {k} exceeds the supported integer range"
@@ -114,32 +101,25 @@ class PiecewiseDyadicFn:
         return self.values.get(j, self.default)
 
     def eval_many(self, xs) -> "object":
-        """Vectorized `__call__`; NaN or +-inf anywhere raises ValueError."""
+        """Vectorized `__call__`; NaN or +-inf anywhere raises ValueError, and
+        an x that `cell_of` cannot locate raises OverflowError."""
         import numpy as np
 
         xs = np.asarray(xs, dtype=float)
         if not np.isfinite(xs).all():
             raise ValueError("cannot locate non-finite values in a dyadic cell")
-        out = np.full(xs.shape, self.default, dtype=float)
-        flat = out.ravel()
         if self.k == 0:
-            flat[:] = self.values.get(0, self.default)
-            return out
-        # int64 indices need |x| * 2^k < 2^63; larger inputs take the exact
-        # path, which raises OverflowError where `cell_of` does
-        if self.k <= 40 and np.abs(xs).max(initial=0.0) < math.ldexp(1.0, 63 - self.k):
-            # ldexp is an exact exponent shift and ceil is exact on floats
-            idx = np.ceil(np.ldexp(xs, self.k)).astype(np.int64).ravel()
-            for i, j in enumerate(idx):
-                v = self.values.get(int(j))
-                if v is not None:
-                    flat[i] = v
-        else:
-            for i, x in enumerate(xs.ravel()):
-                v = self.values.get(cell_of(float(x), self.k).j)
-                if v is not None:
-                    flat[i] = v
-        return out
+            return np.full(xs.shape, self.values.get(0, self.default), dtype=float)
+        with np.errstate(over="ignore"):  # an overflow gives inf, caught below
+            scaled = np.ceil(np.ldexp(xs, self.k))  # the cell indices, as in cell_of
+        if not (np.abs(scaled) < 2.0**256).all():
+            raise OverflowError(
+                f"cell index at resolution {self.k} exceeds the supported integer range"
+            )
+        # integral floats hash and compare equal to the int keys
+        get, default = self.values.get, self.default
+        out = [get(j, default) for j in scaled.ravel().tolist()]
+        return np.array(out, dtype=float).reshape(xs.shape)
 
     def support_cells(self) -> list[int]:
         """Mapped cell indices in increasing order."""

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,3 +272,21 @@ class TestExternalProcedure:
         r = l2_unit_distance(fitted, RademacherFn(1), quad_cells=1 << 10)
         assert r.converged
         assert r.value == pytest.approx(0.5 * (0.75**2 + 0.25**2), abs=1e-9)
+
+    def test_prefix_rows_are_the_sequence_csv(self, tmp_path):
+        # the script parses every row with float(); query 2r answers row r's
+        # x and query 2r + 1 its y, so the answers are the rows it read
+        script = tmp_path / "est.py"
+        script.write_text(
+            "import sys\n"
+            "lines = sys.stdin.read().splitlines()\n"
+            "assert lines[0] == 'i,x,y'\n"
+            "i = next(j for j, l in enumerate(lines) if l.startswith('QUERIES'))\n"
+            "rows = [[float(v) for v in l.split(',')] for l in lines[1:i]]\n"
+            "assert [r[0] for r in rows] == list(range(1, len(rows) + 1))\n"
+            "for q in lines[i + 1:]:\n"
+            "    print(q, rows[int(float(q)) // 2][1 + int(float(q)) % 2])\n"
+        )
+        xs, ys = np.array([0.2, 0.1 + 0.2, 1e-300]), np.array([1.0, -1.0, 0.3])
+        fitted = ExternalProcedure([sys.executable, str(script)]).fit(xs, ys)
+        assert fitted(np.arange(6.0)).tolist() == np.column_stack([xs, ys]).ravel().tolist()

@@ -86,6 +86,45 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad,path",
+        [
+            ({"n": "10"}, "'n'"),
+            ({"n": 2.5}, "'n'"),
+            ({"n": True}, "'n'"),
+            ({"n": 0}, "'n'"),
+            ({"seed": 1.5}, "'seed'"),
+            ({"noise": {"kind": "uniform", "delta": "x"}}, "'noise.delta'"),
+            ({"distribution": 0}, "'distribution'"),
+            ({"diagnostic_checkpoints": [8, 4]}, "'diagnostic_checkpoints'"),
+        ],
+        ids=["n-string", "n-float", "n-bool", "n-0", "seed-float", "delta-string",
+             "distribution-0", "checkpoints-unordered"],
+    )
+    def test_bad_value_exit2_names_key_path(self, tmp_path, capsys, bad, path):
+        cfg = {"kind": "iid", "n": 16, "seed": 7, "distribution": UNIT_UNIFORM,
+               "regression": RAMP, "noise": {"kind": "binary"}}
+        cfg = write_json(tmp_path / "c.json", {**cfg, **bad})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_ragged_transition_exit3(self, tmp_path):
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"kind": "markov", "n": 8, "states": [0.2, 0.8],
+             "transition": [[0.5, 0.5], [1.0]], "regression": RAMP},
+        )
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    def test_x_beyond_the_regression_cells_exit2(self, tmp_path):
+        # an atom at 1e308 has no cell index at the dyadic regression's resolution
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"kind": "iid", "n": 8, "distribution": {"atoms": [[1e308, 1.0]]},
+             "regression": H1_DYADIC},
+        )
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_reducible_markov_exit3(self, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -211,6 +250,19 @@ class TestEstimate:
         )
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
         assert "'require_resolution'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad,path",
+        [({"checkpoints": [2.5]}, "'checkpoints[0]'"), ({"truth": 0}, "'truth'"),
+         ({"stall_patience": "x"}, "'stall_patience'"), ({"alpha": []}, "'alpha'")],
+        ids=["checkpoint-float", "truth-0", "patience-string", "alpha-array"],
+    )
+    def test_bad_value_exit2_names_key_path(self, tmp_path, capsys, bad, path):
+        seq_csv = self._sequence(tmp_path, n=8)
+        cfg = {"sequence": seq_csv, "alpha": {"kind": "constant", "c": 2.0}, **bad}
+        cfg = write_json(tmp_path / "e.json", cfg)
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        assert path in capsys.readouterr().err
 
     def _estimate_csv(self, tmp_path, text):
         (tmp_path / "s.csv").write_text(text)
@@ -346,10 +398,14 @@ class TestAdversary:
             {"block_budget": 0},
             {"first_check": 0},
             {"shift": 1.0},
+            {"shift": -1e-300},
+            {"quad_cells": 1000},
             {"block_source": "nope"},
+            {"n_blocks": 2.5},
         ],
         ids=["n_blocks-four", "horizon-abc", "horizon-0", "block_budget-0",
-             "first_check-0", "shift-1", "block_source-nope"],
+             "first_check-0", "shift-1", "shift-tiny", "quad_cells-1000",
+             "block_source-nope", "n_blocks-float"],
     )
     def test_bad_config_value_exit2(self, tmp_path, capsys, bad):
         cfg = write_json(
@@ -385,6 +441,15 @@ class TestAdversary:
         )
         # a constant external estimator can never approach the block target
         assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 5
+
+    def test_external_command_that_cannot_run_exit2(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "a.json",
+            {"phi": {"kind": "external", "cmd": [str(tmp_path / "absent")]},
+             "n_blocks": 2, "horizon": 1 << 10, "block_budget": 64},
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert "cannot run external estimator" in capsys.readouterr().err
 
     def test_report_bytes_deterministic(self, tmp_path):
         cfg = write_json(
@@ -516,6 +581,25 @@ class TestSweep:
         assert len(lines) == 4
         for seed in (1, 2, 3):
             assert (tmp_path / "s" / f"curve_seed{seed}.csv").exists()
+
+    def _sweep(self, tmp_path, generator, checkpoints):
+        cfg = write_json(
+            tmp_path / "s.json",
+            {"experiment": {"generator": generator, "alpha": {"kind": "constant", "c": 2.0},
+                            "checkpoints": checkpoints},
+             "seeds": [1]},
+        )
+        return main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")])
+
+    def test_bad_generator_value_names_key_path(self, tmp_path, capsys):
+        generator = {"kind": "deterministic", "n": 2.5, "regression": H1_DYADIC}
+        assert self._sweep(tmp_path, generator, [2]) == 2
+        assert "'experiment.generator.n'" in capsys.readouterr().err
+
+    def test_checkpoint_beyond_sequence_exit2(self, tmp_path, capsys):
+        generator = {"kind": "deterministic", "n": 64, "regression": H1_DYADIC}
+        assert self._sweep(tmp_path, generator, [32, 128]) == 2
+        assert "within the sequence" in capsys.readouterr().err
 
 
 class TestInternalError:

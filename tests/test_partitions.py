@@ -62,6 +62,57 @@ class TestCellOf:
         assert lo < x <= hi
 
 
+def _frexp_cell_index(x: float, k: int) -> int:
+    """The cell index by integer mantissa and exponent (the former cell_of)."""
+    if x == 0.0:
+        return 0
+    m, e = math.frexp(x)
+    mant = int(m * float(1 << 53))
+    shift = e - 53 + k
+    j = mant << shift if shift >= 0 else -((-mant) >> (-shift))
+    if j.bit_length() > 256:
+        raise OverflowError("cell index exceeds 256 bits")
+    return j
+
+
+class TestCellIndexFormula:
+    """ceil(ldexp(x, k)), scalar and vectorized, against the frexp form."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e70, -1e70, 0.1, -0.75,
+               1.0, 3.0, 2.0**-40, 1.0 - 2.0**-53, 2.0**52 + 1, 1e17, 1e300]
+
+    @pytest.fixture
+    def points(self, rng):
+        return (
+            self.SPECIAL
+            + rng.uniform(-1, 1, 200).tolist()
+            + (rng.normal(size=200) * 1e3).tolist()
+            + (np.arange(-64, 65) / 32.0).tolist()  # a dyadic grid
+        )
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 20, 40, 52, 60, 100, 200, 256, 1100, 1400])
+    def test_matches_reference(self, points, k):
+        located = [x for x in points if _located(x, k)]
+        cells = [_frexp_cell_index(x, k) for x in located]
+        assert [cell_of(x, k).j for x in located] == cells
+        # every other cell holds a value; the rest take the default
+        f = PiecewiseDyadicFn(k, {j: float(i) for i, j in enumerate(cells[::2])}, -1.0)
+        assert f.eval_many(np.array(located)).tolist() == [f.value_at_cell(j) for j in cells]
+        for x in set(points) - set(located):
+            with pytest.raises(OverflowError):
+                cell_of(x, k)
+            with pytest.raises(OverflowError):
+                f.eval_many(np.array([0.5, x]))
+
+
+def _located(x: float, k: int) -> bool:
+    try:
+        _frexp_cell_index(x, k)
+    except OverflowError:
+        return False
+    return True
+
+
 def _brute_force_variation(fn: PiecewiseDyadicFn, lo: float, hi: float, rng) -> float:
     """Supremum over random refining grids of summed absolute increments."""
     best = 0.0
