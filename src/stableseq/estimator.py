@@ -30,9 +30,56 @@ so all three paths (streaming, batch reference, certificate replay) see
 identical cell values.  Ingest rejects |y| >= 2^512 (the paper assumes
 bounded y): below it no cell sum, jump or window sum can overflow.
 
-Statistics at a freshly unlocked resolution are rebuilt by one pass over
-the retained prefix; the estimator keeps the whole prefix and is not
-constant-memory by design (correctness over space at desk scale).
+Statistics at a freshly unlocked resolution are rebuilt by one array pass
+over the retained prefix: cell indices, per-cell sums seeded with each
+cell's first y and then `np.add.at` in arrival order (the same additions
+as `+=`), jumps as differences over the sorted occupied cells, and each
+bucket's integer from exponent-binned int64 sums.  The estimator keeps the
+whole prefix and is not constant-memory by design (correctness over space
+at desk scale).  No jump is stored: an update recomputes the jumps beside
+a cell from its old and new value and its neighbours.  Only buckets of
+windows up to k are kept, none of them 0, so the state is a function of
+the cells alone, whichever path built it.
+
+Certified spans.  `ingest` refreshes two jumps and checks every window
+for each pair; `ingest_many` is the fast path and gives the same state.
+Write U_i = units(4 alpha(i)).  Rounding is monotone and 4 alpha(i) is a
+double, so acc_i >= U_i makes window i fail.  At a decision that fails,
+the exact integer D = max_i (acc_i - U_i) is taken.  A later pair changes
+one cell's value from v to v' -- the doubles fl(s/c) the per-pair path
+stores before and after it, v = 0 for an empty cell -- and with it the two
+jumps beside the cell, each d = fl|v - w| against a neighbour value w.
+Reverse triangle inequality: each moves by at most |v' - v| plus the
+rounding of its two subtractions, u(|v' - w| + |v - w|) with u = 2^-53
+(a subtraction whose result is subnormal is exact, so the relative bound
+always holds).  Both jumps together move by at most
+
+    2|v' - v| + 2u * S,   S = |v'| + |v| + |w_left| + |w_right|.
+
+The cell sum and s/c need no term of their own: v and v' are the very
+doubles the per-pair path computes, so their rounding is already in them.
+The bound is accumulated in floats as
+
+    B <- (B + 2|v' - v| + 2^-51 * S + 2^-1020) * (1 + 2^-50).
+
+Each rounding to nearest loses at most a factor 1 + u, so the new B is at
+least (1 + 2^-50) / (1 + u)^4 times
+
+    B + 2|v' - v| / (1 + u) + 2^-51 * S / (1 + u)^4 - 2^-1075 + 2^-1020:
+
+four roundings for the three additions and the product, one for v' - v,
+three for the float S and one for 2^-51 * S, which may also lose 2^-1075
+to underflow.  The 2^-1020 term covers that loss and keeps the product
+normal.  Since 1 + 2^-50 >= (1 + u)^5 and 2^-51 / (1 + u)^3 >= 2u, the
+new B is at least the old B plus the exact bound: B rounds up.  While B
+stays at or below D / 2^1074 rounded down, acc_i for the i that gave D
+stays >= U_i, so the per-pair path fails every decision and freezes
+nothing; those pairs only update their cells.  Once B exceeds it, each
+touched cell is refreshed once through the exact jump update (or, when
+many were touched, the buckets are rebuilt as at a freeze) and the
+windows are checked as `ingest` checks them.  D <= 0 makes each pair a
+decision point.  A decision that passes freezes through the same code as
+`ingest`.
 
 Single-writer: ingestion is strictly sequential.  Frozen estimates are
 immutable snapshots and may be read concurrently.
@@ -43,8 +90,17 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .measures import SampleSequence
-from .partitions import PiecewiseDyadicFn, VariationBudget, _smallest_window, adjacent_jumps, cell_of
+from .partitions import (
+    PiecewiseDyadicFn,
+    VariationBudget,
+    _cell_indices,
+    _smallest_window,
+    adjacent_jumps,
+    cell_of,
+)
 
 __all__ = [
     "HistogramEstimate",
@@ -60,6 +116,15 @@ __all__ = [
 
 _Y_BOUND = 2.0**512  # |y| below it: no cell sum, jump or window sum overflows
 _ULP_SCALE = 1 << 1074  # every finite double is an integer multiple of 2^-1074
+_CHUNK = 4096  # pairs whose cells `ingest_many` locates in one array pass
+# a decision rebuilds all buckets once 8 * touched > cells + 320: refreshing
+# costs ~5 us per touched cell, a rebuild ~200 us + 0.6 us per cell
+_REBUILD_SHARE = 8
+_REBUILD_MIN = 320
+# the certified-span bound's rounding terms, derived in the module docstring
+_SLACK = 2.0**-51
+_TINY = 2.0**-1020
+_ROUND_UP = 1.0 + 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -71,30 +136,86 @@ class HistogramEstimate:
     n: int
 
 
-def _accumulate_cells(xs, ys, k: int, n: int) -> dict[int, list]:
-    """Per-cell [count, ysum] from the first n pairs, in arrival order."""
-    cells: dict[int, list] = {}
-    for i in range(n):
-        j = cell_of(float(xs[i]), k).j
-        c = cells.get(j)
-        if c is None:
-            cells[j] = [1, float(ys[i])]
-        else:
-            c[0] += 1
-            c[1] += float(ys[i])
-    return cells
+def _int_keys(scaled: np.ndarray) -> np.ndarray:
+    """Integral floats as integers: int64, or Python ints beyond 2^62."""
+    if not len(scaled) or np.abs(scaled).max() < 2.0**62:
+        return scaled.astype(np.int64)
+    return np.array([int(v) for v in scaled.tolist()], dtype=object)
+
+
+def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, counts, ysums) of the first n pairs at resolution k, cells
+    ascending.  Each sum starts at its cell's first y (a cell of -0.0s stays
+    -0.0) and adds the others in arrival order.  An x that `cell_of` cannot
+    place raises as `cell_of` does."""
+    x = np.asarray(xs[:n], dtype=float)
+    y = np.asarray(ys[:n], dtype=float)
+    scaled = np.zeros(n) if k == 0 else _cell_indices(x, k)
+    lost = np.isnan(scaled)
+    if lost.any():
+        cell_of(float(x[lost.argmax()]), k)  # raises ValueError or OverflowError
+    keys, first, inverse, counts = np.unique(
+        scaled, return_index=True, return_inverse=True, return_counts=True
+    )
+    sums = y[first]
+    later = np.ones(n, dtype=bool)
+    later[first] = False
+    np.add.at(sums, inverse[later], y[later])
+    return _int_keys(keys), counts, sums
+
+
+def _cell_table(keys: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> dict[int, list]:
+    return dict(zip(keys.tolist(), map(list, zip(counts.tolist(), sums.tolist()))))
 
 
 def _cells_to_fn(cells: dict[int, list], k: int) -> PiecewiseDyadicFn:
     return PiecewiseDyadicFn(k, {j: c[1] / c[0] for j, c in cells.items()}, 0.0)
 
 
+def _window_buckets(keys: np.ndarray, values: np.ndarray, k: int) -> dict[int, int]:
+    """Each window's exact sum of its jumps, in units of 2^-1074, for the
+    step function with `values` on the sorted nonempty cells `keys` and 0
+    elsewhere; only windows up to k, and no zero sums."""
+    adjacent = keys[1:] - keys[:-1] == 1
+    left = np.zeros(len(keys))
+    left[1:][adjacent] = values[:-1][adjacent]
+    open_right = np.append(~adjacent, True)
+    # boundary j - 1 of every cell j, and boundary j where cell j + 1 is empty
+    b = np.concatenate([keys - 1, keys[open_right]])
+    d = np.concatenate([np.abs(values - left), np.abs(values[open_right])])
+    del adjacent, left, open_right  # the temporaries go as soon as they are used
+    m = np.maximum(1, -(-np.maximum(b + 1, 1 - b) >> k))  # `_smallest_window`
+    keep = (d != 0.0) & (m <= k)
+    if not keep.any():
+        return {}
+    d, m = d[keep], m[keep].astype(np.int64)
+    del b, keep
+    # d * 2^1074 = mant * 2^shift, mant < 2^53; split it in 26-bit halves so
+    # the int64 sums per (window, shift) bin hold for fewer than 2^36 jumps
+    frac, expo = np.frexp(d)
+    shift = expo + 1021
+    mant = np.ldexp(frac, 53 + np.minimum(shift, 0)).astype(np.int64)
+    key = m * 2048 + np.maximum(shift, 0)
+    del d, m, frac, expo, shift
+    order = np.argsort(key, kind="stable")
+    key, mant = key[order], mant[order]
+    starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    high = np.add.reduceat(mant >> 26, starts).tolist()
+    low = np.add.reduceat(mant & 0x3FFFFFF, starts).tolist()
+    buckets: dict[int, int] = {}
+    for g, h, lo in zip(key[starts].tolist(), high, low):
+        i, s = divmod(g, 2048)
+        buckets[i] = buckets.get(i, 0) + (((h << 26) + lo) << s)
+    return buckets
+
+
 def histogram_estimate(seq: SampleSequence, k: int, n: int) -> HistogramEstimate:
     """Resolution-k histogram from the first n pairs; empty cells are 0."""
     if not 1 <= n <= len(seq):
         raise ValueError(f"need 1 <= n <= {len(seq)}, got {n}")
-    cells = _accumulate_cells(seq.x, seq.y, k, n)
-    return HistogramEstimate(_cells_to_fn(cells, k), k, n)
+    keys, counts, sums = _accumulate_cells(seq.x, seq.y, k, n)
+    values = dict(zip(keys.tolist(), (sums / counts).tolist()))
+    return HistogramEstimate(PiecewiseDyadicFn(k, values, 0.0), k, n)
 
 
 def variation_check(fn: PiecewiseDyadicFn, budget: VariationBudget) -> bool:
@@ -147,7 +268,6 @@ class EstimatorState:
         self.frozen: list[PiecewiseDyadicFn] = []
         self._k = 0  # resolution currently searched (0 = waiting for first pair)
         self._cells: dict[int, list] = {}
-        self._jumps: dict[int, float] = {}  # boundary -> |jump| in its bucket
         self._bucket: dict[int, int] = {}  # smallest window -> sum of its jumps / 2^-1074
         self._alpha4: list[float] = []  # 4*alpha(i), i = 1.._k
 
@@ -189,82 +309,190 @@ class EstimatorState:
         j = cell_of(x, max(self._k, 1)).j
         self.xs.append(x)
         self.ys.append(y)
-        n = len(self.xs)
-        if n == 1:
+        if len(self.xs) == 1:
             self._freeze(PiecewiseDyadicFn(0, {0: y}, 0.0))
             return 0
-        self._add_sample(j, y)
-        if not self._windows_pass():
-            return None
-        k_frozen = self._k
-        try:
-            self._freeze(_cells_to_fn(self._cells, k_frozen))
-        except OverflowError:  # reject the pair: back to the state before it
-            del self.xs[-1], self.ys[-1]
-            self._cells = _accumulate_cells(self.xs, self.ys, self._k, n - 1)
-            self._rebuild_jumps()
-            raise
-        return k_frozen
-
-    def ingest_many(self, xs, ys) -> list[tuple[int, int]]:
-        """Ingest a batch; returns [(frozen resolution, tau)] events."""
-        events = []
-        for x, y in zip(xs, ys):
-            k = self.ingest(x, y)
-            if k is not None:
-                events.append((k, self.tau[-1]))
-        return events
-
-    # -- internals ------------------------------------------------------------------
-    def _freeze(self, fn: PiecewiseDyadicFn) -> None:
-        """Record tau = consumed with estimate fn and search one resolution
-        deeper.  The cells there are built first: an x with no cell index at
-        that resolution raises OverflowError before any state changes."""
-        cells = _accumulate_cells(self.xs, self.ys, self._k + 1, len(self.xs))
-        self.tau.append(len(self.xs))
-        self.frozen.append(fn)
-        self._k += 1
-        self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, self._k + 1)]
-        self._cells = cells
-        self._rebuild_jumps()
-
-    def _rebuild_jumps(self) -> None:
-        # raw-cell walk, not adjacent_jumps: its step function costs ~6% peak RSS at 2^16 pairs
-        self._jumps = {}
-        self._bucket = {}
-        for j in self._cells:
-            self._refresh_cell(j)
-
-    def _refresh_cell(self, j: int) -> None:
-        """Set the jumps on both sides of cell j from the current values."""
-        cells = self._cells
-        c, left, right = cells.get(j), cells.get(j - 1), cells.get(j + 1)
-        v = c[1] / c[0] if c else 0.0
-        self._set_jump(j - 1, abs(v - (left[1] / left[0] if left else 0.0)))
-        self._set_jump(j, abs(v - (right[1] / right[0] if right else 0.0)))
-
-    def _set_jump(self, pair: int, d: float) -> None:
-        """Record jump d across boundary `pair`; its window bucket moves by
-        d - old exactly, in units of 2^-1074."""
-        old = self._jumps.get(pair, 0.0)
-        if d == old:
-            return
-        self._jumps[pair] = d
-        if old <= 2.0 * d and d <= 2.0 * old:  # Sterbenz: d - old is a double
-            delta = _units(d - old)
-        else:
-            delta = _units(d) - _units(old)
-        m = _smallest_window(pair, self._k)
-        self._bucket[m] = self._bucket.get(m, 0) + delta
-
-    def _add_sample(self, j: int, y: float) -> None:
         c = self._cells.get(j)
+        old = c[1] / c[0] if c else 0.0
         if c is None:
             self._cells[j] = [1, y]
         else:
             c[0] += 1
             c[1] += y
-        self._refresh_cell(j)
+        self._refresh_cells({j: old})
+        if not self._windows_pass():
+            return None
+        return self._freeze_search()
+
+    def ingest_many(self, xs, ys) -> list[tuple[int, int]]:
+        """Ingest a batch; returns [(frozen resolution, tau)] events.
+
+        The fast path: the state, the events and any exception (raised at
+        the same pair, with the pairs before it ingested) are those of
+        `ingest` called pair by pair.  See "Certified spans" above.  xs
+        and ys are first converted to float arrays, as `ingest` converts
+        each pair.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        n = min(len(xs), len(ys))
+        events: list[tuple[int, int]] = []
+        i = 0
+        while i < n:
+            if self.xs:
+                done = self._ingest_run(xs[:n], ys[:n], i, events)
+                if done > i:
+                    i = done
+                    continue
+            # the first pair, or one the fast path cannot place: `ingest`
+            # takes it (and raises for a pair it rejects)
+            k = self.ingest(xs[i], ys[i])
+            if k is not None:
+                events.append((k, self.tau[-1]))
+            i += 1
+        return events
+
+    # -- internals ------------------------------------------------------------------
+    def _ingest_run(self, xs: np.ndarray, ys: np.ndarray, lo: int, events: list) -> int:
+        """Ingest pairs lo, lo + 1, ... at the search resolution up to the
+        first freeze, the first pair `ingest` would reject, or the end;
+        returns the index after the last pair ingested."""
+        cells = self._cells
+        get = cells.get
+        limit, bound = self._span_limit(), 0.0
+        touched: dict[int, float] = {}  # cell -> its value at the last decision
+        first_touch = touched.setdefault
+        for start in range(lo, len(xs), _CHUNK):
+            xc, yc = xs[start:start + _CHUNK], ys[start:start + _CHUNK]
+            scaled = _cell_indices(xc, self._k)
+            fit = ~np.isnan(scaled) & (np.abs(yc) < _Y_BOUND)
+            stop = len(fit) if fit.all() else int(fit.argmin())
+            js = _int_keys(scaled[:stop]).tolist()
+            xl, yl = xc[:stop].tolist(), yc[:stop].tolist()
+            done = 0
+            for t, (j, y) in enumerate(zip(js, yl), 1):
+                c = get(j)
+                if c is None:
+                    v = 0.0
+                    cells[j] = [1, y]
+                    v2 = y
+                else:
+                    v = c[1] / c[0]
+                    c[0] += 1
+                    c[1] += y
+                    v2 = c[1] / c[0]
+                w = abs(v2) + abs(v)
+                c = get(j - 1)
+                if c:
+                    w += abs(c[1] / c[0])
+                c = get(j + 1)
+                if c:
+                    w += abs(c[1] / c[0])
+                bound = (bound + 2.0 * abs(v2 - v) + _SLACK * w + _TINY) * _ROUND_UP
+                first_touch(j, v)
+                if bound > limit:  # a decision point
+                    self._refresh_cells(touched)
+                    touched.clear()
+                    self.xs += xl[done:t]
+                    self.ys += yl[done:t]
+                    done = t
+                    if self._windows_pass():
+                        cells = get = None  # the freeze releases the old cells
+                        events.append((self._freeze_search(), self.tau[-1]))
+                        return start + t
+                    limit, bound = self._span_limit(), 0.0
+            self.xs += xl[done:]
+            self.ys += yl[done:]
+            if stop < len(fit):
+                break
+        self._refresh_cells(touched)
+        return start + stop
+
+    def _refresh_cells(self, touched: dict[int, float]) -> None:
+        """Move the window buckets by the jumps beside the touched cells,
+        from each cell's value when first touched to its current one."""
+        cells = self._cells
+        if _REBUILD_SHARE * len(touched) > len(cells) + _REBUILD_MIN:
+            keys = sorted(cells)  # many touched: rebuild all buckets at once
+            count_sum = np.array([cells[j] for j in keys], dtype=float)
+            self._bucket = _window_buckets(
+                _int_keys(np.array(keys, dtype=float)),  # cell indices are doubles
+                count_sum[:, 1] / count_sum[:, 0],
+                self._k,
+            )
+            return
+        pending = dict(touched)  # cells whose buckets still hold the old value
+
+        def value(i: int) -> float:
+            if i in pending:
+                return pending[i]
+            c = cells.get(i)
+            return c[1] / c[0] if c else 0.0
+
+        for j, old in touched.items():
+            del pending[j]
+            v = value(j)
+            for b, w in ((j - 1, value(j - 1)), (j, value(j + 1))):
+                self._move_jump(b, abs(old - w), abs(v - w))
+
+    def _span_limit(self) -> float:
+        """D / 2^1074 rounded down, D = max_i (acc_i - units(4 alpha(i))) the
+        exact margin by which the current cells fail; -1.0 when D <= 0."""
+        acc = deficit = 0
+        for i, lim in enumerate(self._alpha4, 1):
+            acc += self._bucket.get(i, 0)
+            if lim < math.inf:
+                deficit = max(deficit, acc - _units(lim))
+        return math.nextafter(deficit / _ULP_SCALE, 0.0) if deficit else -1.0
+
+    def _freeze_search(self) -> int:
+        """Freeze the search histogram at the current prefix and return its
+        resolution.  If the next resolution cannot place a stored x, the
+        last pair is rejected: the state returns to the one before it and
+        the OverflowError propagates."""
+        k = self._k
+        try:
+            self._freeze(_cells_to_fn(self._cells, k))
+        except OverflowError:
+            del self.xs[-1], self.ys[-1]
+            self._set_cells(*_accumulate_cells(self.xs, self.ys, k, len(self.xs)))
+            raise
+        return k
+
+    def _freeze(self, fn: PiecewiseDyadicFn) -> None:
+        """Record tau = consumed with estimate fn and search one resolution
+        deeper.  The cells there are located first: an x with no cell index
+        at that resolution raises OverflowError before any state changes."""
+        cells = _accumulate_cells(self.xs, self.ys, self._k + 1, len(self.xs))
+        self.tau.append(len(self.xs))
+        self.frozen.append(fn)
+        self._k += 1
+        self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, self._k + 1)]
+        self._set_cells(*cells)
+
+    def _set_cells(self, keys: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
+        self._cells = self._bucket = {}  # release the old tables first
+        self._cells = _cell_table(keys, counts, sums)
+        self._bucket = _window_buckets(keys, sums / counts, self._k)
+
+    def _move_jump(self, pair: int, old: float, new: float) -> None:
+        """The jump across boundary `pair` moved from old to new: its window
+        bucket moves by new - old exactly, in units of 2^-1074.  Windows
+        beyond k are not kept, and a bucket that returns to 0 is dropped."""
+        if new == old:
+            return
+        m = _smallest_window(pair, self._k)
+        if m > self._k:
+            return
+        if old <= 2.0 * new and new <= 2.0 * old:  # Sterbenz: new - old is a double
+            delta = _units(new - old)
+        else:
+            delta = _units(new) - _units(old)
+        acc = self._bucket.get(m, 0) + delta
+        if acc:
+            self._bucket[m] = acc
+        else:
+            del self._bucket[m]
 
     def _windows_pass(self) -> bool:
         """`variation_check` on the current cells: the correctly rounded
@@ -293,7 +521,7 @@ def batch_tau_search(
     tau = [1]
     frozen = [PiecewiseDyadicFn(0, {0: float(ys[0])}, 0.0)]
     k = 1
-    cells = _accumulate_cells(xs, ys, k, 1)
+    cells = _cell_table(*_accumulate_cells(xs, ys, k, 1))
     for n in range(2, n_total + 1):
         j = cell_of(float(xs[n - 1]), k).j
         c = cells.get(j)
@@ -307,7 +535,7 @@ def batch_tau_search(
             tau.append(n)
             frozen.append(fn)
             k += 1
-            cells = _accumulate_cells(xs, ys, k, n)
+            cells = _cell_table(*_accumulate_cells(xs, ys, k, n))
     return tau, frozen
 
 

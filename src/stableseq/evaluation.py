@@ -58,7 +58,8 @@ def l2_error_exact(
     """Exact integral of (est - m)^2 d(mu).
 
     Requires m to be one of the exactly integrable regression kinds; pass
-    black-box callables to `l2_error_quadrature` instead.
+    black-box callables to `l2_error_quadrature` instead.  A term or a sum
+    beyond the double range raises OverflowError.
     """
     if not isinstance(est, PiecewiseDyadicFn):
         raise TypeError("est must be a dyadic step function for the exact route")
@@ -69,21 +70,23 @@ def l2_error_exact(
         if d == 0.0:
             continue
         cuts = _segment_cuts(a, b, est, m)
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            e = est(mid)
-            c, s = m.linear_piece_at(mid)
-            p = e - c
-            # integral of (p - s t)^2 over (lo, hi]
+        lo, hi = cuts[:-1], cuts[1:]
+        mid = 0.5 * (lo + hi)
+        c, s = m._linear_pieces(mid)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below
+            p = est.eval_many(mid) - c
+            # integral of (p - s t)^2 over (lo, hi], piece by piece
             val = (
                 p * p * (hi - lo)
                 - p * s * (hi * hi - lo * lo)
                 + s * s * (hi * hi * hi - lo * lo * lo) / 3.0
             )
-            terms.append(d * val)
+            terms += (d * val).tolist()
     for u, mass in mu.atoms:
         diff = float(est(u)) - float(m.eval(u))
         terms.append(mass * diff * diff)
+    if not np.isfinite(terms).all():
+        raise OverflowError("the exact L2 error overflows a double")
     return math.fsum(terms)
 
 
@@ -190,10 +193,18 @@ def stream_checkpoints(
     state = EstimatorState(budget)
     rows: list[tuple[int, int, float]] = []
     stalled_at = None
-    next_cp = 0
-    for i in range(n_stop):
-        state.ingest(float(seq.x[i]), float(seq.y[i]))
-        n = i + 1
+    n = next_cp = 0
+    while n < n_stop:
+        # feed up to the next checkpoint, or to the pair at which the open
+        # search would outlast the patience if nothing froze before it
+        end = n_stop
+        if next_cp < len(checkpoints):
+            end = min(end, checkpoints[next_cp])
+        if stall_patience is not None:
+            deadline = (state.tau[-1] if state.tau else 1) + stall_patience + 1
+            end = max(n + 1, min(end, deadline))
+        state.ingest_many(seq.x[n:end], seq.y[n:end])
+        n = end
         if stall_patience is not None and state.open_search_age() > stall_patience:
             stalled_at = n
             break

@@ -35,7 +35,6 @@ both, plus per-atom deviations, and flags exactly that divergence pattern.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from bisect import bisect_left
@@ -663,14 +662,18 @@ def stability_diagnostic(
 
 # -- sequence file format -----------------------------------------------------
 
+_CSV_BLOCK = 8192  # rows formatted per block by `sequence_csv_bytes`
+
+
 def sequence_csv_bytes(seq: SampleSequence) -> bytes:
     """Canonical CSV encoding: header i,x,y; repr floats (round-trip exact)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["i", "x", "y"])
-    for i, (x, y) in enumerate(zip(seq.x, seq.y), start=1):
-        w.writerow([i, repr(float(x)), repr(float(y))])
-    return buf.getvalue().encode("utf-8")
+    parts = [b"i,x,y\n"]
+    for lo in range(0, len(seq), _CSV_BLOCK):  # in blocks: a few rows' strings alive at once
+        # tolist gives Python floats, whose repr is the shortest round trip
+        pairs = zip(seq.x[lo:lo + _CSV_BLOCK].tolist(), seq.y[lo:lo + _CSV_BLOCK].tolist())
+        rows = [f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(pairs, start=lo + 1)]
+        parts.append("".join(rows).encode("utf-8"))
+    return b"".join(parts)
 
 
 def write_sequence_csv(seq: SampleSequence, path) -> None:

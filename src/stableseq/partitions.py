@@ -75,6 +75,17 @@ def cell_of(x: float, k: int) -> DyadicCell:
     return DyadicCell(k, j)
 
 
+def _cell_indices(xs, k: int):
+    """`cell_of(x, k).j` for every x of a float array (k >= 1), as integral
+    floats; NaN where `cell_of` raises (x non-finite, or the index at or
+    beyond 2^256)."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf
+        scaled = np.ceil(np.ldexp(xs, k))
+    return np.where(np.abs(scaled) < 2.0**256, scaled, np.nan)
+
+
 @dataclass(frozen=True)
 class PiecewiseDyadicFn:
     """Sparse step function, constant on the cells of one dyadic partition.
@@ -110,9 +121,8 @@ class PiecewiseDyadicFn:
             raise ValueError("cannot locate non-finite values in a dyadic cell")
         if self.k == 0:
             return np.full(xs.shape, self.values.get(0, self.default), dtype=float)
-        with np.errstate(over="ignore"):  # an overflow gives inf, caught below
-            scaled = np.ceil(np.ldexp(xs, self.k))  # the cell indices, as in cell_of
-        if not (np.abs(scaled) < 2.0**256).all():
+        scaled = _cell_indices(xs, self.k)
+        if np.isnan(scaled).any():
             raise OverflowError(
                 f"cell index at resolution {self.k} exceeds the supported integer range"
             )

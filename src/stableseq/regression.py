@@ -182,6 +182,20 @@ class RegressionModel:
         s = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
         return (vs[i] - s * xs[i], s)
 
+    def _linear_pieces(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`linear_piece_at` at every point of the float array x: (c, s)."""
+        if self.kind == "dyadic":
+            return self.fn.eval_many(x), np.zeros(len(x))
+        xs, vs = np.asarray(self.xs), np.asarray(self.vs)
+        left, right = x <= xs[0], x >= xs[-1]
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, max(len(xs) - 2, 0))
+        j = np.minimum(i + 1, len(xs) - 1)
+        with np.errstate(all="ignore"):  # pieces outside the nodes are discarded
+            s = (vs[j] - vs[i]) / (xs[j] - xs[i])
+            c = vs[i] - s * xs[i]
+        c = np.where(left, vs[0], np.where(right, vs[-1], c))
+        return c, np.where(left | right, 0.0, s)
+
     def variation(self, lo: float, hi: float) -> float:
         """Exact total variation of m on (lo, hi].
 

@@ -300,6 +300,20 @@ class TestEstimate:
         assert lines[1].startswith("1,0,")  # depth-0 estimate = first label
 
 
+    def test_error_beyond_the_double_range_exit2(self, tmp_path, capsys):
+        # (estimate - 1e308)^2 overflows: no curve.csv holding nan
+        seq_csv = self._sequence(tmp_path, n=8)
+        huge = {"kind": "piecewise_linear", "xs": [0, 1], "vs": [1e308, 0.8]}
+        cfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": seq_csv, "alpha": {"kind": "constant", "c": 2.0},
+             "truth": {"distribution": UNIT_UNIFORM, "regression": huge}},
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "curve.csv").exists()
+
+
 class TestAdversary:
     def test_plugin_run_and_verify(self, tmp_path):
         cfg = write_json(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stableseq.estimator import (
     EstimatorState,
+    _accumulate_cells,
     batch_tau_search,
     checkpoint_from_dict,
     checkpoint_to_dict,
@@ -192,20 +193,27 @@ class TestEstimatorState:
 
     def test_streaming_equals_batch_after_cancelling_jumps(self):
         # a +-3e12 pair cancels inside one cell: a float running window sum
-        # is left ~1.6e-4 off after it, enough to freeze at 6021, not 6016
+        # is left ~1.6e-4 off after it, enough to freeze at 6021, not 6016.
+        # Fed pair by pair through `ingest`, then in 64-pair `ingest_many`
+        # batches (one ends at 6016); both stop at the second freeze: the
+        # constant tail would then freeze one resolution per pair until
+        # cell_of overflows
         ys = [0.0, 3e12 + 13.3, -3e12] + [4.2] * 2000 + [3.9] * 4500
         xs = [0.25] * len(ys)
         budget = VariationBudget.const(2.0)
-        state = EstimatorState(budget)
-        for x, y in zip(xs, ys):
-            # stop at the second freeze: the constant tail would then freeze
-            # one resolution per pair until cell_of overflows
-            if state.ingest(x, y) == 1:
-                break
-        tau_b, frozen_b = batch_tau_search(xs, ys, budget, n_max=state.consumed)
-        assert state.tau == tau_b == [1, 6016]
-        for a, b in zip(state.frozen, frozen_b):
-            assert dict(a.values) == dict(b.values)
+        for batch in (1, 64):
+            state = EstimatorState(budget)
+            for lo in range(0, len(xs), batch):
+                if batch == 1:
+                    froze = [state.ingest(xs[lo], ys[lo])]
+                else:
+                    froze = [k for k, _ in state.ingest_many(xs[lo:lo + batch], ys[lo:lo + batch])]
+                if 1 in froze:
+                    break
+            tau_b, frozen_b = batch_tau_search(xs, ys, budget, n_max=state.consumed)
+            assert state.tau == tau_b == [1, 6016]
+            for a, b in zip(state.frozen, frozen_b):
+                assert dict(a.values) == dict(b.values)
 
     @example(pairs=[(0.5, 0, 1.0)] * 3, c=0.5)  # V = 2 = 4*alpha: the tie fails
     @example(pairs=[(0.3, 511, 1.0), (0.3, -1074, -1.0), (0.7, 511, -1.0), (0.6, -1074, 1.0)], c=0.25)
@@ -224,16 +232,15 @@ class TestEstimatorState:
     )
     def test_streaming_equals_batch_on_powers_of_two(self, pairs, c):
         # y = +-2^e spans every exponent ingest accepts; 4*alpha is a power
-        # of two, so a window sum can equal it exactly
+        # of two, so a window sum can equal it exactly.  Both entry points
         xs = [x for x, _, _ in pairs]
         ys = [s * math.ldexp(1.0, e) for _, e, s in pairs]
         budget = VariationBudget.const(c)
-        state = EstimatorState(budget)
-        state.ingest_many(xs, ys)
         tau_b, frozen_b = batch_tau_search(xs, ys, budget)
-        assert state.tau == tau_b
-        for a, b in zip(state.frozen, frozen_b):
-            assert a.k == b.k and dict(a.values) == dict(b.values)
+        for state, err in (_per_pair(budget, xs, ys), _batched(budget, xs, ys)):
+            assert err is None and state.tau == tau_b
+            for a, b in zip(state.frozen, frozen_b):
+                assert a.k == b.k and dict(a.values) == dict(b.values)
 
     def test_non_member_target_stalls(self):
         # alternating pattern at depth 4 has windowed variation 16 >= 8 = 4*2:
@@ -297,3 +304,193 @@ def checkpoint_to_dict_from_parsed(parsed: dict) -> dict:
         "tau": list(parsed["tau"]),
         "frozen": [f.to_dict() for f in parsed["frozen"]],
     }
+
+
+# -- the batched fast path --------------------------------------------------------
+
+def _cells_repr(state: EstimatorState):
+    """State as reprs, so -0.0 and 0.0 differ."""
+    cells = sorted((j, c[0], repr(c[1])) for j, c in state._cells.items())
+    frozen = [(f.k, sorted((j, repr(v)) for j, v in f.values.items())) for f in state.frozen]
+    return cells, frozen
+
+
+def _per_pair(budget, xs, ys):
+    """Reference: `ingest` pair by pair; returns (state, exception type)."""
+    state = EstimatorState(budget)
+    try:
+        for x, y in zip(xs, ys):
+            state.ingest(x, y)
+    except (ValueError, OverflowError) as e:
+        return state, type(e)
+    return state, None
+
+
+def _batched(budget, xs, ys, cuts=()):
+    """`ingest_many` on the pieces between the cuts."""
+    state = EstimatorState(budget)
+    bounds = [0, *sorted(min(c, len(xs)) for c in cuts), len(xs)]
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            state.ingest_many(xs[lo:hi], ys[lo:hi])
+    except (ValueError, OverflowError) as e:
+        return state, type(e)
+    return state, None
+
+
+def _assert_same_state(a: EstimatorState, b: EstimatorState) -> None:
+    assert vars(a) == vars(b)
+    assert _cells_repr(a) == _cells_repr(b)
+
+
+# x in a handful of cells with neighbours at every depth, plus fresh cells;
+# x = -0.3 only ever carries -0.0
+_X = st.one_of(
+    st.sampled_from([0.1, 0.25, 0.25 + 2.0**-12, 0.5, 0.5 - 2.0**-30, 0.75, 1.0, 1.5, -0.3]),
+    st.floats(-0.5, 1.5),
+)
+_Y = st.one_of(
+    st.tuples(st.sampled_from([3e12, -3e12]), st.floats(0.0, 1.0)).map(sum),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.integers(-1074, 511)).map(
+        lambda t: t[0] * math.ldexp(1.0, t[1])
+    ),
+    st.sampled_from([-0.0, 0.0, 1.0, 4.2, 3.9]),
+    st.floats(-2.0, 2.0),
+)
+_BUDGETS = st.sampled_from(
+    [VariationBudget.const(c) for c in (0.25, 0.5, 2.0, 1e6, 2.0**-1000, 2.0**500, 3e12)]
+    + [VariationBudget.affine(2.0, 0.1), VariationBudget.from_table([0.3, 1.0, 2.5])]
+)
+
+
+class TestIngestMany:
+    @example(  # cancelling +-3e12 pairs in one cell, next to a -0.0-only cell
+        pairs=[(0.25, 0.0), (0.25, 3e12 + 13.3), (0.25, -3e12), (-0.3, 0.0), (0.3, 4.2)],
+        cuts=[2], budget=VariationBudget.const(2.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(_X, _Y), min_size=1, max_size=120),
+        st.lists(st.integers(0, 120), max_size=3),
+        _BUDGETS,
+    )
+    def test_equals_per_pair_loop(self, pairs, cuts, budget):
+        xs = [x for x, _ in pairs]
+        ys = [-0.0 if x == -0.3 else y for x, y in pairs]
+        ref, err = _per_pair(budget, xs, ys)
+        whole, err_whole = _batched(budget, xs, ys)
+        split, err_split = _batched(budget, xs, ys, cuts)
+        assert err_whole == err_split == err
+        _assert_same_state(whole, ref)
+        _assert_same_state(split, ref)
+
+    def test_jump_rounding_is_in_the_bound(self):
+        # at k = 1 cell 0 moves by t = 2^-62, far inside the exact margin
+        # D = 2^-60 by which the windows fail; but the jump from it to the
+        # 1.5 in cell 1 rounds down a whole ulp, 2^-52, and the window sum
+        # drops below 4 * alpha = 1.5: only the slack term sees it coming
+        a = 2.0**-53
+        xs = [0.25, 0.75, -0.75, -0.25, -0.25]
+        ys = [1.5, 1.5, a - 2.0**-60, a, a + 2.0**-61]
+        budget = VariationBudget.const(0.375)
+        ref, _ = _per_pair(budget, xs, ys)
+        fast, _ = _batched(budget, xs, ys)
+        assert ref.tau == batch_tau_search(xs, ys, budget)[0] == [1, 5]
+        _assert_same_state(fast, ref)
+
+    def test_sparse_touches_refresh_cell_by_cell(self):
+        # 512 cells hold a few pairs each; later pairs revisit few of them,
+        # so spans end with a cell-by-cell refresh, not a table rebuild
+        gen = RandomSource(3).generator()
+        xs = np.concatenate([np.arange(1, 513) / 512.0, gen.choice([0.1, 0.6, 0.9], 3000)])
+        ys = np.concatenate([gen.random(512), gen.random(3000) * 8.0])
+        for budget in (VariationBudget.const(0.3), VariationBudget.const(40.0)):
+            ref, _ = _per_pair(budget, xs, ys)
+            fast, _ = _batched(budget, xs, ys, [700, 701, 2000])
+            _assert_same_state(fast, ref)
+
+    @pytest.mark.parametrize("at", [0, 1, 7, 300])
+    @pytest.mark.parametrize(
+        "bad",
+        [(math.nan, 0.5), (0.5, math.nan), (0.5, math.inf), (0.5, 2.0**512), (0.5, -(2.0**512)),
+         (1e300, 0.5)],
+    )
+    def test_bad_pair_raises_at_the_same_pair(self, at, bad):
+        gen = RandomSource(at).generator()
+        xs = list(gen.random(400))
+        ys = list(gen.random(400) * 0.5)
+        xs.insert(at, bad[0])
+        ys.insert(at, bad[1])
+        budget = VariationBudget.const(0.6)
+        ref, err = _per_pair(budget, xs, ys)
+        fast, err_fast = _batched(budget, xs, ys)
+        assert err is not None and err_fast is err
+        assert fast.consumed == ref.consumed == at
+        _assert_same_state(fast, ref)
+
+    def test_freeze_that_overflows_raises_at_the_same_pair(self):
+        # 1e70 locates up to resolution 23: the freeze unlocking 24 overflows
+        xs = [1e70] + [0.5 / i for i in range(2, 40)]
+        ys = [0.5] * len(xs)
+        budget = VariationBudget.const(1e6)
+        ref, err = _per_pair(budget, xs, ys)
+        fast, err_fast = _batched(budget, xs, ys)
+        assert err is err_fast is OverflowError
+        assert fast.search_resolution == 23 and fast.consumed == 23
+        _assert_same_state(fast, ref)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_accumulation_equals_sequential_sums(self, seed):
+        # 1e16 cancellations, subnormals and -0.0: the array pass must give
+        # the arrival-order Python sums bit for bit
+        gen = RandomSource(seed).generator()
+        n = 600
+        xs = gen.choice([0.05, 0.3, 0.35, 0.9, -0.2], n) + gen.integers(0, 3, n) * 2.0**-9
+        pool = np.array([1e16, -1e16, 1.0, -1.0, 5e-324, -5e-324, 2.0**-1060, 0.1, -0.0, 3.0])
+        ys = pool[gen.integers(0, len(pool), n)]
+        ys[xs == -0.2] = -0.0
+        for k in (1, 4, 9):
+            want: dict[int, list] = {}
+            for x, y in zip(xs.tolist(), ys.tolist()):
+                j = math.ceil(math.ldexp(x, k))
+                if j in want:
+                    want[j][0] += 1
+                    want[j][1] += y
+                else:
+                    want[j] = [1, y]
+            keys, counts, sums = _accumulate_cells(xs, ys, k, n)
+            got = {j: [c, s] for j, c, s in zip(keys.tolist(), counts.tolist(), sums.tolist())}
+            assert [(j, c, repr(s)) for j, (c, s) in sorted(got.items())] == [
+                (j, c, repr(s)) for j, (c, s) in sorted(want.items())
+            ]
+
+    def test_no_table_keeps_a_zero_entry(self):
+        # the second pair into cell 2 brings it level with cell 1: the jump
+        # between them returns to 0, and no table of the state may keep a
+        # 0 for it (a jump or window sum of 0 is no entry at all), so the
+        # state depends on the cells alone, whichever path built it
+        state = EstimatorState(VariationBudget.const(0.25))
+        for x, y in [(0.25, 1.0), (0.75, 0.0), (0.75, 2.0)]:
+            state.ingest(x, y)
+        assert state.tau == [1] and state._cells == {1: [1, 1.0], 2: [2, 2.0]}
+        tables = [t for name, t in vars(state).items() if name != "_cells" and isinstance(t, dict)]
+        assert tables and all(0 not in t.values() for t in tables)
+        fast = EstimatorState(VariationBudget.const(0.25))
+        fast.ingest_many([0.25, 0.75, 0.75], [1.0, 0.0, 2.0])
+        _assert_same_state(fast, state)
+
+    def test_window_checks_are_rare_on_noisy_iid(self, monkeypatch):
+        # the stream-noisy benchmark input at 2^14 pairs: the fast path must
+        # check the windows at a small share of pairs, not at every one
+        calls = []
+        check = EstimatorState._windows_pass
+        monkeypatch.setattr(
+            EstimatorState, "_windows_pass", lambda self: calls.append(1) or check(self)
+        )
+        ramp = RegressionModel.piecewise_linear([0.0, 1.0], [0.2, 0.8])
+        n = 1 << 14
+        seq = gen_iid(UNIFORM, ramp, "uniform", n, RandomSource(7), delta=0.2)
+        state = EstimatorState(VariationBudget.const(2.0))
+        state.ingest_many(seq.x, seq.y)
+        assert len(state.tau) >= 3
+        assert len(calls) < n / 50

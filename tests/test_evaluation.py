@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from stableseq.estimator import EstimatorState
 from stableseq.evaluation import (
     ErrorCurve,
     consistency_curve,
     error_curve_csv_bytes,
     l2_error_exact,
     l2_error_quadrature,
+    stream_checkpoints,
 )
 from stableseq.generators import RandomSource, gen_deterministic, gen_iid
 from stableseq.measures import DistributionModel
@@ -55,6 +59,33 @@ class TestL2Exact:
         doubled_est = PiecewiseDyadicFn(1, {1: 2.0, 2: 0.0}, 0.0)
         got = l2_error_exact(doubled_est, H3.scaled(2.0), UNIFORM)
         assert got == pytest.approx(4.0 * base, abs=1e-12)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_piece_by_piece_sum(self, seed):
+        # the same terms, in the same order, as a scalar walk over the pieces
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 7))
+        est = PiecewiseDyadicFn(k, {int(j): float(rng.normal()) for j in rng.integers(-3, 70, 40)}, 0.0)
+        m = RegressionModel.piecewise_linear([-0.2, 0.1, 0.45, 0.8, 1.3], rng.normal(size=5).tolist())
+        mu = DistributionModel(atoms=((0.3, 0.19), (0.5, 0.1)),
+                               segments=((-0.5, 0.2, 0.5), (0.2, 1.5, 0.36 / 1.3)))
+        terms = []
+        for a, b, d in mu.segments:
+            cuts = sorted({a, b, *(j / 2.0**k for j in range(-1024, 1024) if a < j / 2.0**k < b),
+                           *(t for t in m.xs if a < t < b)})
+            for lo, hi in zip(cuts, cuts[1:]):
+                c, s = m.linear_piece_at(0.5 * (lo + hi))
+                p = est(0.5 * (lo + hi)) - c
+                val = p * p * (hi - lo) - p * s * (hi * hi - lo * lo) + s * s * (hi * hi * hi - lo * lo * lo) / 3.0
+                terms.append(d * val)
+        terms += [mass * (est(u) - m.eval(u)) * (est(u) - m.eval(u)) for u, mass in mu.atoms]
+        assert l2_error_exact(est, m, mu) == math.fsum(terms)
+
+    def test_overflow_raises(self):
+        huge = RegressionModel.piecewise_linear([0.0, 1.0], [1e308, 0.8])
+        with pytest.raises(OverflowError):
+            l2_error_exact(PiecewiseDyadicFn(1, {1: -1e308}, 0.0), huge, UNIFORM)
 
 
 class TestL2Quadrature:
@@ -151,3 +182,44 @@ class TestConsistencyCurve:
         text = error_curve_csv_bytes(curve).decode()
         assert text.splitlines()[0] == "n,kappa,error"
         assert "8,2,0.25" in text
+
+
+def _stream_checkpoints_per_pair(seq, budget, n_stop, checkpoints, patience, m, mu):
+    """Reference loop: `ingest` pair by pair, stall check before the rows."""
+    checkpoints = sorted(checkpoints)
+    state = EstimatorState(budget)
+    rows, stalled_at, next_cp = [], None, 0
+    for i in range(n_stop):
+        state.ingest(float(seq.x[i]), float(seq.y[i]))
+        n = i + 1
+        if patience is not None and state.open_search_age() > patience:
+            stalled_at = n
+            break
+        while next_cp < len(checkpoints) and checkpoints[next_cp] == n:
+            rows.append((n, state.kappa(n), l2_error_exact(state.estimate_at(n), m, mu)))
+            next_cp += 1
+    return state, rows, stalled_at
+
+
+class TestStreamCheckpoints:
+    @pytest.mark.parametrize("patience", [None, -3, 0, 1, 5, 40, 300])
+    @pytest.mark.parametrize("inputs", ["stalling", "noisy"])
+    def test_equals_per_pair_loop(self, patience, inputs):
+        if inputs == "stalling":  # sprints through depth 9, then never freezes
+            seq = gen_deterministic(H3, 700)
+            m, budget = H3, VariationBudget.const(1.0)
+        else:
+            m = RegressionModel.piecewise_linear([0.0, 1.0], [0.2, 0.8])
+            seq = gen_iid(UNIFORM, m, "uniform", 700, RandomSource(2), delta=0.2)
+            budget = VariationBudget.const(0.5)
+        _, _, stall = _stream_checkpoints_per_pair(seq, budget, 700, [], patience, m, UNIFORM)
+        grids = [[], [1], [3, 3, 9, 64, 650], list(range(1, 700, 37)), [699, 700, 701]]
+        if stall is not None:
+            grids.append([max(stall - 1, 1), stall, stall + 1])  # a stall on a checkpoint: no row
+        for checkpoints in grids:
+            for n_stop in (1, 650, 700):
+                want = _stream_checkpoints_per_pair(seq, budget, n_stop, checkpoints, patience, m, UNIFORM)
+                got = stream_checkpoints(seq, budget, n_stop, checkpoints, patience, m, UNIFORM)
+                assert got[1:] == want[1:]
+                assert [repr(e) for *_, e in got[1]] == [repr(e) for *_, e in want[1]]
+                assert vars(got[0]) == vars(want[0])

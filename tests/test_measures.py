@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from stableseq.measures import (
     interval_prob,
     levy_distance,
     read_sequence_csv,
+    sequence_csv_bytes,
     stability_diagnostic,
     sup_interval_discrepancy,
     sup_weighted_discrepancy,
@@ -338,6 +341,18 @@ class TestSequenceCsv:
         assert np.array_equal(back.x, seq.x) and np.array_equal(back.y, seq.y)
         write_sequence_csv(back, tmp_path / "seq2.csv")
         assert (tmp_path / "seq2.csv").read_bytes() == p.read_bytes()
+
+    def test_bytes_match_csv_writer_reference(self):
+        # signed zeros, the smallest subnormal, values near the double range
+        # and integral x must print as repr(float) does, through csv.writer
+        x = np.array([1.0, -0.0, 5e-324, 1.7e308, -1.7e308, 2.0**60, 3.0, 0.1])
+        y = np.array([-0.0, 5e-324, -1.7e308, 1.7e308, 1e-310, -2.0, 0.3, 1.0])
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["i", "x", "y"])
+        for i, (a, b) in enumerate(zip(x, y), start=1):
+            w.writerow([i, repr(float(a)), repr(float(b))])
+        assert sequence_csv_bytes(SampleSequence(x, y)) == buf.getvalue().encode("utf-8")
 
     def test_header_checked(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -96,6 +96,25 @@ class TestRegressionModel:
             assert back.to_dict() == m.to_dict()
 
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            RegressionModel.piecewise_linear([0.5], [2.0]),
+            RegressionModel.identity_on_unit(),
+            RegressionModel.piecewise_linear([-1.0, 0.0, 0.3, 0.31, 2.0], [1.0, -2.0, 0.5, 0.7, 0.1]),
+            RegressionModel.from_dyadic(PiecewiseDyadicFn(3, {1: 0.5, 5: -1.0}, 0.2)),
+        ],
+        ids=["one-node", "identity", "five-nodes", "dyadic"],
+    )
+    def test_vectorized_pieces_equal_linear_piece_at(self, m):
+        x = np.concatenate([np.linspace(-1.5, 2.5, 97), [-1.0, 0.0, 0.3, 0.31, 0.5, 1.0, 2.0]])
+        c, s = m._linear_pieces(x)
+        want = [m.linear_piece_at(float(t)) for t in x]
+        assert [(repr(float(a)), repr(float(b))) for a, b in zip(c, s)] == [
+            (repr(float(a)), repr(float(b))) for a, b in want
+        ]
+
+
 class TestSignedMeasureModel:
     def test_exact_interval_values(self):
         nu = SignedMeasureModel(UNIFORM, RegressionModel.identity_on_unit())
