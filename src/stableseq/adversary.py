@@ -87,6 +87,9 @@ __all__ = [
 
 # -- the Rademacher ladder -----------------------------------------------------
 
+_LADDER_TOP = 1075  # h_k on doubles is the same function for every k >= this
+
+
 def rademacher_eval(k: int, x) -> np.ndarray | float:
     """h_k(x): exact, left-closed/right-open sub-intervals; 0 outside [0, 1)."""
     if k < 0:
@@ -96,9 +99,18 @@ def rademacher_eval(k: int, x) -> np.ndarray | float:
     if k == 0:
         out = np.where((xs >= 0.0) & (xs <= 1.0), 0.5, 0.0)
     else:
+        # floor(x * 2^k) is even where y = x * 2^(k-1) has y - floor(y) < 1/2,
+        # which is exact in floats.  x >= 2^(53 - k) gives floor(x * 2^k) >=
+        # 2^53, an even integer like every double there, so x is clamped to
+        # 2^(53 - k) and y never overflows.  Every double in [0, 1) is
+        # m * 2^-1074, so h_k is h_1075 for k >= 1075.
+        k = min(k, _LADDER_TOP)
         inside = (xs >= 0.0) & (xs < 1.0)
-        piece = np.floor(np.ldexp(np.where(inside, xs, 0.0), k)).astype(np.int64)
-        out = np.where(inside & (piece % 2 == 0), 1.0, 0.0)
+        y = np.where(inside, xs, 0.0)
+        np.minimum(y, math.ldexp(1.0, 53 - k), out=y)
+        np.ldexp(y, k - 1, out=y)
+        y -= np.floor(y)
+        out = np.where(inside & (y < 0.5), 1.0, 0.0)
     return float(out[0]) if scalar else out
 
 
@@ -395,7 +407,8 @@ class OracleProcedure:
         t = min(self.window, len(xs))
         xt, yt = xs[-t:], ys[-t:]
         best_k, best_run = 1, -1
-        for k in range(1, self.max_index + 1):
+        # h_k repeats from _LADDER_TOP on, and only a strictly longer run wins
+        for k in range(1, min(self.max_index, _LADDER_TOP) + 1):
             match = yt == rademacher_eval(k, xt)
             run = 0
             for good in match[::-1]:

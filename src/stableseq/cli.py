@@ -224,7 +224,7 @@ def cmd_estimate(cfg: dict, out: Path) -> int:
         raise ConfigError(f"sequence CSV {seq_path!r} holds no pairs")
     budget = _parse(VariationBudget.from_dict, cfg, "alpha")
     n_max = min(_get(cfg, "horizon", int, len(seq), lo=1), len(seq))
-    patience = _get(cfg, "stall_patience", int, None)
+    patience = _get(cfg, "stall_patience", int, None, lo=0)
     required = _get(cfg, "require_resolution", int, None)
     truth = _get(cfg, "truth", dict, None)
     mu = m = None
@@ -355,7 +355,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     gen_cfg = _get(exp, "generator", dict, at="experiment.")
     budget = _parse(VariationBudget.from_dict, exp, "alpha", "experiment.")
     checkpoints = _get(exp, "checkpoints", [int], lo=1, at="experiment.")
-    patience = _get(exp, "stall_patience", int, None, at="experiment.")
+    patience = _get(exp, "stall_patience", int, None, lo=0, at="experiment.")
     out.mkdir(parents=True, exist_ok=True)
     lines = ["seed,n,kappa,error,stalled_at"]
     for seed in seeds:

@@ -35,8 +35,8 @@ both, plus per-atom deviations, and flags exactly that divergence pattern.
 from __future__ import annotations
 
 import csv
-import json
 import math
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -271,13 +271,6 @@ class DistributionModel:
             segments=tuple((a, b, dd) for a, b, dd in d.get("segments", [])),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "DistributionModel":
-        return cls.from_dict(json.loads(s))
-
 
 def interval_prob(model: DistributionModel, A: IntervalA) -> float:
     """mu(A) with right-closed semantics; empty overlap returns 0."""
@@ -357,14 +350,6 @@ class SampleSequence:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "SampleSequence":
-        pairs = list(pairs)
-        return cls(
-            np.array([p[0] for p in pairs], dtype=float),
-            np.array([p[1] for p in pairs], dtype=float),
-        )
 
     def prefix(self, m: int) -> "SampleSequence":
         if not 0 <= m <= len(self):
@@ -500,14 +485,36 @@ def cramer_distance(seq: SampleSequence, model: DistributionModel) -> float:
     return float(math.fsum(pieces.tolist()))
 
 
+_LEVY_CANDIDATES = 64  # samples the Levy bisection tests before it checks all of them
+
+
 def levy_distance(seq: SampleSequence, model: DistributionModel) -> float:
     """Levy metric between the empirical CDF and the model CDF.
 
     Smallest eps with F(t - eps) - eps <= F_hat(t) <= F(t + eps) + eps for
     all t.  Between sample jumps F_hat is flat and F is non-decreasing, so
-    feasibility of one eps reduces to checks at the sample points (right
-    values for the upper envelope, left limits for the lower), found by
-    bisection to absolute precision 1e-12.
+    feasibility of one eps reduces to checks at the distinct sample points
+    (right values for the upper envelope, left limits for the lower): a
+    point fails when max(F_hat(t) - F(t + eps), F(t - eps) - F_hat(t-))
+    exceeds eps + 1e-15.  Bisection finds eps to absolute precision 1e-12.
+
+    The bisection tests a small candidate set C, the points that deviate
+    most at eps = 0, and checks all points once at its result; points that
+    fail there join C and the bisection runs again.  The returned float is
+    that of the bisection over all points:
+
+    (a) Each point's test is monotone in eps.  Every float operation in it
+        is monotone: fl(t +- eps), the searchsorted lookups,
+        seg_cum[i] + d * max(0, min(t, b) - a), the sum with the atom
+        cumulative, the subtraction from F_hat and eps + 1e-15.  At a
+        segment end, seg_cum[i] + d * (b - a) is exactly the next cumsum
+        entry, so the CDF takes no downward step.  Feasibility over all
+        points is therefore monotone too.
+    (b) A False on C is a False on all points.  Every True on C is at a
+        midpoint >= the final hi.  If all points pass at the final hi, by
+        (a) every True on C also holds for all points, so the bisection
+        took the path of the one over all points and returns its float.
+        If no midpoint was True, hi is the initial 1.0 either way.
 
     This metrizes pointwise CDF convergence at continuity points -- a
     strictly weaker statistic than the interval supremum, and exactly the
@@ -522,25 +529,35 @@ def levy_distance(seq: SampleSequence, model: DistributionModel) -> float:
     f_right = seq.count_le(ts) / n
     f_left = seq.count_lt(ts) / n
 
-    def feasible(eps: float) -> bool:
-        over = f_right - model.cdf(ts + eps)
-        if float(over.max()) > eps + 1e-15:
-            return False
-        under = np.asarray(model.cdf_left(ts - eps), dtype=float) - f_left
-        return float(under.max()) <= eps + 1e-15
+    def deviation(idx, eps: float) -> np.ndarray:
+        """Per point of ts[idx] (idx = slice(None): all), the larger envelope
+        excess at eps; the point fails where it exceeds eps + 1e-15."""
+        dev = f_right[idx] - model.cdf(ts[idx] + eps)
+        np.maximum(dev, model.cdf_left(ts[idx] - eps) - f_left[idx], out=dev)
+        return dev
 
-    lo, hi = 0.0, 1.0
-    if feasible(0.0):
+    dev = deviation(slice(None), 0.0)
+    if float(dev.max()) <= 1e-15:
         return 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12:
-            break
-    return hi
+    # a copy, not a view that would keep the full index array alive
+    cand = np.argpartition(dev, max(len(dev) - _LEVY_CANDIDATES, 0))[-_LEVY_CANDIDATES:].copy()
+    del dev
+    while True:
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if float(deviation(cand, mid).max()) <= mid + 1e-15:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-12:
+                break
+        if hi == 1.0:  # no midpoint passed on C, so none passes on all points
+            return hi
+        bad = np.flatnonzero(deviation(slice(None), hi) > hi + 1e-15)
+        if len(bad) == 0:
+            return hi
+        cand = np.union1d(cand, bad)
 
 
 # -- stability diagnostic -----------------------------------------------------
@@ -682,25 +699,49 @@ def write_sequence_csv(seq: SampleSequence, path) -> None:
 
 
 def read_sequence_csv(path) -> SampleSequence:
+    """The pairs of a sequence CSV: a header i,x,y, then one row per pair.
+
+    Columns 2 and 3 of each data row are x and y; the first column and any
+    further ones are not read, and blank lines are skipped.  A value is an
+    ASCII decimal or `inf`/`nan` literal, optionally quoted and surrounded by
+    whitespace, parsed to the nearest double as by float(); digit separators
+    (`1_0`) and non-ASCII digits are errors.  A short row, a value that is
+    not such a literal and a non-finite value raise ValueError naming the
+    line or data row.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError("sequence CSV is empty (no i,x,y header)")
         if [h.strip() for h in header] != ["i", "x", "y"]:
             raise ValueError(f"unexpected sequence CSV header: {header}")
-        xs, ys = [], []
-        for row in r:
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ValueError(
-                    f"sequence CSV line {r.line_num} has {len(row)} columns, need 3"
-                )
-            xs.append(float(row[1]))
-            ys.append(float(row[2]))
-    x, y = np.array(xs), np.array(ys)
+        try:
+            with warnings.catch_warnings():  # a header-only file is a valid empty sequence
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                xy = np.loadtxt(fh, delimiter=",", usecols=(1, 2), comments=None,
+                                quotechar='"', ndmin=2)
+        except ValueError as e:
+            fh.seek(0)
+            raise _bad_csv_line(fh) or e
+    x, y = np.ascontiguousarray(xy.T)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):  # one mask alive at a time
         row = int(np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))[0]) + 1
         raise ValueError(f"non-finite value in sequence CSV data row {row}")
     return SampleSequence(x, y)
+
+
+def _bad_csv_line(fh) -> ValueError | None:
+    """The error naming the first data row of `fh` that `read_sequence_csv`
+    cannot read, by the same rules; None if there is none."""
+    r = csv.reader(fh)
+    next(r)
+    for row in r:
+        if row and len(row) < 3:
+            return ValueError(f"sequence CSV line {r.line_num} has {len(row)} columns, need 3")
+        for value in row[1:3]:
+            v = value.strip()
+            try:  # float() alone also takes digit separators and non-ASCII digits
+                float(v if v.isascii() and "_" not in v else "not ascii")
+            except ValueError:
+                return ValueError(f"sequence CSV line {r.line_num}: {value!r} is not a number")
+    return None

@@ -220,9 +220,6 @@ class RegressionModel:
         """V(m : -i, i)."""
         return self.variation(-float(i), float(i))
 
-    def variation_table(self, i_max: int) -> list[float]:
-        return [self.variation_window(i) for i in range(1, i_max + 1)]
-
     def fits_budget(self, budget, i_max: int) -> bool:
         """Strict V(m:-i,i) < alpha(i) for i = 1..i_max."""
         return all(

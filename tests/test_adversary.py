@@ -1,5 +1,8 @@
+import json
 import math
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from stableseq.adversary import (
     verify_adversary_report,
     weighted_prefix_discrepancy,
 )
+from stableseq.cli import main
 from stableseq.generators import van_der_corput
 from stableseq.measures import (
     DistributionModel,
@@ -290,3 +294,42 @@ class TestExternalProcedure:
         xs, ys = np.array([0.2, 0.1 + 0.2, 1e-300]), np.array([1.0, -1.0, 0.3])
         fitted = ExternalProcedure([sys.executable, str(script)]).fit(xs, ys)
         assert fitted(np.arange(6.0)).tolist() == np.column_stack([xs, ys]).ravel().tolist()
+
+
+def _ladder_reference(k, x):
+    """h_k(x) for k >= 1 from the exact binary expansion x = p / 2^j."""
+    if not 0.0 <= x < 1.0:
+        return 0.0
+    f = Fraction(x)
+    p, j = f.numerator, f.denominator.bit_length() - 1
+    # floor(x * 2^k) = p * 2^(k - j), even for k > j, or p >> (j - k)
+    odd = k <= j and (p >> (j - k)) % 2 == 1
+    return 0.0 if odd else 1.0
+
+
+class TestLadderAtLargeIndex:
+    @pytest.mark.parametrize("k", [1, 52, 53, 54, 62, 63, 64, 1074, 1075, 1076, 10**8])
+    def test_matches_exact_reference_without_warnings(self, k):
+        rng = np.random.default_rng(k % 1000)
+        bits = rng.integers(0, 0x3FF0000000000000, size=400, dtype=np.int64)  # [0, 1)
+        xs = np.concatenate([
+            rng.random(200), bits.view(np.float64),
+            [0.0, 5e-324, 2.0**-1022, 0.5, 1.0 - 2.0**-53, 2.0**-60, 1.0, -0.25],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rademacher_eval(k, xs)
+        assert got.tolist() == [_ladder_reference(k, float(x)) for x in xs]
+
+    def test_oracle_index_beyond_ladder_top(self, tmp_path):
+        # h_k is the same function for k >= 1075, so a larger max_index ends
+        # at once and gives the same report
+        out = {}
+        for max_index in (1075, 10**8):
+            cfg = tmp_path / f"c{max_index}.json"
+            cfg.write_text(json.dumps({"phi": {"kind": "oracle", "max_index": max_index},
+                                       "n_blocks": 2, "horizon": 256, "block_budget": 64}))
+            d = tmp_path / str(max_index)
+            assert main(["adversary", "--config", str(cfg), "--out", str(d)]) == 0
+            out[max_index] = [(d / f).read_bytes() for f in ("report.json", "sequence.csv")]
+        assert out[1075] == out[10**8]

@@ -264,6 +264,17 @@ class TestEstimate:
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patience,code", [(-5, 2), (-1, 2), (0, 4)])
+    def test_negative_stall_patience_exit2(self, tmp_path, capsys, patience, code):
+        seq_csv = self._sequence(tmp_path, n=64)
+        cfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": seq_csv, "alpha": {"kind": "constant", "c": 2.0},
+             "stall_patience": patience},
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == code
+        assert ("'stall_patience' must be >= 0" in capsys.readouterr().err) == (code == 2)
+
     def _estimate_csv(self, tmp_path, text):
         (tmp_path / "s.csv").write_text(text)
         cfg = write_json(
@@ -286,6 +297,10 @@ class TestEstimate:
     def test_short_csv_row_exit2(self, tmp_path, capsys):
         assert self._estimate_csv(tmp_path, "i,x,y\n1,0.5,1\n2,0.25\n") == 2
         assert "line 3 has 2 columns" in capsys.readouterr().err
+
+    def test_digit_separator_exit2(self, tmp_path, capsys):
+        assert self._estimate_csv(tmp_path, "i,x,y\n1,0.5,1\n2,1_0,0.5\n") == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_single_pair_input(self, tmp_path):
         seq_csv = self._sequence(tmp_path, n=1)
@@ -614,6 +629,18 @@ class TestSweep:
         generator = {"kind": "deterministic", "n": 64, "regression": H1_DYADIC}
         assert self._sweep(tmp_path, generator, [32, 128]) == 2
         assert "within the sequence" in capsys.readouterr().err
+
+
+    def test_negative_stall_patience_exit2(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "s.json",
+            {"experiment": {"generator": {"kind": "deterministic", "n": 64, "regression": H1_DYADIC},
+                            "alpha": {"kind": "constant", "c": 2.0},
+                            "checkpoints": [64], "stall_patience": -5},
+             "seeds": [1]},
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert "'experiment.stall_patience' must be >= 0" in capsys.readouterr().err
 
 
 class TestInternalError:

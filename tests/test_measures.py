@@ -1,12 +1,16 @@
 import csv
 import io
+import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from conftest import brute_force_interval_sup, random_mixture_model
+from stableseq import measures
 from stableseq.generators import gen_harmonic_approach, gen_iid, RandomSource
 from stableseq.measures import (
     DistributionModel,
@@ -66,7 +70,7 @@ class TestDistributionModel:
 
     def test_json_round_trip(self, rng):
         m = random_mixture_model(rng)
-        m2 = DistributionModel.from_json(m.to_json())
+        m2 = DistributionModel.from_dict(json.loads(json.dumps(m.to_dict(), sort_keys=True)))
         assert m2.atoms == m.atoms and m2.segments == m.segments
 
     def test_inverse_cdf_pushforward(self, rng):
@@ -118,7 +122,7 @@ class TestEmpiricalProperties:
         st.floats(-6, 6, allow_nan=False),
     )
     def test_weighted_halfline_matches_direct_sum(self, pairs, b):
-        seq = SampleSequence.from_pairs(pairs)
+        seq = SampleSequence(np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]))
         got = empirical_weighted_mass(seq, IntervalA.left_unbounded(b))
         direct = sum(y for x, y in pairs if x <= b) / len(pairs)
         assert got == pytest.approx(direct, abs=1e-12)
@@ -373,4 +377,201 @@ class TestSequenceCsv:
         p = tmp_path_factory.mktemp("csv") / "seq.csv"
         p.write_text("i,x,y\n" + "".join(",".join(c) + "\n" for c in cells))
         with pytest.raises(ValueError, match=f"row {row + 1}"):
+            read_sequence_csv(p)
+
+
+def _levy_reference(seq, model):
+    """The Levy bisection over all points, kept verbatim as the reference."""
+    n = len(seq)
+    ts = np.unique(seq.x_sorted)
+    f_right = seq.count_le(ts) / n
+    f_left = seq.count_lt(ts) / n
+
+    def feasible(eps: float) -> bool:
+        over = f_right - model.cdf(ts + eps)
+        if float(over.max()) > eps + 1e-15:
+            return False
+        under = np.asarray(model.cdf_left(ts - eps), dtype=float) - f_left
+        return float(under.max()) <= eps + 1e-15
+
+    lo, hi = 0.0, 1.0
+    if feasible(0.0):
+        return 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-12:
+            break
+    return hi
+
+
+_GRID = [i / 8 for i in range(-8, 17)]
+
+
+@st.composite
+def _levy_cases(draw):
+    """A model of atoms and segments on a coarse grid (atoms may sit on
+    segment ends, segments may adjoin) and samples on and off its points."""
+    atoms = sorted(draw(st.sets(st.sampled_from(_GRID), max_size=3)))
+    edges = sorted(draw(st.sets(st.sampled_from(_GRID), max_size=6)))
+    segs = [(a, b) for a, b in zip(edges, edges[1:]) if draw(st.booleans())]
+    assume(atoms or segs)
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(atoms) + len(segs),
+                            max_size=len(atoms) + len(segs)))
+    mass = [w / sum(weights) for w in weights]
+    model = DistributionModel(
+        atoms=tuple(zip(atoms, mass)),
+        segments=tuple((a, b, m / (b - a)) for (a, b), m in zip(segs, mass[len(atoms):])),
+    )
+    xs = draw(st.lists(
+        st.one_of(st.sampled_from(_GRID), st.floats(-1.5, 2.5, allow_nan=False)),
+        min_size=1, max_size=40,
+    ))
+    return model, SampleSequence(np.array(xs), np.zeros(len(xs)))
+
+
+class TestLevyBisection:
+    @pytest.mark.parametrize("candidates", [1, 64])
+    @given(_levy_cases())
+    def test_bit_identical_to_full_bisection(self, candidates, case):
+        # with one candidate nearly every call refines its candidate set
+        model, seq = case
+        with mock.patch.object(measures, "_LEVY_CANDIDATES", candidates):
+            got = levy_distance(seq, model)
+        assert repr(got) == repr(_levy_reference(seq, model))
+
+    def test_at_most_three_passes_over_all_points(self, monkeypatch):
+        x = np.random.default_rng(14).random(1 << 14)
+        seq = SampleSequence(x, x)
+        n_distinct = len(np.unique(x))
+        full = {"cdf": 0, "cdf_left": 0}
+        for name in full:
+            def counted(model, t, _name=name, _orig=getattr(DistributionModel, name)):
+                full[_name] += np.size(t) == n_distinct
+                return _orig(model, t)
+
+            monkeypatch.setattr(DistributionModel, name, counted)
+        got = levy_distance(seq, UNIFORM)
+        monkeypatch.undo()
+        assert repr(got) == repr(_levy_reference(seq, UNIFORM))
+        assert full["cdf"] <= 3 and full["cdf_left"] <= 3, full
+
+
+def _reader_reference(path):
+    """The csv.reader + float() sequence reader that the array parse replaced."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        r = csv.reader(fh)
+        header = next(r, None)
+        if header is None or [h.strip() for h in header] != ["i", "x", "y"]:
+            raise ValueError("bad header")
+        xs, ys = [], []
+        for row in r:
+            if not row:
+                continue
+            if len(row) < 3:
+                raise ValueError(f"line {r.line_num} has {len(row)} columns")
+            xs.append(float(row[1]))
+            ys.append(float(row[2]))
+    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite")
+    return x, y
+
+
+def _same_read(path):
+    """read_sequence_csv agrees with the reference: both raise ValueError, or
+    both give the same bits."""
+    try:
+        want = _reader_reference(path)
+    except ValueError:
+        with pytest.raises(ValueError):
+            read_sequence_csv(path)
+        return
+    got = read_sequence_csv(path)
+    for a, b in zip((got.x, got.y), want):
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+_HARD_DECIMALS = [
+    "1.00000000000000011102230246251565404236316680908203125",  # halfway, to even
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "9007199254740993", "9007199254740995", "-0.0", "+0.0", "0e-999", "1e-400",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9406564584124654e-324",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "1.7976931348623158e308", "0.1", "0.30000000000000004",
+    "3.1415926535897932384626433832795028841971", "1234567890123456789012345678901234567890",
+    "0.0000000000000000000000000000000000000001234567890123456789012345678901234567890",
+    "1.", ".5", "5E-3", "  7  ", "\t-2.5e+10\t",
+]
+
+
+class TestSequenceCsvArrayReader:
+    def _write(self, tmp_path, text, name="s.csv"):
+        p = tmp_path / name
+        p.write_bytes(text.encode("utf-8"))
+        return p
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_repr_of_random_doubles_bit_exact(self, tmp_path_factory, values):
+        p = self._write(tmp_path_factory.mktemp("csv"),
+                        "i,x,y\n" + "".join(f"{i},{v!r},{-v!r}\n" for i, v in enumerate(values)))
+        got = read_sequence_csv(p)
+        assert got.x.tobytes() == np.array(values).tobytes()
+        assert got.y.tobytes() == (-np.array(values)).tobytes()
+
+    def test_hard_decimals_bit_exact(self, tmp_path):
+        p = self._write(tmp_path, "i,x,y\n" + "".join(f"{i},{s},{s}\n" for i, s in enumerate(_HARD_DECIMALS)))
+        want = np.array([float(s) for s in _HARD_DECIMALS])
+        got = read_sequence_csv(p)
+        assert got.x.tobytes() == got.y.tobytes() == want.tobytes()
+        _same_read(p)
+
+    @pytest.mark.parametrize("body", [
+        "1,0.5,0.25\r\n2,0.1,0.2\r\n",
+        "1,0.5,0.25\r2,0.1,0.2\r",
+        "1,0.5,0.25\n\n\n2,0.1,0.2\n",
+        '1,"0.5","0.25"\n2,"-1e-3",7\n',
+        '1," 0.5",0.25\n',
+        '1, "0.5",0.25\n',
+        "1, 0.5 ,\t0.25\t\n2,\t0.1, 0.2 \n",
+        "1,0.5,0.25,9,x\n2,0.1,0.2\n",
+        "",
+        "\n\n",
+        "1,0.5,0.25",
+        "1,0.5,0.25\n2,0.1,0.2",
+        "1,0.5\n",
+        "1,,0.25\n",
+        "1,0.5,abc\n",
+        "1,0.5,0.25 # note\n",
+        "1,0x10,0.5\n",
+        "1,nan,0.5\n",
+        "1,0.5,-Infinity\n",
+        "  \n",
+    ], ids=["crlf", "bare-cr", "blank-lines", "quoted", "quoted-space", "space-quote",
+            "spaces-tabs", "extra-columns", "header-only", "header-blank", "no-final-newline",
+            "no-final-newline-2", "short-row", "empty-field", "word", "comment", "hex", "nan",
+            "inf", "whitespace-line"])
+    def test_matches_csv_reader_reference(self, tmp_path, body):
+        _same_read(self._write(tmp_path, "i,x,y\n" + body))
+        _same_read(self._write(tmp_path, "i,x,y\r\n" + body, "crlf.csv"))
+
+    @given(st.text(alphabet="0123456789.eE+-, \t\"\r\nnaif", max_size=60))
+    def test_fuzz_matches_csv_reader_reference(self, tmp_path_factory, body):
+        _same_read(self._write(tmp_path_factory.mktemp("csv"), "i,x,y\n" + body))
+
+    def test_header_only_is_empty_without_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = read_sequence_csv(self._write(tmp_path, "i,x,y\n"))
+        assert len(seq) == 0 and seq.x.dtype == np.float64
+
+    @pytest.mark.parametrize("value", ["1_0", "1_000.5", "١٢"])
+    def test_digit_separators_and_non_ascii_digits_rejected(self, tmp_path, value):
+        assert float(value) > 0  # float() alone accepts them
+        p = self._write(tmp_path, f"i,x,y\n1,0.5,0.5\n\n3,{value},0.5\n")
+        with pytest.raises(ValueError, match="line 4"):
             read_sequence_csv(p)

@@ -81,7 +81,7 @@ class TestRegressionModel:
     def test_variation_table_and_budget(self):
         from stableseq.partitions import VariationBudget
 
-        assert H1.variation_table(3) == [2.0, 2.0, 2.0]
+        assert [H1.variation_window(i) for i in (1, 2, 3)] == [2.0, 2.0, 2.0]
         assert not H1.fits_budget(VariationBudget.const(2.0), 3)  # strict: 2 < 2 fails
         assert H1.fits_budget(VariationBudget.const(2.5), 3)
 
