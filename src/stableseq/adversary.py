@@ -54,7 +54,7 @@ from .evaluation import QuadratureResult, l2_error_quadrature
 from .measures import (
     DistributionModel, IntervalA, SampleSequence, _interval_sup, sequence_csv_bytes
 )
-from .partitions import PiecewiseDyadicFn
+from .partitions import PiecewiseDyadicFn, _cell_indices
 from .generators import RandomSource, van_der_corput
 
 __all__ = [
@@ -121,11 +121,23 @@ def rademacher_cumulative(k: int, t) -> np.ndarray | float:
     if k == 0:
         out = 0.5 * tt
     else:
-        w = math.ldexp(1.0, -k)
-        period = 2.0 * w
-        q = np.floor(tt / period)
-        r = tt - q * period
-        out = q * w + np.minimum(r, w)
+        # with y = t * 2^(k-1), q = floor(y) and f = y - q, N_k(t) is
+        # (q + 2 min(f, 1/2)) * 2^-k, whose first factor is a double: one
+        # rounding, in the final ldexp (all in place in `out`).  From
+        # t >= 2^(53-k) on, y is an integer and N_k(t) = t / 2; t is clamped
+        # there so y never overflows, and N_k is N_1075 for k >= 1075 (see
+        # `rademacher_eval`)
+        k = min(k, _LADDER_TOP)
+        top = math.ldexp(1.0, 53 - k)
+        out = np.minimum(tt, top)
+        np.ldexp(out, k - 1, out=out)
+        q = np.floor(out)
+        out -= q
+        np.minimum(out, 0.5, out=out)
+        out *= 2.0
+        out += q
+        np.ldexp(out, -k, out=out)
+        np.multiply(tt, 0.5, out=out, where=tt >= top)
     return float(out[0]) if scalar else out
 
 
@@ -346,6 +358,11 @@ def compute_block_thresholds(
 
 # -- estimation procedures under attack --------------------------------------------
 
+# a plugin fit counts into two dense arrays of 2^max_depth + 1 cells (64 MiB
+# at 2^22), and up to 2^22 cells `l2_unit_distance` keeps its exact path
+_PLUGIN_DEPTH_TOP = 22
+
+
 class PluginHistogramProcedure:
     """Histogram on [0, 1] with slowly growing dyadic depth.
 
@@ -367,9 +384,9 @@ class PluginHistogramProcedure:
     def fit(self, xs: np.ndarray, ys: np.ndarray) -> PiecewiseDyadicFn:
         n = len(xs)
         d = self.depth(n)
-        idx = np.ceil(np.ldexp(np.asarray(xs, dtype=float), d)).astype(np.int64)
-        keep = (idx >= 1) & (idx <= (1 << d))
-        idx = idx[keep]
+        idx = _cell_indices(np.asarray(xs, dtype=float), d)
+        keep = (idx >= 1) & (idx <= (1 << d))  # NaN (no cell index) is dropped
+        idx = idx[keep].astype(np.int64)
         yy = np.asarray(ys, dtype=float)[keep]
         counts = np.bincount(idx, minlength=(1 << d) + 1)
         sums = np.bincount(idx, weights=yy, minlength=(1 << d) + 1)

@@ -268,10 +268,11 @@ def _make_phi(cfg: dict) -> object:
             raise ConfigError("'phi.cmd' must name a command")
         return adv.ExternalProcedure(cmd, _get(spec, "name", str, None, at="phi."))
     if kind == "plugin":
-        return adv.PluginHistogramProcedure(
-            depth_offset=_get(spec, "depth_offset", int, 5, at="phi."),
-            max_depth=_get(spec, "max_depth", int, 16, at="phi."),
-        )
+        offset = _get(spec, "depth_offset", int, 5, at="phi.")
+        max_depth = _get(spec, "max_depth", int, 16, at="phi.")
+        if max_depth > adv._PLUGIN_DEPTH_TOP:
+            raise ConfigError(f"'phi.max_depth' must be <= {adv._PLUGIN_DEPTH_TOP}, got {max_depth}")
+        return adv.PluginHistogramProcedure(depth_offset=offset, max_depth=max_depth)
     if kind == "constant":
         return adv.ConstantProcedure(_get(spec, "c", float, 0.5, at="phi."))
     if kind == "oracle":

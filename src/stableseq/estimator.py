@@ -41,14 +41,15 @@ a cell from its old and new value and its neighbours.  Only buckets of
 windows up to k are kept, none of them 0, so the state is a function of
 the cells alone, whichever path built it.
 
-Certified spans.  `ingest` refreshes two jumps and checks every window
-for each pair; `ingest_many` is the fast path and gives the same state.
-Write U_i = units(4 alpha(i)).  Rounding is monotone and 4 alpha(i) is a
-double, so acc_i >= U_i makes window i fail.  At a decision that fails,
-the exact integer D = max_i (acc_i - U_i) is taken.  A later pair changes
-one cell's value from v to v' -- the doubles fl(s/c) the per-pair path
-stores before and after it, v = 0 for an empty cell -- and with it the two
-jumps beside the cell, each d = fl|v - w| against a neighbour value w.
+Certified spans.  Deciding at every pair, as `batch_tau_search` does from
+scratch, walks the windows once per pair.  `ingest_many` decides only where
+a decision could pass, so it freezes at the same pairs.  Write U_i =
+units(4 alpha(i)).  Rounding is monotone and 4 alpha(i) is a double, so
+acc_i >= U_i makes window i fail.  At a decision that fails, the exact
+integer D = max_i (acc_i - U_i) is taken.  A later pair changes one cell's
+value from v to v' -- the doubles fl(s/c) of the cell before and after it,
+v = 0 for an empty cell -- and with it the two jumps beside the cell, each
+d = fl|v - w| against a neighbour value w.
 Reverse triangle inequality: each moves by at most |v' - v| plus the
 rounding of its two subtractions, u(|v' - w| + |v - w|) with u = 2^-53
 (a subtraction whose result is subnormal is exact, so the relative bound
@@ -57,7 +58,7 @@ always holds).  Both jumps together move by at most
     2|v' - v| + 2u * S,   S = |v'| + |v| + |w_left| + |w_right|.
 
 The cell sum and s/c need no term of their own: v and v' are the very
-doubles the per-pair path computes, so their rounding is already in them.
+doubles a decision at that pair sees, so their rounding is already in them.
 The bound is accumulated in floats as
 
     B <- (B + 2|v' - v| + 2^-51 * S + 2^-1020) * (1 + 2^-50).
@@ -73,13 +74,12 @@ to underflow.  The 2^-1020 term covers that loss and keeps the product
 normal.  Since 1 + 2^-50 >= (1 + u)^5 and 2^-51 / (1 + u)^3 >= 2u, the
 new B is at least the old B plus the exact bound: B rounds up.  While B
 stays at or below D / 2^1074 rounded down, acc_i for the i that gave D
-stays >= U_i, so the per-pair path fails every decision and freezes
+stays >= U_i, so a decision at any of those pairs would fail and freeze
 nothing; those pairs only update their cells.  Once B exceeds it, each
 touched cell is refreshed once through the exact jump update (or, when
 many were touched, the buckets are rebuilt as at a freeze) and the
-windows are checked as `ingest` checks them.  D <= 0 makes each pair a
-decision point.  A decision that passes freezes through the same code as
-`ingest`.
+windows are checked.  D <= 0 makes each pair a decision point, and so is
+the first pair after a freeze or at the start of a batch.
 
 Single-writer: ingestion is strictly sequential.  Frozen estimates are
 immutable snapshots and may be read concurrently.
@@ -87,6 +87,7 @@ immutable snapshots and may be read concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -245,6 +246,17 @@ def _units(d: float) -> int:
     return num << (1075 - den.bit_length())
 
 
+def _check_pair(x: float, y: float, k: int) -> None:
+    """Raise for a pair ingest rejects at resolution k: a non-finite pair or
+    |y| >= 2^512 (ValueError), or an x with no cell index (`cell_of`'s
+    OverflowError)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"cannot ingest a non-finite pair ({x!r}, {y!r})")
+    if not abs(y) < _Y_BOUND:
+        raise ValueError(f"cannot ingest y = {y!r}: |y| must be below 2^512")
+    cell_of(x, k)
+
+
 def kappa_index(tau: list[int], n: int) -> int:
     """Largest k with tau[k] <= n (tau[0] = 1, so any n >= 1 is covered)."""
     if n < 1:
@@ -270,6 +282,7 @@ class EstimatorState:
         self._cells: dict[int, list] = {}
         self._bucket: dict[int, int] = {}  # smallest window -> sum of its jumps / 2^-1074
         self._alpha4: list[float] = []  # 4*alpha(i), i = 1.._k
+        self._units4: list[int] = []  # the same in units of 2^-1074
 
     # -- public views -----------------------------------------------------------
     @property
@@ -298,68 +311,47 @@ class EstimatorState:
 
     # -- ingestion ----------------------------------------------------------------
     def ingest(self, x: float, y: float) -> int | None:
-        x = float(x)
-        y = float(y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"cannot ingest a non-finite pair ({x!r}, {y!r})")
-        if not abs(y) < _Y_BOUND:
-            raise ValueError(f"cannot ingest y = {y!r}: |y| must be below 2^512")
-        # locate first: an x too large for a cell index raises OverflowError
-        # here, before any state changes (the first pair is placed at k = 1)
-        j = cell_of(x, max(self._k, 1)).j
-        self.xs.append(x)
-        self.ys.append(y)
-        if len(self.xs) == 1:
-            self._freeze(PiecewiseDyadicFn(0, {0: y}, 0.0))
-            return 0
-        c = self._cells.get(j)
-        old = c[1] / c[0] if c else 0.0
-        if c is None:
-            self._cells[j] = [1, y]
-        else:
-            c[0] += 1
-            c[1] += y
-        self._refresh_cells({j: old})
-        if not self._windows_pass():
-            return None
-        return self._freeze_search()
+        """Ingest one pair: `ingest_many` on it.  Returns the newly frozen
+        resolution, else None."""
+        events = self.ingest_many([float(x)], [float(y)])
+        return events[0][0] if events else None
 
     def ingest_many(self, xs, ys) -> list[tuple[int, int]]:
-        """Ingest a batch; returns [(frozen resolution, tau)] events.
+        """Ingest a batch in order; returns [(frozen resolution, tau)] events.
 
-        The fast path: the state, the events and any exception (raised at
-        the same pair, with the pairs before it ingested) are those of
-        `ingest` called pair by pair.  See "Certified spans" above.  xs
-        and ys are first converted to float arrays, as `ingest` converts
-        each pair.
+        xs and ys are first converted to float arrays.  A pair `_check_pair`
+        rejects at the search resolution raises there, with the pairs before
+        it ingested; so does a freeze whose next resolution cannot place a
+        stored x (see `_freeze`).  Any split of a stream into batches gives
+        the same state.  See "Certified spans" above.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         n = min(len(xs), len(ys))
+        xs, ys = xs[:n], ys[:n]
         events: list[tuple[int, int]] = []
         i = 0
+        if n and not self.xs:  # the first pair freezes resolution 0 at tau = 1
+            x, y = float(xs[0]), float(ys[0])
+            _check_pair(x, y, 1)
+            self.xs.append(x)
+            self.ys.append(y)
+            self._cells = {0: [1, y]}
+            events.append((self._freeze(), 1))
+            i = 1
         while i < n:
-            if self.xs:
-                done = self._ingest_run(xs[:n], ys[:n], i, events)
-                if done > i:
-                    i = done
-                    continue
-            # the first pair, or one the fast path cannot place: `ingest`
-            # takes it (and raises for a pair it rejects)
-            k = self.ingest(xs[i], ys[i])
-            if k is not None:
-                events.append((k, self.tau[-1]))
-            i += 1
+            i = self._ingest_run(xs, ys, i, events)
         return events
 
     # -- internals ------------------------------------------------------------------
     def _ingest_run(self, xs: np.ndarray, ys: np.ndarray, lo: int, events: list) -> int:
         """Ingest pairs lo, lo + 1, ... at the search resolution up to the
-        first freeze, the first pair `ingest` would reject, or the end;
-        returns the index after the last pair ingested."""
+        first freeze or the end, and return the index after the last pair
+        ingested; at the first pair `_check_pair` rejects, raise there.
+        Pair lo is a decision point."""
         cells = self._cells
         get = cells.get
-        limit, bound = self._span_limit(), 0.0
+        limit, bound = -1.0, 0.0
         touched: dict[int, float] = {}  # cell -> its value at the last decision
         first_touch = touched.setdefault
         for start in range(lo, len(xs), _CHUNK):
@@ -396,16 +388,18 @@ class EstimatorState:
                     self.xs += xl[done:t]
                     self.ys += yl[done:t]
                     done = t
-                    if self._windows_pass():
+                    limit, bound = self._window_margin(), 0.0
+                    if limit is None:
                         cells = get = None  # the freeze releases the old cells
-                        events.append((self._freeze_search(), self.tau[-1]))
+                        events.append((self._freeze(), self.tau[-1]))
                         return start + t
-                    limit, bound = self._span_limit(), 0.0
             self.xs += xl[done:]
             self.ys += yl[done:]
             if stop < len(fit):
                 break
         self._refresh_cells(touched)
+        if start + stop < len(xs):  # the pair the run cannot place
+            _check_pair(float(xs[start + stop]), float(ys[start + stop]), self._k)
         return start + stop
 
     def _refresh_cells(self, touched: dict[int, float]) -> None:
@@ -435,40 +429,45 @@ class EstimatorState:
             for b, w in ((j - 1, value(j - 1)), (j, value(j + 1))):
                 self._move_jump(b, abs(old - w), abs(v - w))
 
-    def _span_limit(self) -> float:
-        """D / 2^1074 rounded down, D = max_i (acc_i - units(4 alpha(i))) the
-        exact margin by which the current cells fail; -1.0 when D <= 0."""
+    def _window_margin(self) -> float | None:
+        """One walk over the windows.  None when the current cells pass
+        `variation_check`: each correctly rounded window sum acc / 2^1074 is
+        the fsum that function compares.  Otherwise D / 2^1074 rounded down,
+        D = max_i (acc_i - units(4 alpha(i))) the exact margin by which the
+        cells fail, or -1.0 when D <= 0."""
         acc = deficit = 0
-        for i, lim in enumerate(self._alpha4, 1):
-            acc += self._bucket.get(i, 0)
-            if lim < math.inf:
-                deficit = max(deficit, acc - _units(lim))
+        passed = True
+        bucket = self._bucket
+        for i, (lim, units) in enumerate(zip(self._alpha4, self._units4), 1):
+            acc += bucket.get(i, 0)
+            passed = passed and acc / _ULP_SCALE < lim
+            deficit = max(deficit, acc - units)
+        if passed:
+            return None
         return math.nextafter(deficit / _ULP_SCALE, 0.0) if deficit else -1.0
 
-    def _freeze_search(self) -> int:
-        """Freeze the search histogram at the current prefix and return its
-        resolution.  If the next resolution cannot place a stored x, the
-        last pair is rejected: the state returns to the one before it and
-        the OverflowError propagates."""
+    def _freeze(self) -> int:
+        """Record tau = consumed with the search histogram, search one
+        resolution deeper and return the frozen resolution.  The cells there
+        are located first: if a stored x has no cell index at that
+        resolution, the last pair is rejected -- the state returns to the
+        one before it -- and the OverflowError propagates."""
         k = self._k
+        fn = _cells_to_fn(self._cells, k)
         try:
-            self._freeze(_cells_to_fn(self._cells, k))
+            cells = _accumulate_cells(self.xs, self.ys, k + 1, len(self.xs))
         except OverflowError:
             del self.xs[-1], self.ys[-1]
             self._set_cells(*_accumulate_cells(self.xs, self.ys, k, len(self.xs)))
             raise
-        return k
-
-    def _freeze(self, fn: PiecewiseDyadicFn) -> None:
-        """Record tau = consumed with estimate fn and search one resolution
-        deeper.  The cells there are located first: an x with no cell index
-        at that resolution raises OverflowError before any state changes."""
-        cells = _accumulate_cells(self.xs, self.ys, self._k + 1, len(self.xs))
         self.tau.append(len(self.xs))
         self.frozen.append(fn)
-        self._k += 1
-        self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, self._k + 1)]
+        self._k = k + 1
+        self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, k + 2)]
+        # an infinite 4 alpha(i) never binds: every window sum is below DBL_MAX
+        self._units4 = [_units(min(a, sys.float_info.max)) for a in self._alpha4]
         self._set_cells(*cells)
+        return k
 
     def _set_cells(self, keys: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
         self._cells = self._bucket = {}  # release the old tables first
@@ -493,17 +492,6 @@ class EstimatorState:
             self._bucket[m] = acc
         else:
             del self._bucket[m]
-
-    def _windows_pass(self) -> bool:
-        """`variation_check` on the current cells: the correctly rounded
-        window sum acc / 2^1074 is the fsum that function compares."""
-        acc = 0
-        bucket = self._bucket
-        for i, lim in enumerate(self._alpha4, 1):
-            acc += bucket.get(i, 0)
-            if not acc / _ULP_SCALE < lim:
-                return False
-        return True
 
 
 def batch_tau_search(

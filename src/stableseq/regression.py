@@ -171,19 +171,12 @@ class RegressionModel:
 
     def linear_piece_at(self, x: float) -> tuple[float, float]:
         """(c, s) with m(t) = c + s*t on the piece containing x."""
-        if self.kind == "dyadic":
-            return (self.fn(x), 0.0)
-        xs, vs = self.xs, self.vs
-        if x <= xs[0]:
-            return (vs[0], 0.0)
-        if x >= xs[-1]:
-            return (vs[-1], 0.0)
-        i = int(np.searchsorted(xs, x, side="right")) - 1
-        s = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
-        return (vs[i] - s * xs[i], s)
+        c, s = self._linear_pieces(np.array([float(x)]))
+        return float(c[0]), float(s[0])
 
     def _linear_pieces(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`linear_piece_at` at every point of the float array x: (c, s)."""
+        """`linear_piece_at` at every point of the float array x: (c, s)
+        with m(t) = c + s*t on the piece containing each point."""
         if self.kind == "dyadic":
             return self.fn.eval_many(x), np.zeros(len(x))
         xs, vs = np.asarray(self.xs), np.asarray(self.vs)
@@ -275,25 +268,19 @@ class SignedMeasureModel:
         self.regressor = regressor
         lows: list[float] = []
         highs: list[float] = []
-        coefs: list[tuple[float, float, float]] = []  # (density, c, s) on (lo, hi]
+        dens: list[float] = []  # m = c + s*t against density d on each (lo, hi]
         for a, b, d in base.segments:
             cuts = [a] + [float(t) for t in regressor.breakpoints_in(a, b)] + [b]
-            for lo, hi in zip(cuts, cuts[1:]):
-                c, s = regressor.linear_piece_at((lo + hi) / 2.0)
-                lows.append(lo)
-                highs.append(hi)
-                coefs.append((d, c, s))
-        self._piece_lo = np.array(lows, dtype=float)
-        self._piece_hi = np.array(highs, dtype=float)
-        self._coef_d = np.array([d for d, _, _ in coefs], dtype=float)
-        self._coef_c = np.array([c for _, c, _ in coefs], dtype=float)
-        self._coef_s = np.array([s for _, _, s in coefs], dtype=float)
-        cums: list[float] = []
-        acc = 0.0
-        for (d, c, s), lo, hi in zip(coefs, lows, highs):
-            acc += d * (c * (hi - lo) + 0.5 * s * (hi * hi - lo * lo))
-            cums.append(acc)
-        self._piece_cum = np.concatenate([[0.0], np.array(cums, dtype=float)])
+            lows += cuts[:-1]
+            highs += cuts[1:]
+            dens += [d] * (len(cuts) - 1)
+        lo = self._piece_lo = np.array(lows, dtype=float)
+        hi = self._piece_hi = np.array(highs, dtype=float)
+        d = self._coef_d = np.array(dens, dtype=float)
+        c, s = self._coef_c, self._coef_s = regressor._linear_pieces((lo + hi) / 2.0)
+        # the running sum starts at 0.0, so a first piece of -0.0 gives 0.0
+        parts = d * (c * (hi - lo) + 0.5 * s * (hi * hi - lo * lo))
+        self._piece_cum = np.cumsum(np.concatenate([[0.0], parts]))
         self._atom_locs = np.array([u for u, _ in base.atoms], dtype=float)
         self._atom_vals = np.array(
             [m * float(regressor.eval(u)) for u, m in base.atoms], dtype=float

@@ -22,6 +22,7 @@ from stableseq.adversary import (
     certified_prefix_scan,
     compute_block_thresholds,
     l2_unit_distance,
+    rademacher_cumulative,
     rademacher_eval,
     rademacher_integral,
     uniform_prefix_discrepancy,
@@ -320,6 +321,30 @@ class TestLadderAtLargeIndex:
             warnings.simplefilter("error")
             got = rademacher_eval(k, xs)
         assert got.tolist() == [_ladder_reference(k, float(x)) for x in xs]
+
+    @pytest.mark.parametrize("k", [1, 2, 52, 1071, 1072, 1073, 1074, 1075, 1076, 2000])
+    def test_cumulative_matches_exact_reference(self, k):
+        # N_k(t) = q 2^-k + min(r, 2^-k) with t = q 2^-(k-1) + r, in exact
+        # rationals, then rounded once to the nearest double
+        rng = np.random.default_rng(k)
+        bits = rng.integers(0, 0x3FF0000000000000, size=300, dtype=np.int64)  # [0, 1)
+        ts = np.concatenate([
+            rng.random(200), bits.view(np.float64),
+            [0.0, 5e-324, 3 * 5e-324, 2.0**-1022, 3 * 2.0**-1022, 0.5, 0.3, 1.0 - 2.0**-53, 1.0,
+             -0.25, 1.5],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rademacher_cumulative(k, ts)
+            one = [rademacher_cumulative(k, float(t)) for t in ts]
+        want = []
+        for t in ts.tolist():
+            t = Fraction(min(max(t, 0.0), 1.0))
+            q = t * 2 ** (k - 1) // 1
+            r = t - q / 2 ** (k - 1)
+            want.append(float(q / 2**k + min(r, Fraction(1, 2**k))))
+        assert got.tolist() == one == want
+        assert all(math.isfinite(v) for v in want)
 
     def test_oracle_index_beyond_ladder_top(self, tmp_path):
         # h_k is the same function for k >= 1075, so a larger max_index ends

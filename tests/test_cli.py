@@ -396,6 +396,17 @@ class TestAdversary:
             checks = adv.verify_adversary_report(report, seq, adv.PluginHistogramProcedure(1))
             assert not all(ok for _, ok, _ in checks)
 
+    @pytest.mark.parametrize("max_depth", [23, 40, 60])
+    def test_plugin_depth_beyond_bound_exit2(self, tmp_path, capsys, max_depth):
+        # each fit would count into 2^max_depth + 1 cells at this offset
+        phi = {"kind": "plugin", "depth_offset": -100, "max_depth": max_depth}
+        cfg = write_json(
+            tmp_path / "a.json",
+            {"phi": phi, "n_blocks": 2, "horizon": 256, "block_budget": 64},
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert "'phi.max_depth' must be <= 22" in capsys.readouterr().err
+
     def test_constant_phi_witness_exit5(self, tmp_path):
         cfg = write_json(
             tmp_path / "a.json",

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from stableseq.estimator import (
     EstimatorState,
     _accumulate_cells,
+    _window_buckets,
     batch_tau_search,
     checkpoint_from_dict,
     checkpoint_to_dict,
@@ -308,15 +311,62 @@ def checkpoint_to_dict_from_parsed(parsed: dict) -> dict:
 
 # -- the batched fast path --------------------------------------------------------
 
-def _cells_repr(state: EstimatorState):
-    """State as reprs, so -0.0 and 0.0 differ."""
-    cells = sorted((j, c[0], repr(c[1])) for j, c in state._cells.items())
-    frozen = [(f.k, sorted((j, repr(v)) for j, v in f.values.items())) for f in state.frozen]
+def _cells_repr(state: dict):
+    """The vars of a state as reprs, so -0.0 and 0.0 differ."""
+    cells = sorted((j, c[0], repr(c[1])) for j, c in state["_cells"].items())
+    frozen = [(f.k, sorted((j, repr(v)) for j, v in f.values.items())) for f in state["frozen"]]
     return cells, frozen
 
 
+def _reference(budget, xs, ys):
+    """From scratch: (the vars of the state after the pairs, exception type).
+
+    The pairs before the first non-finite one or |y| >= 2^512 are fed to
+    `batch_tau_search`.  It raises OverflowError exactly where an x has no
+    cell index at the search resolution or a freeze cannot place a stored x
+    one resolution deeper; the longest prefix it completes is the one the
+    state keeps.  Its cells and window buckets come from `_accumulate_cells`
+    and `_window_buckets` at the resolution after the last freeze.
+    """
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
+    n, err = len(xs), None
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if not (math.isfinite(x) and math.isfinite(y) and abs(y) < 2.0**512):
+            n, err = i, ValueError
+            break
+
+    def search(m):
+        try:
+            return batch_tau_search(xs, ys, budget, n_max=m) if m else ([], [])
+        except OverflowError:
+            return None
+
+    found = search(n)
+    if found is None:  # bisect for the longest prefix the search completes
+        lo, hi = 0, n - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if search(mid) is not None else (lo, mid - 1)
+        n, err, found = lo, OverflowError, search(lo)
+    tau, frozen = found
+    k = len(tau)
+    cells, buckets = {}, {}
+    if n:
+        keys, counts, sums = _accumulate_cells(xs, ys, k, n)
+        cells = {j: [c, s] for j, c, s in zip(keys.tolist(), counts.tolist(), sums.tolist())}
+        buckets = _window_buckets(keys, sums / counts, k)
+    alpha4 = [4.0 * budget.alpha(i) for i in range(1, k + 1)]
+    units4 = [int(Fraction(min(a, sys.float_info.max)) * 2**1074) for a in alpha4]
+    state = {
+        "budget": budget, "xs": xs[:n], "ys": ys[:n], "tau": tau, "frozen": frozen, "_k": k,
+        "_cells": cells, "_bucket": buckets, "_alpha4": alpha4, "_units4": units4,
+    }
+    return state, err
+
+
 def _per_pair(budget, xs, ys):
-    """Reference: `ingest` pair by pair; returns (state, exception type)."""
+    """`ingest` pair by pair; returns (state, exception type)."""
     state = EstimatorState(budget)
     try:
         for x, y in zip(xs, ys):
@@ -338,9 +388,9 @@ def _batched(budget, xs, ys, cuts=()):
     return state, None
 
 
-def _assert_same_state(a: EstimatorState, b: EstimatorState) -> None:
-    assert vars(a) == vars(b)
-    assert _cells_repr(a) == _cells_repr(b)
+def _assert_state(state: EstimatorState, want: dict) -> None:
+    assert vars(state) == want
+    assert _cells_repr(vars(state)) == _cells_repr(want)
 
 
 # x in a handful of cells with neighbours at every depth, plus fresh cells;
@@ -377,12 +427,11 @@ class TestIngestMany:
     def test_equals_per_pair_loop(self, pairs, cuts, budget):
         xs = [x for x, _ in pairs]
         ys = [-0.0 if x == -0.3 else y for x, y in pairs]
-        ref, err = _per_pair(budget, xs, ys)
-        whole, err_whole = _batched(budget, xs, ys)
-        split, err_split = _batched(budget, xs, ys, cuts)
-        assert err_whole == err_split == err
-        _assert_same_state(whole, ref)
-        _assert_same_state(split, ref)
+        want, err = _reference(budget, xs, ys)
+        runs = (_per_pair(budget, xs, ys), _batched(budget, xs, ys), _batched(budget, xs, ys, cuts))
+        assert [e for _, e in runs] == [err] * 3
+        for state, _ in runs:
+            _assert_state(state, want)
 
     def test_jump_rounding_is_in_the_bound(self):
         # at k = 1 cell 0 moves by t = 2^-62, far inside the exact margin
@@ -393,10 +442,10 @@ class TestIngestMany:
         xs = [0.25, 0.75, -0.75, -0.25, -0.25]
         ys = [1.5, 1.5, a - 2.0**-60, a, a + 2.0**-61]
         budget = VariationBudget.const(0.375)
-        ref, _ = _per_pair(budget, xs, ys)
-        fast, _ = _batched(budget, xs, ys)
-        assert ref.tau == batch_tau_search(xs, ys, budget)[0] == [1, 5]
-        _assert_same_state(fast, ref)
+        want, _ = _reference(budget, xs, ys)
+        assert want["tau"] == [1, 5]
+        for state, _ in (_per_pair(budget, xs, ys), _batched(budget, xs, ys)):
+            _assert_state(state, want)
 
     def test_sparse_touches_refresh_cell_by_cell(self):
         # 512 cells hold a few pairs each; later pairs revisit few of them,
@@ -405,9 +454,8 @@ class TestIngestMany:
         xs = np.concatenate([np.arange(1, 513) / 512.0, gen.choice([0.1, 0.6, 0.9], 3000)])
         ys = np.concatenate([gen.random(512), gen.random(3000) * 8.0])
         for budget in (VariationBudget.const(0.3), VariationBudget.const(40.0)):
-            ref, _ = _per_pair(budget, xs, ys)
             fast, _ = _batched(budget, xs, ys, [700, 701, 2000])
-            _assert_same_state(fast, ref)
+            _assert_state(fast, _reference(budget, xs, ys)[0])
 
     @pytest.mark.parametrize("at", [0, 1, 7, 300])
     @pytest.mark.parametrize(
@@ -422,22 +470,23 @@ class TestIngestMany:
         xs.insert(at, bad[0])
         ys.insert(at, bad[1])
         budget = VariationBudget.const(0.6)
-        ref, err = _per_pair(budget, xs, ys)
-        fast, err_fast = _batched(budget, xs, ys)
-        assert err is not None and err_fast is err
-        assert fast.consumed == ref.consumed == at
-        _assert_same_state(fast, ref)
+        want, err = _reference(budget, xs, ys)
+        assert err is not None and len(want["xs"]) == at
+        for state, got_err in (_per_pair(budget, xs, ys), _batched(budget, xs, ys)):
+            assert got_err is err and state.consumed == at
+            _assert_state(state, want)
 
     def test_freeze_that_overflows_raises_at_the_same_pair(self):
         # 1e70 locates up to resolution 23: the freeze unlocking 24 overflows
         xs = [1e70] + [0.5 / i for i in range(2, 40)]
         ys = [0.5] * len(xs)
         budget = VariationBudget.const(1e6)
-        ref, err = _per_pair(budget, xs, ys)
-        fast, err_fast = _batched(budget, xs, ys)
-        assert err is err_fast is OverflowError
-        assert fast.search_resolution == 23 and fast.consumed == 23
-        _assert_same_state(fast, ref)
+        want, err = _reference(budget, xs, ys)
+        assert err is OverflowError
+        for state, got_err in (_per_pair(budget, xs, ys), _batched(budget, xs, ys)):
+            assert got_err is err
+            assert state.search_resolution == 23 and state.consumed == 23
+            _assert_state(state, want)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_accumulation_equals_sequential_sums(self, seed):
@@ -475,17 +524,19 @@ class TestIngestMany:
         assert state.tau == [1] and state._cells == {1: [1, 1.0], 2: [2, 2.0]}
         tables = [t for name, t in vars(state).items() if name != "_cells" and isinstance(t, dict)]
         assert tables and all(0 not in t.values() for t in tables)
+        want, _ = _reference(VariationBudget.const(0.25), [0.25, 0.75, 0.75], [1.0, 0.0, 2.0])
         fast = EstimatorState(VariationBudget.const(0.25))
         fast.ingest_many([0.25, 0.75, 0.75], [1.0, 0.0, 2.0])
-        _assert_same_state(fast, state)
+        _assert_state(fast, want)
+        _assert_state(state, want)
 
     def test_window_checks_are_rare_on_noisy_iid(self, monkeypatch):
         # the stream-noisy benchmark input at 2^14 pairs: the fast path must
         # check the windows at a small share of pairs, not at every one
         calls = []
-        check = EstimatorState._windows_pass
+        check = EstimatorState._window_margin
         monkeypatch.setattr(
-            EstimatorState, "_windows_pass", lambda self: calls.append(1) or check(self)
+            EstimatorState, "_window_margin", lambda self: calls.append(1) or check(self)
         )
         ramp = RegressionModel.piecewise_linear([0.0, 1.0], [0.2, 0.8])
         n = 1 << 14

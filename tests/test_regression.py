@@ -15,6 +15,20 @@ H1 = RegressionModel.from_dyadic(PiecewiseDyadicFn(1, {1: 1.0, 2: 0.0}, 0.0))
 H2 = RegressionModel.from_dyadic(PiecewiseDyadicFn(2, {1: 1.0, 2: 0.0, 3: 1.0, 4: 0.0}, 0.0))
 
 
+def _scalar_piece_at(self, x: float) -> tuple[float, float]:
+    """Reference: the scalar body `RegressionModel.linear_piece_at` had."""
+    if self.kind == "dyadic":
+        return (self.fn(x), 0.0)
+    xs, vs = self.xs, self.vs
+    if x <= xs[0]:
+        return (vs[0], 0.0)
+    if x >= xs[-1]:
+        return (vs[-1], 0.0)
+    i = int(np.searchsorted(xs, x, side="right")) - 1
+    s = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
+    return (vs[i] - s * xs[i], s)
+
+
 def _random_dyadic_regression(rng, k_max=5, span=8) -> RegressionModel:
     k = int(rng.integers(1, k_max + 1))
     js = rng.integers(-span * 2**k, span * 2**k, size=rng.integers(1, 8))
@@ -109,13 +123,37 @@ class TestRegressionModel:
     def test_vectorized_pieces_equal_linear_piece_at(self, m):
         x = np.concatenate([np.linspace(-1.5, 2.5, 97), [-1.0, 0.0, 0.3, 0.31, 0.5, 1.0, 2.0]])
         c, s = m._linear_pieces(x)
-        want = [m.linear_piece_at(float(t)) for t in x]
+        want = [_scalar_piece_at(m, float(t)) for t in x]
         assert [(repr(float(a)), repr(float(b))) for a, b in zip(c, s)] == [
             (repr(float(a)), repr(float(b))) for a, b in want
         ]
+        one = [m.linear_piece_at(float(t)) for t in x]
+        assert [(repr(a), repr(b)) for a, b in one] == [(repr(a), repr(b)) for a, b in want]
 
 
 class TestSignedMeasureModel:
+    def test_piece_tables_equal_the_scalar_loop(self, rng):
+        # the tables as built piece by piece through the scalar reference
+        models = [RegressionModel.identity_on_unit(), H2, _random_dyadic_regression(rng),
+                  RegressionModel.piecewise_linear([-1, 0.5, 2], [0.1, 0.9, 0.3])]
+        for _ in range(8):
+            base = random_mixture_model(rng)
+            for m in models:
+                nu = SignedMeasureModel(base, m)
+                coefs, cum, acc = [], [0.0], 0.0
+                for a, b, d in base.segments:
+                    cuts = [a] + [float(t) for t in m.breakpoints_in(a, b)] + [b]
+                    for lo, hi in zip(cuts, cuts[1:]):
+                        c, s = _scalar_piece_at(m, (lo + hi) / 2.0)
+                        coefs.append((lo, hi, d, c, s))
+                        acc += d * (c * (hi - lo) + 0.5 * s * (hi * hi - lo * lo))
+                        cum.append(acc)
+                got = zip(nu._piece_lo, nu._piece_hi, nu._coef_d, nu._coef_c, nu._coef_s)
+                assert [tuple(map(repr, map(float, row))) for row in got] == [
+                    tuple(map(repr, map(float, row))) for row in coefs
+                ]
+                assert list(map(repr, nu._piece_cum.tolist())) == list(map(repr, cum))
+
     def test_exact_interval_values(self):
         nu = SignedMeasureModel(UNIFORM, RegressionModel.identity_on_unit())
         # integral of x over (a, b] is (b^2 - a^2)/2
