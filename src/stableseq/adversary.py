@@ -39,9 +39,14 @@ sequence on which the procedure demonstrably does not converge
 
 The full run is a finite-prefix witness (the thresholds' suprema are
 truncated at the configured horizon) and reports label it as such.
+
+The splice and `verify_adversary_report` share one certificate routine per
+block and one for the pairwise distances, so a report is re-checked by the
+code that produced it.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import subprocess
@@ -70,7 +75,6 @@ __all__ = [
     "ConsistencyViolationWitness",
     "AdversaryConfig",
     "SpliceState",
-    "BlockRecord",
     "BlockStreams",
     "uniform_prefix_discrepancy",
     "weighted_prefix_discrepancy",
@@ -78,7 +82,6 @@ __all__ = [
     "ConstantProcedure",
     "OracleProcedure",
     "ExternalProcedure",
-    "builtin_procedures",
     "build_adversarial_sequence",
     "splice_next_block",
     "verify_adversary_report",
@@ -372,6 +375,8 @@ class PluginHistogramProcedure:
     """
 
     def __init__(self, depth_offset: int = 5, max_depth: int = 16):
+        if max_depth > _PLUGIN_DEPTH_TOP:
+            raise ValueError(f"max_depth must be <= {_PLUGIN_DEPTH_TOP}, got {max_depth}")
         self.depth_offset = depth_offset
         self.max_depth = max_depth
         # the name alone rebuilds the procedure (`_procedure_from_name`)
@@ -491,14 +496,6 @@ class ExternalProcedure:
         return query
 
 
-def builtin_procedures() -> dict[str, Callable[[], object]]:
-    return {
-        "plugin": PluginHistogramProcedure,
-        "constant": ConstantProcedure,
-        "oracle": OracleProcedure,
-    }
-
-
 def _procedure_from_name(name: str):
     """The built-in procedure whose `name` a report records, or None.  (A
     constant procedure never yields a report: it stays >= 1/4 from every
@@ -557,16 +554,7 @@ class AdversaryConfig:
                     )
 
     def to_dict(self) -> dict:
-        return {
-            "n_blocks": self.n_blocks,
-            "horizon": self.horizon,
-            "block_budget": self.block_budget,
-            "first_check": self.first_check,
-            "quad_cells": self.quad_cells,
-            "block_source": self.block_source,
-            "shift": self.shift,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 class BlockStreams:
@@ -645,47 +633,19 @@ class BlockStreams:
 
 
 @dataclass
-class BlockRecord:
-    k: int
-    l_k: int
-    l_tilde_k: int
-    n_k: int
-    l2_to_block_target: float
-    l2_converged: bool
-    interval_discrepancy: float
-    weighted_discrepancy: float
-    min_length_required: int
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "l_k": self.l_k,
-            "l_tilde_k": self.l_tilde_k,
-            "n_k": self.n_k,
-            "certificates": {
-                "l2_to_block_target": self.l2_to_block_target,
-                "l2_converged": self.l2_converged,
-                "interval_discrepancy": self.interval_discrepancy,
-                "weighted_discrepancy": self.weighted_discrepancy,
-                "min_length_required": self.min_length_required,
-            },
-        }
-
-
-@dataclass
 class SpliceState:
     """The accumulated adversarial sequence and its block certificates."""
 
     config: AdversaryConfig
-    xs: list[float] = field(default_factory=list)
-    ys: list[float] = field(default_factory=list)
+    xs: np.ndarray = field(default_factory=lambda: np.empty(0))
+    ys: np.ndarray = field(default_factory=lambda: np.empty(0))
     boundaries: list[int] = field(default_factory=list)  # n_1 < n_2 < ...
-    records: list[BlockRecord] = field(default_factory=list)
+    records: list[dict] = field(default_factory=list)  # the report's blocks
     fitted: list[object] = field(default_factory=list)  # estimate at each boundary
     thresholds: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def sequence(self) -> SampleSequence:
-        return SampleSequence(np.array(self.xs, dtype=float), np.array(self.ys, dtype=float))
+        return SampleSequence(self.xs, self.ys)
 
     @property
     def n(self) -> int:
@@ -721,6 +681,32 @@ def _block_thresholds_cached(
     return state.thresholds[k]
 
 
+def _block_certificates(phi, xs: np.ndarray, ys: np.ndarray, k: int, quad_cells: int):
+    """Block k's certificates on the prefix (xs, ys): phi's fit and its
+    squared L2 distance to h_k (both None without a procedure), and the
+    interval and weighted prefix discrepancies against uniform and nu_k."""
+    est = l2 = None
+    if phi is not None:
+        est = phi.fit(xs, ys)
+        l2 = l2_unit_distance(est, RademacherFn(k), quad_cells)
+    nu_k = RademacherMeasure(k)
+    return est, l2, uniform_prefix_discrepancy(xs), weighted_prefix_discrepancy(xs, ys, nu_k)
+
+
+def _pairwise_distances(fitted: list, quad_cells: int) -> tuple[list[list[float]], bool]:
+    """The squared L2 distance matrix of the boundary estimates, and whether
+    every distance converged."""
+    count = len(fitted)
+    distances = [[0.0] * count for _ in range(count)]
+    converged = True
+    for i in range(count):
+        for j in range(i + 1, count):
+            r = l2_unit_distance(fitted[i], fitted[j], quad_cells)
+            distances[i][j] = distances[j][i] = r.value
+            converged = converged and r.converged
+    return distances, converged
+
+
 def splice_next_block(
     state: SpliceState, phi, k: int, streams: BlockStreams
 ) -> SpliceState:
@@ -730,87 +716,74 @@ def splice_next_block(
     doubling, capped by block_budget and by the block's own length),
     bounding the number of estimator evaluations.  Raises
     ConsistencyViolationWitness when block_budget pairs never satisfy the
-    conditions, and HorizonExhausted when the block runs out first.
+    conditions, and HorizonExhausted when the block runs out first; the
+    state then holds the block's pairs up to the last check.
     """
     cfg = state.config
     l_next, lt_next = _block_thresholds_cached(state, streams, k + 1)
     need_len = k * max(l_next, lt_next)
-    n_prev = state.boundaries[-1] if state.boundaries else 0
+    prefix_x, prefix_y = state.xs, state.ys
     block_x = streams.xs(k)
     block_y = streams.ys(k)
-    target = RademacherFn(k)
-    nu_target = RademacherMeasure(k)
-    appended = 0
+    theta = 1.0 / (k + 1)
     offset = cfg.first_check
     trajectory: list[tuple[int, float]] = []
     while True:
         take = min(offset, cfg.block_budget, len(block_x))
-        while appended < take:
-            state.xs.append(float(block_x[appended]))
-            state.ys.append(float(block_y[appended]))
-            appended += 1
-        n = n_prev + appended
-        xs = np.asarray(state.xs, dtype=float)
-        ys = np.asarray(state.ys, dtype=float)
-        est = phi.fit(xs, ys)
-        e15 = l2_unit_distance(est, target, cfg.quad_cells)
-        trajectory.append((n, e15.value))
-        d16 = uniform_prefix_discrepancy(xs)
-        d17 = weighted_prefix_discrepancy(xs, ys, nu_target)
-        theta = 1.0 / (k + 1)
-        if e15.value <= 1.0 / 40.0 and d16 <= theta and d17 <= theta and n >= need_len:
+        state.xs = np.concatenate([prefix_x, block_x[:take]])
+        state.ys = np.concatenate([prefix_y, block_y[:take]])
+        n = state.n
+        est, l2, d_int, d_wt = _block_certificates(phi, state.xs, state.ys, k, cfg.quad_cells)
+        trajectory.append((n, l2.value))
+        if l2.value <= 1.0 / 40.0 and d_int <= theta and d_wt <= theta and n >= need_len:
             l_k, lt_k = _block_thresholds_cached(state, streams, k)
             state.boundaries.append(n)
             state.fitted.append(est)
-            state.records.append(
-                BlockRecord(
-                    k=k,
-                    l_k=l_k,
-                    l_tilde_k=lt_k,
-                    n_k=n,
-                    l2_to_block_target=e15.value,
-                    l2_converged=e15.converged,
-                    interval_discrepancy=d16,
-                    weighted_discrepancy=d17,
-                    min_length_required=need_len,
-                )
-            )
+            state.records.append({
+                "k": k,
+                "l_k": l_k,
+                "l_tilde_k": lt_k,
+                "n_k": n,
+                "certificates": {
+                    "l2_to_block_target": l2.value,
+                    "l2_converged": l2.converged,
+                    "interval_discrepancy": d_int,
+                    "weighted_discrepancy": d_wt,
+                    "min_length_required": need_len,
+                },
+            })
             return state
-        if appended >= cfg.block_budget:
+        if take >= cfg.block_budget:
             raise ConsistencyViolationWitness(k, state, trajectory)
-        if appended >= len(block_x):
+        if take >= len(block_x):
             raise HorizonExhausted(
-                f"block {k} ran out after {appended} pairs (the horizon) before "
+                f"block {k} ran out after {take} pairs (the horizon) before "
                 f"its boundary conditions held"
             )
         offset *= 2
 
 
-def _span_scan(
-    xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, threshold: float
-) -> dict:
-    """Certified sup over n in (lo, hi] of the prefix discrepancy vs nu_0."""
-    nu0 = RademacherMeasure(0)
-
-    def eval_at(m: int) -> float:
-        return weighted_prefix_discrepancy(xs[:m], ys[:m], nu0)
-
+def _span_scan(prefixes: _SortedPrefixes, k: int, lo: int, hi: int) -> dict:
+    """Span k of the report: the certified sup over n in (lo, hi] of the
+    prefix discrepancy against nu_0, under the bound 6/k.  `prefixes` is
+    the whole sequence against nu_0."""
+    threshold = 6.0 / k
     if threshold >= 1.0:
         # vacuous bound; still sample a few points for the report
         pts = sorted(set(int(v) for v in np.geomspace(lo + 1, hi, num=6)))
-        evals = [(m, eval_at(m)) for m in pts]
-        return {
-            "bound": threshold,
-            "certified": True,
-            "max_observed": max(d for _, d in evals),
-            "evaluations": evals,
-        }
-    last_viol, max_obs, evals = certified_prefix_scan(eval_at, lo + 1, hi, threshold)
+        evals = [(m, prefixes.weighted(m)) for m in pts]
+        certified, max_obs = True, max(d for _, d in evals)
+    else:
+        last_viol, max_obs, evals = certified_prefix_scan(prefixes.weighted, lo + 1, hi, threshold)
+        certified = last_viol == 0
     return {
+        "k": k,
+        "n_lo": lo,
+        "n_hi": hi,
         "bound": threshold,
-        "certified": last_viol == 0,
+        "certified": certified,
         "max_observed": max_obs,
-        "evaluations": evals,
+        "evaluations": [[int(m), float(d)] for m, d in evals],
     }
 
 
@@ -822,67 +795,41 @@ def build_adversarial_sequence(
     The report contains per-block thresholds and certificates, the pairwise
     squared L2 distance matrix of the boundary estimates, and the certified
     per-span envelope of the prefix discrepancy against nu_0 with bound 6/k
-    on each span (n_k, n_{k+1}].
+    on each span (n_k, n_{k+1}].  A config must record the same n_blocks.
     """
-    if n_blocks < 2:
-        raise ValueError("need at least 2 blocks to exhibit oscillation")
     if config is None:
         config = AdversaryConfig(n_blocks=n_blocks)
+    elif config.n_blocks != n_blocks:
+        raise ValueError(f"n_blocks is {n_blocks} but config.n_blocks is {config.n_blocks}")
     state = SpliceState(config=config)
     streams = BlockStreams(config)
     for k in range(1, n_blocks + 1):
         splice_next_block(state, phi, k, streams)
-    xs = np.asarray(state.xs, dtype=float)
-    ys = np.asarray(state.ys, dtype=float)
 
-    k_count = len(state.fitted)
-    distances = [[0.0] * k_count for _ in range(k_count)]
-    dist_converged = True
-    for i in range(k_count):
-        for j in range(i + 1, k_count):
-            r = l2_unit_distance(state.fitted[i], state.fitted[j], config.quad_cells)
-            distances[i][j] = distances[j][i] = r.value
-            dist_converged = dist_converged and r.converged
-
-    spans = []
-    for idx in range(len(state.boundaries) - 1):
-        k = idx + 1
-        span = _span_scan(
-            xs, ys, state.boundaries[idx], state.boundaries[idx + 1], 6.0 / k
-        )
-        span["k"] = k
-        span["n_lo"] = state.boundaries[idx]
-        span["n_hi"] = state.boundaries[idx + 1]
-        spans.append(span)
-
+    distances, dist_converged = _pairwise_distances(state.fitted, config.quad_cells)
+    prefixes = _SortedPrefixes(state.sequence(), RademacherMeasure(0))
+    bounds = state.boundaries
+    spans = [
+        _span_scan(prefixes, k, lo, hi)
+        for k, lo, hi in zip(range(1, n_blocks), bounds, bounds[1:])
+    ]
     min_pairwise = min(
-        (distances[i][j] for i in range(k_count) for j in range(i + 1, k_count)),
+        (distances[i][j] for i in range(n_blocks) for j in range(i + 1, n_blocks)),
         default=float("inf"),
     )
     report = {
         "phi": getattr(phi, "name", repr(phi)),
         "config": config.to_dict(),
         "finite_prefix_witness": True,
-        "blocks": [r.to_dict() for r in state.records],
+        "blocks": state.records,
         "pairwise_sq_distances": distances,
         "pairwise_distances_converged": dist_converged,
         "min_pairwise_sq_distance": min_pairwise,
         "oscillation_bound": 1.0 / 20.0,
         "oscillation_ok": min_pairwise >= 1.0 / 20.0,
-        "spans": [
-            {
-                "k": s["k"],
-                "n_lo": s["n_lo"],
-                "n_hi": s["n_hi"],
-                "bound": s["bound"],
-                "certified": s["certified"],
-                "max_observed": s["max_observed"],
-                "evaluations": [[int(m), float(d)] for m, d in s["evaluations"]],
-            }
-            for s in spans
-        ],
+        "spans": spans,
         "spans_ok": all(s["certified"] for s in spans),
-        "total_length": int(len(xs)),
+        "total_length": state.n,
     }
     return state, report
 
@@ -896,31 +843,37 @@ def verify_adversary_report(
     (a built-in one rebuilt from its recorded name, or an explicit object),
     the boundary L2 certificates and the pairwise distances.  Without it
     those two checks come back as skipped: ok is None, not a verdict.
+    Raises ValueError, before computing anything, when the blocks are not
+    numbered 1, 2, ... in order or the recorded plugin depth is above 22.
     """
-    results: list[tuple[str, bool | None, str]] = []
+    blocks = report["blocks"]
+    for i, rec in enumerate(blocks, 1):
+        if int(rec["k"]) != i:
+            raise ValueError(f"block {i} of the report has k = {rec['k']!r}, not {i}")
     if phi is None:
         phi = _procedure_from_name(str(report.get("phi", "")))
-    xs, ys = seq.x, seq.y
+    # every procedure rebuilt from a name is dyadic at depth <= 22, where
+    # l2_unit_distance is exact and the quadrature size is not used
+    quad_cells = AdversaryConfig.quad_cells
+    results: list[tuple[str, bool | None, str]] = []
     fitted = []
-    for rec in report["blocks"]:
-        k = int(rec["k"])
+    for k, rec in enumerate(blocks, 1):
         n_k = int(rec["n_k"])
         certs = rec["certificates"]
         theta = 1.0 / (k + 1)
-        d16 = uniform_prefix_discrepancy(xs[:n_k])
+        est, l2, d_int, d_wt = _block_certificates(phi, seq.x[:n_k], seq.y[:n_k], k, quad_cells)
         results.append(
             (
                 f"block{k}-interval-discrepancy",
-                abs(d16 - certs["interval_discrepancy"]) <= 1e-12 and d16 <= theta,
-                f"recomputed {d16:.6g}",
+                abs(d_int - certs["interval_discrepancy"]) <= 1e-12 and d_int <= theta,
+                f"recomputed {d_int:.6g}",
             )
         )
-        d17 = weighted_prefix_discrepancy(xs[:n_k], ys[:n_k], RademacherMeasure(k))
         results.append(
             (
                 f"block{k}-weighted-discrepancy",
-                abs(d17 - certs["weighted_discrepancy"]) <= 1e-12 and d17 <= theta,
-                f"recomputed {d17:.6g}",
+                abs(d_wt - certs["weighted_discrepancy"]) <= 1e-12 and d_wt <= theta,
+                f"recomputed {d_wt:.6g}",
             )
         )
         results.append(
@@ -931,15 +884,13 @@ def verify_adversary_report(
             )
         )
         if phi is not None:
-            est = phi.fit(xs[:n_k], ys[:n_k])
             fitted.append(est)
-            e15 = l2_unit_distance(est, RademacherFn(k))
             results.append(
                 (
                     f"block{k}-l2-certificate",
-                    abs(e15.value - certs["l2_to_block_target"]) <= 1e-9
-                    and e15.value <= 1.0 / 40.0,
-                    f"recomputed {e15.value:.6g}",
+                    abs(l2.value - certs["l2_to_block_target"]) <= 1e-9
+                    and l2.value <= 1.0 / 40.0,
+                    f"recomputed {l2.value:.6g}",
                 )
             )
     if phi is None:
@@ -947,14 +898,12 @@ def verify_adversary_report(
         results.append(("block-l2-certificates", None, why))
         results.append(("pairwise-distances", None, why))
     elif len(fitted) >= 2:
-        dist = report["pairwise_sq_distances"]
-        ok = True
+        dist, _ = _pairwise_distances(fitted, quad_cells)
+        recorded = report["pairwise_sq_distances"]
         worst = ""
         for i in range(len(fitted)):
             for j in range(i + 1, len(fitted)):
-                v = l2_unit_distance(fitted[i], fitted[j]).value
-                if abs(v - dist[i][j]) > 1e-9 or v < 1.0 / 20.0:
-                    ok = False
-                    worst = f"pair ({i+1},{j+1}) recomputed {v:.6g}"
-        results.append(("pairwise-distances", ok, worst or "all >= 1/20"))
+                if abs(dist[i][j] - recorded[i][j]) > 1e-9 or dist[i][j] < 1.0 / 20.0:
+                    worst = f"pair ({i+1},{j+1}) recomputed {dist[i][j]:.6g}"
+        results.append(("pairwise-distances", not worst, worst or "all >= 1/20"))
     return results

@@ -256,11 +256,8 @@ def cmd_estimate(cfg: dict, out: Path) -> int:
 
 def _make_phi(cfg: dict) -> object:
     spec = _get(cfg, "phi", (str, dict))
-    if isinstance(spec, str):
-        registry = adv.builtin_procedures()
-        if spec not in registry:
-            raise ConfigError(f"unknown estimator {spec!r}; built-ins: {sorted(registry)}")
-        return registry[spec]()
+    if isinstance(spec, str):  # a name is its kind's object with the defaults
+        spec = {"kind": spec}
     kind = _get(spec, "kind", str, at="phi.")
     if kind == "external":
         cmd = _get(spec, "cmd", [str], at="phi.")
@@ -270,9 +267,11 @@ def _make_phi(cfg: dict) -> object:
     if kind == "plugin":
         offset = _get(spec, "depth_offset", int, 5, at="phi.")
         max_depth = _get(spec, "max_depth", int, 16, at="phi.")
-        if max_depth > adv._PLUGIN_DEPTH_TOP:
-            raise ConfigError(f"'phi.max_depth' must be <= {adv._PLUGIN_DEPTH_TOP}, got {max_depth}")
-        return adv.PluginHistogramProcedure(depth_offset=offset, max_depth=max_depth)
+        try:
+            return adv.PluginHistogramProcedure(depth_offset=offset, max_depth=max_depth)
+        except ValueError as e:  # the procedure's bound on max_depth
+            top = adv._PLUGIN_DEPTH_TOP
+            raise ConfigError(f"'phi.max_depth' must be <= {top}, got {max_depth}") from e
     if kind == "constant":
         return adv.ConstantProcedure(_get(spec, "c", float, 0.5, at="phi."))
     if kind == "oracle":

@@ -217,6 +217,19 @@ class TestSplice:
         assert np.all((xs >= 0) & (xs < 1))
         assert set(np.unique(state.ys)) <= {0.0, 1.0}
 
+    def test_state_is_the_spliced_block_prefixes(self):
+        # block k contributes its first n_k - n_(k-1) pairs, bit for bit
+        cfg = AdversaryConfig(n_blocks=3, horizon=1 << 13, block_budget=1 << 14)
+        state, report = build_adversarial_sequence(PluginHistogramProcedure(), 3, cfg)
+        streams = BlockStreams(cfg)
+        takes = np.diff([0, *state.boundaries])
+        xs = np.concatenate([streams.xs(k)[:t] for k, t in enumerate(takes, 1)])
+        ys = np.concatenate([streams.ys(k)[:t] for k, t in enumerate(takes, 1)])
+        assert state.xs.dtype == state.ys.dtype == np.float64
+        assert state.xs.tobytes() == xs.tobytes() and state.ys.tobytes() == ys.tobytes()
+        assert report["blocks"] == state.records
+        assert report["total_length"] == state.n == state.boundaries[-1]
+
     def test_constant_procedure_yields_witness(self):
         cfg = AdversaryConfig(n_blocks=2, horizon=1 << 10, block_budget=256)
         with pytest.raises(ConsistencyViolationWitness) as exc:
@@ -225,11 +238,24 @@ class TestSplice:
         assert w.k == 1
         # the half-level constant sits at exact squared distance 1/4 > 1/40
         assert all(d == 0.25 for _, d in w.trajectory)
-        assert w.state.n > 0
+        # the state holds the partial block up to the last check
+        assert w.state.n == w.trajectory[-1][0] == 256
+        assert w.state.xs.tobytes() == BlockStreams(cfg).xs(1)[:256].tobytes()
 
     def test_needs_two_blocks(self):
         with pytest.raises(ValueError):
             build_adversarial_sequence(OracleProcedure(), 1)
+
+    def test_n_blocks_must_match_config(self):
+        # the report records config.n_blocks, so a different count would contradict it
+        cfg = AdversaryConfig(n_blocks=3, horizon=1 << 12, block_budget=1 << 13)
+        with pytest.raises(ValueError, match="n_blocks"):
+            build_adversarial_sequence(OracleProcedure(), 2, cfg)
+
+    def test_plugin_depth_bound(self):
+        assert PluginHistogramProcedure(max_depth=22).max_depth == 22
+        with pytest.raises(ValueError, match="max_depth"):
+            PluginHistogramProcedure(depth_offset=-100, max_depth=23)
 
     def test_report_verifies_and_tamper_detected(self):
         cfg = AdversaryConfig(n_blocks=3, horizon=1 << 13, block_budget=1 << 14)

@@ -407,6 +407,54 @@ class TestAdversary:
         assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
         assert "'phi.max_depth' must be <= 22" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["plugin", "oracle", "constant"])
+    def test_phi_name_is_its_kind_with_defaults(self, tmp_path, name):
+        outs = []
+        for tag, phi in (("name", name), ("object", {"kind": name})):
+            cfg = write_json(
+                tmp_path / f"{tag}.json",
+                {"phi": phi, "n_blocks": 2, "horizon": 1 << 12, "block_budget": 1 << 11},
+            )
+            main(["adversary", "--config", cfg, "--out", str(tmp_path / tag)])
+            outs.append(sorted(p.name for p in (tmp_path / tag).iterdir()))
+        artifact = "witness.json" if name == "constant" else "report.json"
+        assert outs[0] == outs[1] and artifact in outs[0]
+        for art in outs[0]:
+            assert (tmp_path / "name" / art).read_bytes() == (tmp_path / "object" / art).read_bytes()
+
+    def _verify_edited(self, tmp_path, edit):
+        cfg = write_json(
+            tmp_path / "a.json",
+            {"phi": "plugin", "n_blocks": 3, "horizon": 1 << 13, "block_budget": 1 << 14},
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        edit(report)
+        vcfg = write_json(
+            tmp_path / "v.json",
+            {"sequence": str(tmp_path / "a" / "sequence.csv"),
+             "report": write_json(tmp_path / "edited.json", report)},
+        )
+        return main(["verify", "--config", vcfg])
+
+    def test_recorded_plugin_depth_beyond_bound_exit2(self, tmp_path, capsys):
+        # the rebuilt fit would count into 2^40 + 1 cells
+        def edit(report):
+            report["phi"] = "plugin_histogram(offset=-100, max_depth=40)"
+
+        assert self._verify_edited(tmp_path, edit) == 2
+        assert "max_depth must be <= 22" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda r: r["blocks"][0].update(k=40),  # nu_40 has 2^40 + 1 breakpoints
+         lambda r: r["blocks"].reverse()],
+        ids=["k-40", "reversed"],
+    )
+    def test_blocks_out_of_order_exit2(self, tmp_path, capsys, edit):
+        assert self._verify_edited(tmp_path, edit) == 2
+        assert "block 1 of the report has k = " in capsys.readouterr().err
+
     def test_constant_phi_witness_exit5(self, tmp_path):
         cfg = write_json(
             tmp_path / "a.json",
