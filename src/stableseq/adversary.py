@@ -839,7 +839,9 @@ def verify_adversary_report(
 ) -> list[tuple[str, bool | None, str]]:
     """Re-validate a run report against its stored sequence.
 
-    Recomputes boundary discrepancies and, when the procedure is available
+    Checks that the boundaries n_k strictly increase and that the last one
+    equals `total_length` and the sequence length.  Recomputes boundary
+    discrepancies and, when the procedure is available
     (a built-in one rebuilt from its recorded name, or an explicit object),
     the boundary L2 certificates and the pairwise distances.  Without it
     those two checks come back as skipped: ok is None, not a verdict.
@@ -855,10 +857,18 @@ def verify_adversary_report(
     # every procedure rebuilt from a name is dyadic at depth <= 22, where
     # l2_unit_distance is exact and the quadrature size is not used
     quad_cells = AdversaryConfig.quad_cells
-    results: list[tuple[str, bool | None, str]] = []
+    bounds = [int(rec["n_k"]) for rec in blocks]
+    total = report.get("total_length")  # absent: the check fails
+    results: list[tuple[str, bool | None, str]] = [
+        (
+            "block-boundaries-match-sequence",
+            all(a < b for a, b in zip(bounds, bounds[1:]))
+            and bounds[-1:] == [total] and total == len(seq),
+            f"n_k={bounds}, total_length={total}, sequence of {len(seq)}",
+        )
+    ]
     fitted = []
-    for k, rec in enumerate(blocks, 1):
-        n_k = int(rec["n_k"])
+    for k, (rec, n_k) in enumerate(zip(blocks, bounds), 1):
         certs = rec["certificates"]
         theta = 1.0 / (k + 1)
         est, l2, d_int, d_wt = _block_certificates(phi, seq.x[:n_k], seq.y[:n_k], k, quad_cells)

@@ -3,7 +3,9 @@
 Subcommands: generate, estimate, adversary, verify, sweep.  All configs are
 JSON files; all outputs are deterministic functions of (config, seed):
 reports carry no timestamps, floats are written in shortest round-trip
-form, and JSON keys are sorted.
+form, and JSON keys are sorted.  Every JSON artifact is, byte for byte, the
+text of `json.dumps(obj, sort_keys=True, indent=2)` plus a newline;
+`_dump_json` writes that text without json's pure-Python indent encoder.
 
 Every config key is read through `_get`, which checks the value's JSON type
 and fixed range; a value that does not fit exits 2 with its key path, such
@@ -137,8 +139,51 @@ def _parse(builder, cfg: dict, key: str, at: str = ""):
         raise ConfigError(f"bad {at + key!r}: {type(e).__name__}: {e}") from e
 
 
+def _json_parts(obj, pad: str, out: list) -> None:
+    """Append to out, piece by piece, the text of `json.dumps(obj,
+    sort_keys=True, indent=2)` for obj written at the indentation `pad`.
+    Dicts with string keys and lists are written here; any other value, or
+    a dict with other keys, is json's own text with pad after each newline
+    (a JSON string never holds a raw newline).  A list of [int, finite
+    float] cells takes one f-string per cell: json writes an int as
+    `int.__repr__` and a finite float as `float.__repr__`."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
+        sep = "{\n"
+        for key in sorted(obj):
+            out.append(f"{sep}{inner}{json.dumps(key)}: ")
+            _json_parts(obj[key], inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if all(
+            type(c) is list and len(c) == 2 and type(c[0]) is int
+            and type(c[1]) is float and math.isfinite(c[1])
+            for c in obj
+        ):
+            cell = inner + "  "
+            cells = [f"{inner}[\n{cell}{j},\n{cell}{v!r}\n{inner}]" for j, v in obj]
+            out += ("[\n", ",\n".join(cells), f"\n{pad}]")
+            return
+        sep = "[\n"
+        for item in obj:
+            out.append(sep + inner)
+            _json_parts(item, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}]")
+    else:
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+
+
 def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Write obj as `json.dumps(obj, sort_keys=True, indent=2)` plus a
+    newline, byte for byte.  The pieces of `_json_parts` are written one
+    after another; the whole text is never held as one string."""
+    out: list[str] = []
+    _json_parts(obj, "", out)
+    out.append("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(out)
 
 
 def build_generated_sequence(cfg: dict, at: str = ""):

@@ -224,7 +224,10 @@ def variation_check(fn: PiecewiseDyadicFn, budget: VariationBudget) -> bool:
 
     Ties (exact equality with 4*alpha(i)) fail.  Each jump goes in the bucket
     of the smallest window holding it; window i's variation is the fsum of
-    buckets 1..i, bit-equal to `total_variation_window(fn, i)`.
+    buckets 1..i, bit-equal to `total_variation_window(fn, i)` and to the
+    streaming estimator's exact integer bucket sums (`_window_buckets`)
+    divided by 2^1074.  The walk stays here because those sums cost more
+    per call on small functions, where this check runs most.
     """
     k = fn.k
     buckets: list[list[float]] = [[] for _ in range(k + 1)]
@@ -551,16 +554,34 @@ def checkpoint_from_dict(d: dict) -> dict:
 def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, str]]:
     """Replay a checkpoint against its sequence and re-validate everything.
 
-    Checks, per recorded stopping time: the frozen estimate equals the
-    histogram recomputed from scratch on that prefix (exact float equality),
-    and the strict variation bound holds on recomputation.  Finally, a full
-    streaming re-run must reproduce the tau sequence.
+    Checks the structure first: one frozen estimate per stopping time, and
+    `consumed` between the last stopping time and the sequence length.
+    Then, per recorded stopping time: the frozen estimate equals the
+    histogram recomputed from scratch on that prefix (exact float
+    equality), and the strict variation bound holds on recomputation.
+    Finally, a full streaming re-run must reproduce the tau sequence.
     """
     parsed = checkpoint_from_dict(chk)
     budget, tau, frozen = parsed["budget"], parsed["tau"], parsed["frozen"]
+    consumed = parsed["consumed"]
     results: list[tuple[str, bool, str]] = []
     ok_mono = all(b > a for a, b in zip(tau, tau[1:])) and (not tau or tau[0] == 1)
     results.append(("tau-strictly-increasing-from-1", ok_mono, f"tau={tau[:8]}..."))
+    results.append(
+        (
+            "frozen-count-equals-tau-count",
+            len(frozen) == len(tau),
+            f"{len(frozen)} frozen, {len(tau)} tau",
+        )
+    )
+    last = max(tau, default=0)
+    results.append(
+        (
+            "consumed-within-sequence",
+            last <= consumed <= len(seq),
+            f"{last} <= consumed={consumed} <= {len(seq)}",
+        )
+    )
     for k, (t, fn) in enumerate(zip(tau, frozen)):
         if k == 0:
             expect = PiecewiseDyadicFn(0, {0: float(seq.y[0])}, 0.0)
@@ -582,7 +603,7 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
             )
         )
     replay = EstimatorState(budget)
-    n_replay = min(parsed["consumed"], len(seq))
+    n_replay = min(consumed, len(seq))
     replay.ingest_many(seq.x[:n_replay], seq.y[:n_replay])
     results.append(
         (

@@ -136,10 +136,11 @@ class PiecewiseDyadicFn:
         return sorted(self.values)
 
     def to_dict(self) -> dict:
+        values = self.values
         return {
             "k": self.k,
             "default": self.default,
-            "cells": [[j, float(v)] for j, v in sorted(self.values.items())],
+            "cells": [[j, float(values[j])] for j in sorted(values)],
         }
 
     @classmethod
@@ -169,9 +170,9 @@ def adjacent_jumps(f: PiecewiseDyadicFn):
 
 
 def _smallest_window(b: int, k: int) -> int:
-    """Smallest i >= 1 with boundary b inside (-i, i), i.e. -i*2^k < b < i*2^k."""
-    need = max(b + 1, 1 - b)
-    return max(1, -((-need) >> k))
+    """Smallest i >= 1 with boundary b inside (-i, i), i.e. -i*2^k < b < i*2^k:
+    ceil((|b| + 1) / 2^k)."""
+    return -((-1 - abs(b)) >> k)
 
 
 def total_variation_window(f: PiecewiseDyadicFn, i: int) -> float:

@@ -1,9 +1,11 @@
-"""The benchmark's smoke runs reproduce its pinned artifact digests.
+"""The benchmark's runs reproduce its pinned artifact digests.
 
 perfbench/digests.json pins the sha256 of every artifact each workload
-writes.  The benchmark checks them only when it runs; this test runs each
-workload's smoke-size stages through the CLI in-process and compares, so a
-changed output byte fails tier-1.  perfbench/ is read, never written.
+writes.  The benchmark checks them only when it runs; these tests run each
+workload's smoke-size stages, and stream-vdc at its full size (2^16 pairs,
+frozen estimates to depth 16: about 3 s), through the CLI in-process and
+compare, so a changed output byte fails tier-1.  stream-vdc ignores the
+seed.  perfbench/ is read, never written.
 """
 import hashlib
 import importlib.util
@@ -27,20 +29,33 @@ def load_workloads():
 
 
 WORKLOADS = load_workloads()
-PINS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))["smoke"]
+PINS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+
+
+def run_and_compare(profile: str, name: str) -> None:
+    """Run the workload's stages in the work directory and compare every
+    artifact with its pinned digest."""
+    stages = WORKLOADS.WORKLOADS[name].configs(WORKLOADS.DEFAULT_SEED, profile)
+    for i, (stage, cfg) in enumerate(stages):
+        path = Path(f"{i}-{stage}.json")
+        path.write_text(json.dumps(cfg, sort_keys=True), encoding="utf-8")
+        assert main([stage, "--config", str(path), "--out", "."]) == 0, stage
+        digests = {
+            art: hashlib.sha256(Path(art).read_bytes()).hexdigest()
+            for art in WORKLOADS.STAGE_ARTIFACTS[stage]
+        }
+        assert digests == PINS[profile][name][stage], stage
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_smoke_artifacts_match_pins(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)  # the configs name their files relative to the work directory
-    stages = WORKLOADS.WORKLOADS[name].configs(WORKLOADS.DEFAULT_SEED, "smoke")
-    for i, (stage, cfg) in enumerate(stages):
-        path = Path(f"{i}-{stage}.json")
-        path.write_text(json.dumps(cfg, sort_keys=True), encoding="utf-8")
-        assert main([stage, "--config", str(path), "--out", "."]) == 0, stage
-        assert "FAIL" not in capsys.readouterr().out, stage
-        digests = {
-            art: hashlib.sha256(Path(art).read_bytes()).hexdigest()
-            for art in WORKLOADS.STAGE_ARTIFACTS[stage]
-        }
-        assert digests == PINS[name][stage], stage
+    run_and_compare("smoke", name)
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_full_stream_vdc_artifacts_match_pins(tmp_path, monkeypatch, capsys):
+    assert not WORKLOADS.WORKLOADS["stream-vdc"].seeded
+    monkeypatch.chdir(tmp_path)
+    run_and_compare("full", "stream-vdc")
+    assert "FAIL" not in capsys.readouterr().out

@@ -445,6 +445,22 @@ class TestAdversary:
         assert self._verify_edited(tmp_path, edit) == 2
         assert "max_depth must be <= 22" in capsys.readouterr().err
 
+    def test_boundaries_beyond_the_sequence_fail(self, tmp_path, capsys):
+        # seq.x[:n_k] would truncate silently, so every other check passes
+        def edit(report):
+            report["blocks"][-1]["n_k"] = report["total_length"] = 10**9
+
+        assert self._verify_edited(tmp_path, edit) == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1 and "block-boundaries-match-sequence" in fails[0]
+
+    def test_boundaries_out_of_order_fail(self, tmp_path, capsys):
+        def edit(report):
+            report["blocks"][0]["n_k"] = report["blocks"][1]["n_k"]
+
+        assert self._verify_edited(tmp_path, edit) == 1
+        assert "FAIL  block-boundaries-match-sequence" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "edit",
         [lambda r: r["blocks"][0].update(k=40),  # nu_40 has 2^40 + 1 breakpoints
@@ -575,6 +591,50 @@ class TestVerify:
              "report": str(tmp_path / "e" / "tampered.json")},
         )
         assert main(["verify", "--config", vcfg]) == 1
+
+    def _iid_checkpoint(self, tmp_path):
+        """(sequence path, checkpoint) of a 512-pair iid run, budget 1.0."""
+        gcfg = write_json(
+            tmp_path / "g.json",
+            {"kind": "iid", "n": 512, "seed": 3, "distribution": UNIT_UNIFORM,
+             "regression": RAMP, "noise": {"kind": "binary"}},
+        )
+        assert main(["generate", "--config", gcfg, "--out", str(tmp_path / "g")]) == 0
+        seq = str(tmp_path / "g" / "sequence.csv")
+        ecfg = write_json(
+            tmp_path / "e.json", {"sequence": seq, "alpha": {"kind": "constant", "c": 1.0}}
+        )
+        assert main(["estimate", "--config", ecfg, "--out", str(tmp_path / "e")]) == 0
+        return seq, json.loads((tmp_path / "e" / "checkpoint.json").read_text())
+
+    def test_valid_checkpoint_prints_the_structure_checks(self, tmp_path, capsys):
+        seq, chk = self._iid_checkpoint(tmp_path)
+        capsys.readouterr()
+        assert self._verify(tmp_path, seq, write_json(tmp_path / "c.json", chk)) == 0
+        out = capsys.readouterr().out
+        assert "PASS  frozen-count-equals-tau-count" in out
+        assert "PASS  consumed-within-sequence" in out
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "edit, check",
+        [
+            # zip(tau, frozen) never reaches it, so no other check sees it
+            (lambda c: c["frozen"].append({"k": 99, "default": 5.0, "cells": []}),
+             "frozen-count-equals-tau-count"),
+            (lambda c: c.update(consumed=10**9), "consumed-within-sequence"),
+            # the replay would slice the sequence to all but its last 5 pairs
+            (lambda c: c.update(consumed=-5), "consumed-within-sequence"),
+        ],
+        ids=["extra-frozen", "consumed-1e9", "consumed-negative"],
+    )
+    def test_checkpoint_structure_edit_fails(self, tmp_path, capsys, edit, check):
+        seq, chk = self._iid_checkpoint(tmp_path)
+        edit(chk)
+        capsys.readouterr()
+        assert self._verify(tmp_path, seq, write_json(tmp_path / "c.json", chk)) == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1 and check in fails[0]
 
     def _verify(self, tmp_path, sequence, report):
         vcfg = write_json(tmp_path / "v.json", {"sequence": sequence, "report": report})
