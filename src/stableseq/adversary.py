@@ -118,7 +118,17 @@ def rademacher_eval(k: int, x) -> np.ndarray | float:
 
 
 def rademacher_cumulative(k: int, t) -> np.ndarray | float:
-    """N_k(t) = integral of h_k over (-inf, t]; exact piecewise-linear form."""
+    """N_k(t) = integral of h_k over (-inf, t]; exact piecewise-linear form.
+
+    The float returned is N_k(t) correctly rounded, so it is non-decreasing
+    in t, as N_k is.  Clipping t to [0, 1] is monotone.  Below the clamp,
+    ldexp(t, k - 1) = y is exact (y <= 2^52), and so are q = floor(y),
+    f = y - q and 2 min(f, 1/2).  q + 2 min(f, 1/2) is exact too: it is a
+    multiple of ulp(y) below q + 1, in y's binade (or below 1 when q = 0).
+    The one rounding is the final ldexp, and t / 2 above the clamp is one
+    rounding of the exact value as well; round-to-nearest is monotone.
+    `RademacherMeasure` relies on this to give the scan no grid points.
+    """
     scalar = np.ndim(t) == 0
     tt = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, 1.0)
     if k == 0:
@@ -178,11 +188,8 @@ class RademacherMeasure:
     def cumulative_left(self, t):
         return rademacher_cumulative(self.k, t)  # continuous
 
-    def breakpoints(self) -> np.ndarray:
-        if self.k == 0:
-            return np.array([0.0, 1.0])
-        step = math.ldexp(1.0, -self.k)
-        return np.arange(0, (1 << self.k) + 1, dtype=float) * step
+    def breakpoints(self) -> np.ndarray:  # N_k is monotone in floats: the ends suffice
+        return np.array([0.0, 1.0])
 
     def point_mass(self, u: float) -> float:
         return 0.0
@@ -561,23 +568,23 @@ class BlockStreams:
     """Deterministic per-block input streams with pairwise distinct values.
 
     Block k's raw stream is the van der Corput sequence shifted by k times
-    an irrational constant, mod 1 (injective over the reals; float
-    collisions, within or across blocks, are removed deterministically in
-    block order so the emitted values are distinct by construction).  The
-    i.i.d. source substitutes seeded uniforms, same dedup.
+    an irrational constant, mod 1, injective over the reals (the i.i.d.
+    source substitutes seeded uniforms).  Float collisions, within or across blocks, are removed in
+    block order: the raw stream is sorted once, by a stable argsort, and a
+    value equal to its sorted predecessor, or found by binary search in an
+    earlier block's sorted values, is dropped.  The kept part of that one
+    sort is the block's sorted view, so no block is sorted twice.
 
-    Each raw stream is sorted once, by a stable argsort.  A value equal to
-    its sorted predecessor repeats an earlier index and is dropped; a value
-    found, by binary search, in an earlier block's sorted values is dropped
-    too.  The kept part of that one sort is the block's sorted view, which
-    `block` hands to SampleSequence, so no block is sorted twice.
+    Kept: each made block's sorted values, once, and the two most recently
+    made blocks whole, as SampleSequences.  An older block asked for again
+    is made again, bit for bit, from its raw stream and the earlier blocks'
+    sorted values.
     """
 
     def __init__(self, config: AdversaryConfig):
         self.config = config
-        self._streams: dict[int, np.ndarray] = {}
-        self._labels: dict[int, np.ndarray] = {}
-        self._orders: dict[int, np.ndarray] = {}  # stable argsort of each block
+        self._sorted: list[np.ndarray] = []  # block k's sorted values at k - 1
+        self._presorted: dict[int, SampleSequence] = {}  # the last two made
 
     def _raw(self, k: int, count: int) -> np.ndarray:
         if self.config.block_source == "iid":
@@ -586,50 +593,45 @@ class BlockStreams:
         base = van_der_corput(count)
         return np.mod(base + k * self.config.shift, 1.0)
 
-    def _materialize(self, k: int) -> None:
+    def _make(self, k: int) -> SampleSequence:
         horizon = self.config.horizon
-        for kk in range(1, k + 1):
-            if kk in self._streams:
-                continue
-            raw = self._raw(kk, horizon + _STREAM_SLACK)
-            order = np.argsort(raw, kind="stable")
-            s = raw[order]
-            # in-stream dedupe: the stable sort puts each value's first
-            # occurrence first, the rule of np.unique(return_index=True)
-            fresh = np.empty(len(s), dtype=bool)
-            fresh[:1] = True
-            np.not_equal(s[1:], s[:-1], out=fresh[1:])
-            for p in range(1, kk):
-                prev = self._streams[p][self._orders[p]]
-                at = np.searchsorted(prev, s)
-                np.minimum(at, len(prev) - 1, out=at)
-                fresh &= prev[at] != s
-                del prev, at
-            kept = order[fresh]  # raw indices of the kept values, ascending by value
-            del s, order, fresh
-            keep = np.zeros(len(raw), dtype=bool)
-            keep[kept] = True
-            xs = raw[keep][:horizon]
-            if len(xs) < horizon:
-                raise RuntimeError("collision filtering exhausted the stream slack")
-            rank = np.cumsum(keep)[kept] - 1  # positions in xs, in sorted order
-            self._orders[kk] = rank[rank < horizon]
-            self._streams[kk] = xs
-            self._labels[kk] = rademacher_eval(kk, xs)
+        raw = self._raw(k, horizon + _STREAM_SLACK)
+        order = np.argsort(raw, kind="stable")
+        s = raw[order]
+        # in-stream dedupe: the stable sort puts each value's first
+        # occurrence first, the rule of np.unique(return_index=True)
+        fresh = np.empty(len(s), dtype=bool)
+        fresh[:1] = True
+        np.not_equal(s[1:], s[:-1], out=fresh[1:])
+        for prev in self._sorted[:k - 1]:
+            fresh &= prev[np.minimum(np.searchsorted(prev, s), len(prev) - 1)] != s
+        kept = order[fresh]  # raw indices of the kept values, ascending by value
+        del s, order, fresh
+        keep = np.zeros(len(raw), dtype=bool)
+        keep[kept] = True
+        xs = raw[keep][:horizon]
+        if len(xs) < horizon:
+            raise RuntimeError("collision filtering exhausted the stream slack")
+        rank = np.cumsum(keep)[kept] - 1  # positions in xs, in sorted order
+        return SampleSequence._presorted(xs, rademacher_eval(k, xs), rank[rank < horizon])
+
+    def _sequence(self, k: int) -> SampleSequence:
+        if k not in self._presorted:
+            for kk in range(min(len(self._sorted) + 1, k), k + 1):
+                if len(self._presorted) == 2:  # the oldest goes before a block is made
+                    del self._presorted[next(iter(self._presorted))]
+                seq = self._presorted[kk] = self._make(kk)
+                self._sorted[kk - 1:kk] = [seq.x_sorted]  # appends; a remake swaps in its equal
+        return self._presorted[k]
 
     def block(self, k: int) -> SampleSequence:
-        self._materialize(k)
-        return SampleSequence._presorted(
-            self._streams[k], self._labels[k], self._orders[k]
-        )
+        return self._sequence(k)
 
     def xs(self, k: int) -> np.ndarray:
-        self._materialize(k)
-        return self._streams[k]
+        return self._sequence(k).x
 
     def ys(self, k: int) -> np.ndarray:
-        self._materialize(k)
-        return self._labels[k]
+        return self._sequence(k).y
 
 
 @dataclass
@@ -787,6 +789,14 @@ def _span_scan(prefixes: _SortedPrefixes, k: int, lo: int, hi: int) -> dict:
     }
 
 
+def _spans(seq: SampleSequence, bounds: list[int]) -> list[dict]:
+    """The report's spans: span k over (n_k, n_{k+1}] of seq, for each pair
+    of consecutive boundaries."""
+    prefixes = _SortedPrefixes(seq, RademacherMeasure(0))
+    pairs = zip(bounds, bounds[1:])
+    return [_span_scan(prefixes, k, lo, hi) for k, (lo, hi) in enumerate(pairs, 1)]
+
+
 def build_adversarial_sequence(
     phi, n_blocks: int, config: AdversaryConfig | None = None
 ) -> tuple[SpliceState, dict]:
@@ -807,12 +817,7 @@ def build_adversarial_sequence(
         splice_next_block(state, phi, k, streams)
 
     distances, dist_converged = _pairwise_distances(state.fitted, config.quad_cells)
-    prefixes = _SortedPrefixes(state.sequence(), RademacherMeasure(0))
-    bounds = state.boundaries
-    spans = [
-        _span_scan(prefixes, k, lo, hi)
-        for k, lo, hi in zip(range(1, n_blocks), bounds, bounds[1:])
-    ]
+    spans = _spans(state.sequence(), state.boundaries)
     min_pairwise = min(
         (distances[i][j] for i in range(n_blocks) for j in range(i + 1, n_blocks)),
         default=float("inf"),
@@ -845,7 +850,10 @@ def verify_adversary_report(
     (a built-in one rebuilt from its recorded name, or an explicit object),
     the boundary L2 certificates and the pairwise distances.  Without it
     those two checks come back as skipped: ok is None, not a verdict.
-    Raises ValueError, before computing anything, when the blocks are not
+    The span envelopes are scanned again, by the code that wrote them, and
+    must equal `spans`, be certified and agree with `spans_ok`; they are
+    skipped when the boundaries do not match the sequence.  Raises
+    ValueError, before computing anything, when the blocks are not
     numbered 1, 2, ... in order or the recorded plugin depth is above 22.
     """
     blocks = report["blocks"]
@@ -859,11 +867,14 @@ def verify_adversary_report(
     quad_cells = AdversaryConfig.quad_cells
     bounds = [int(rec["n_k"]) for rec in blocks]
     total = report.get("total_length")  # absent: the check fails
+    bounds_ok = (
+        all(a < b for a, b in zip(bounds, bounds[1:]))
+        and bounds[-1:] == [total] and total == len(seq)
+    )
     results: list[tuple[str, bool | None, str]] = [
         (
             "block-boundaries-match-sequence",
-            all(a < b for a, b in zip(bounds, bounds[1:]))
-            and bounds[-1:] == [total] and total == len(seq),
+            bounds_ok,
             f"n_k={bounds}, total_length={total}, sequence of {len(seq)}",
         )
     ]
@@ -916,4 +927,16 @@ def verify_adversary_report(
                 if abs(dist[i][j] - recorded[i][j]) > 1e-9 or dist[i][j] < 1.0 / 20.0:
                     worst = f"pair ({i+1},{j+1}) recomputed {dist[i][j]:.6g}"
         results.append(("pairwise-distances", not worst, worst or "all >= 1/20"))
+    if bounds_ok:
+        spans = _spans(seq, bounds)
+        certified = all(s["certified"] for s in spans)
+        results.append(
+            (
+                "span-envelopes",
+                certified and report.get("spans_ok") is True and spans == report.get("spans"),
+                f"{len(spans)} spans recomputed, all within 6/k: {certified}",
+            )
+        )
+    else:
+        results.append(("span-envelopes", None, "the boundaries do not match the sequence"))
     return results

@@ -551,6 +551,33 @@ def checkpoint_from_dict(d: dict) -> dict:
     }
 
 
+def _frozen_checks(seq: SampleSequence, budget, tau: list[int], frozen: list) -> list:
+    """Each frozen estimate against the histogram recomputed on its prefix,
+    and the recomputed one against the variation budget."""
+    results = []
+    for k, (t, fn) in enumerate(zip(tau, frozen)):
+        if k == 0:
+            expect = PiecewiseDyadicFn(0, {0: float(seq.y[0])}, 0.0)
+            same = dict(fn.values) == dict(expect.values) and fn.k == 0
+            results.append(("frozen[0]-is-first-y", same, f"tau_0={t}"))
+            continue
+        rebuilt = histogram_estimate(seq, k, t).fn
+        same = (
+            rebuilt.k == fn.k
+            and rebuilt.default == fn.default
+            and dict(rebuilt.values) == dict(fn.values)
+        )
+        results.append((f"frozen[{k}]-matches-recomputation", same, f"tau_{k}={t}"))
+        results.append(
+            (
+                f"frozen[{k}]-variation-bound",
+                variation_check(rebuilt, budget),
+                f"tau_{k}={t}",
+            )
+        )
+    return results
+
+
 def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, str]]:
     """Replay a checkpoint against its sequence and re-validate everything.
 
@@ -582,26 +609,8 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
             f"{last} <= consumed={consumed} <= {len(seq)}",
         )
     )
-    for k, (t, fn) in enumerate(zip(tau, frozen)):
-        if k == 0:
-            expect = PiecewiseDyadicFn(0, {0: float(seq.y[0])}, 0.0)
-            same = dict(fn.values) == dict(expect.values) and fn.k == 0
-            results.append(("frozen[0]-is-first-y", same, f"tau_0={t}"))
-            continue
-        rebuilt = histogram_estimate(seq, k, t).fn
-        same = (
-            rebuilt.k == fn.k
-            and rebuilt.default == fn.default
-            and dict(rebuilt.values) == dict(fn.values)
-        )
-        results.append((f"frozen[{k}]-matches-recomputation", same, f"tau_{k}={t}"))
-        results.append(
-            (
-                f"frozen[{k}]-variation-bound",
-                variation_check(rebuilt, budget),
-                f"tau_{k}={t}",
-            )
-        )
+    results += _frozen_checks(seq, budget, tau, frozen)
+    del parsed, frozen  # the parsed estimates go before the replay makes its own
     replay = EstimatorState(budget)
     n_replay = min(consumed, len(seq))
     replay.ingest_many(seq.x[:n_replay], seq.y[:n_replay])

@@ -23,7 +23,10 @@ value, for the plain class and the y-weighted one alike: it counts with
 prefix sums (0..n, or the sums of y) against any target with a cumulative
 function, its left limits and its breakpoints.  One extra candidate past
 the data and the breakpoints carries the constant tail value, which the
-weighted curves need not share.
+weighted curves need not share.  A monotone target (a non-negative
+measure, with a cumulative that is non-decreasing in floats) needs only
+its support ends as breakpoints: between two samples D only falls, so the
+samples' right values and left limits already hold its extremes.
 
 A separate, weaker statistic is the Levy metric between the empirical CDF
 and the model CDF (`levy_distance`).  It metrizes pointwise CDF convergence
@@ -406,6 +409,14 @@ def _interval_sup(
     target.cumulative(xs) and target.cumulative_left(xs).  Returns max - min
     of D = cum/n - target over the candidates (xs, the target's breakpoints
     and one anchor past both; right values and left limits) and 0.
+
+    Precondition: the computed target.cumulative is monotone between any
+    two consecutive candidates; then so is D, whose counted weight is
+    constant there, and its extremes sit at the candidates.  A target that
+    is non-decreasing in floats everywhere (`adversary.RademacherMeasure`)
+    may list only its support ends, which set the anchor: between two
+    samples D is non-increasing, so no point there beats the sample before
+    it (for the max) or the left limit at the sample after it (for the min).
     """
     n = len(xs)
     if n < 1:

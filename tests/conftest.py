@@ -12,7 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from stableseq.adversary import RademacherMeasure
 from stableseq.measures import DistributionModel, SampleSequence
+
+
+def grid_breakpoints(target) -> np.ndarray:
+    """The target's breakpoints for a reference scan.  nu_k's are its whole
+    grid j / 2^k, j = 0..2^k, built here: the library's scan asks nu_k for
+    its support ends only, and the references check that nothing is lost."""
+    if isinstance(target, RademacherMeasure):
+        return np.arange((1 << target.k) + 1, dtype=float) / (1 << target.k)
+    return np.asarray(target.breakpoints(), dtype=float)
 
 
 def random_mixture_model(rng: np.random.Generator) -> DistributionModel:

@@ -182,6 +182,25 @@ class TestBlockStreams:
         assert len(np.unique(x)) == len(x)
         assert np.all((x > 0) & (x < 1))
 
+    @pytest.mark.parametrize("source", ["vdc_shift", "iid"])
+    def test_old_block_made_again_bit_for_bit(self, source):
+        # only the last two blocks are kept whole; an older one comes back
+        # from its raw stream and the earlier blocks' sorted values
+        cfg = AdversaryConfig(n_blocks=4, horizon=1 << 10, block_source=source, seed=3)
+        streams = BlockStreams(cfg)
+        first = {}
+        for k in range(1, 6):
+            blk = streams.block(k)
+            first[k] = (blk.x.tobytes(), blk.y.tobytes(), blk.sorted_index.tobytes())
+            assert len(streams._presorted) <= 2 and len(streams._sorted) == k
+        for k in (1, 3, 2, 5, 4, 1):
+            blk = streams.block(k)
+            assert (blk.x.tobytes(), blk.y.tobytes(), blk.sorted_index.tobytes()) == first[k]
+            assert blk.x_sorted.tobytes() == streams._sorted[k - 1].tobytes()
+            assert len(streams._presorted) <= 2 and len(streams._sorted) == 5
+        fresh = BlockStreams(cfg)  # asked out of order, the earlier blocks are made first
+        assert fresh.xs(3).tobytes() == first[3][0] and len(fresh._sorted) == 3
+
 
 class TestSplice:
     def test_oracle_two_blocks_exact_distance(self):
@@ -371,6 +390,29 @@ class TestLadderAtLargeIndex:
             want.append(float(q / 2**k + min(r, Fraction(1, 2**k))))
         assert got.tolist() == one == want
         assert all(math.isfinite(v) for v in want)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_cumulative_non_decreasing_in_floats(self, k):
+        # the weighted scans ask nu_k for its support ends only, which needs
+        # N_k non-decreasing as computed, not just in exact arithmetic
+        grid = np.arange((1 << k) + 1, dtype=float) / (1 << k)
+        dense = np.random.default_rng(k).random(20_000)
+        ts = np.sort(np.concatenate([
+            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf), dense,
+            [-0.5, 5e-324, 1.5],
+        ]))
+        vals = rademacher_cumulative(k, ts)
+        assert np.all(vals[1:] >= vals[:-1])
+        assert vals[0] == 0.0 and vals[-1] == 0.5
+
+    @pytest.mark.parametrize("k", [40, 64, 1075])
+    def test_weighted_scans_need_no_grid(self, k):
+        # a 2^k + 1 point grid would ask for 8 TiB at k = 40
+        assert RademacherMeasure(k).breakpoints().tolist() == [0.0, 1.0]
+        x = BlockStreams(AdversaryConfig(n_blocks=2, horizon=1 << 12)).xs(1)
+        for m in (1, 100, 1 << 12):
+            d = weighted_prefix_discrepancy(x[:m], rademacher_eval(k, x[:m]), RademacherMeasure(k))
+            assert math.isfinite(d) and 0.0 <= d <= 1.0
 
     def test_oracle_index_beyond_ladder_top(self, tmp_path):
         # h_k is the same function for k >= 1075, so a larger max_index ends

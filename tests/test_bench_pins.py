@@ -2,9 +2,11 @@
 
 perfbench/digests.json pins the sha256 of every artifact each workload
 writes.  The benchmark checks them only when it runs; these tests run each
-workload's smoke-size stages, and stream-vdc at its full size (2^16 pairs,
-frozen estimates to depth 16: about 3 s), through the CLI in-process and
-compare, so a changed output byte fails tier-1.  stream-vdc ignores the
+workload's smoke-size stages, stream-vdc at its full size (2^16 pairs,
+frozen estimates to depth 16: about 3 s) and adversary-plugin at its full
+size (horizon 2^20, five blocks of 2^20 values each: about 4 s), through
+the CLI in-process and compare, so a changed output byte fails tier-1.
+stream-vdc ignores the seed; adversary-plugin runs at the pinned default
 seed.  perfbench/ is read, never written.
 """
 import hashlib
@@ -58,4 +60,10 @@ def test_full_stream_vdc_artifacts_match_pins(tmp_path, monkeypatch, capsys):
     assert not WORKLOADS.WORKLOADS["stream-vdc"].seeded
     monkeypatch.chdir(tmp_path)
     run_and_compare("full", "stream-vdc")
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_full_adversary_plugin_artifacts_match_pins(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_and_compare("full", "adversary-plugin")
     assert "FAIL" not in capsys.readouterr().out

@@ -5,6 +5,9 @@ verbatim as oracles: the bit-matrix van der Corput, the per-prefix
 discrepancies that sort every prefix, the threshold search built on them,
 and collision filtering by np.unique plus np.isin against the concatenated
 earlier blocks.  The rewritten paths must agree with them bit for bit.
+The weighted reference scans nu_k at its whole grid j / 2^k, as the
+replaced code did (`conftest.grid_breakpoints`); the library's scan no
+longer asks for it.
 """
 import tracemalloc
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grid_breakpoints
 from stableseq.adversary import (
     AdversaryConfig,
     BlockStreams,
@@ -61,7 +65,7 @@ def ref_weighted(x, y, target):
     order = np.argsort(x, kind="stable")
     xs = x[order]
     cum = np.concatenate([[0.0], np.cumsum(y[order])])
-    bks = np.asarray(target.breakpoints(), dtype=float)
+    bks = grid_breakpoints(target)
     tail = max(float(xs[-1]), float(bks.max())) + 1.0
     cands = np.concatenate([xs, bks, [tail]])
     t_cum = np.asarray(target.cumulative(cands), dtype=float)
@@ -251,8 +255,8 @@ def test_van_der_corput_peak_memory():
 
 
 def test_block_materialization_peak_memory():
-    # two blocks at 2^16 hold 3 MB (x, labels, sorted order); the
-    # bit-matrix and np.isin form peaked at about 20 MB
+    # two blocks at 2^16 hold 4 MB (x, labels, sorted order, sorted
+    # values); the bit-matrix and np.isin form peaked at about 20 MB
     def two_blocks():
         BlockStreams(AdversaryConfig(n_blocks=2, horizon=1 << 16)).xs(2)
 

@@ -461,9 +461,23 @@ class TestAdversary:
         assert self._verify_edited(tmp_path, edit) == 1
         assert "FAIL  block-boundaries-match-sequence" in capsys.readouterr().out
 
+    def test_edited_span_fails(self, tmp_path, capsys):
+        # verify scans the spans again; the recorded ones are not taken on trust
+        def edit(report):
+            report["spans"][0].update(certified=False, max_observed=99)
+            report["spans_ok"] = False
+
+        assert self._verify_edited(tmp_path, edit) == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1 and "span-envelopes" in fails[0]
+
+    def test_unedited_spans_pass(self, tmp_path, capsys):
+        assert self._verify_edited(tmp_path, lambda report: None) == 0
+        assert "PASS  span-envelopes  (2 spans recomputed" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "edit",
-        [lambda r: r["blocks"][0].update(k=40),  # nu_40 has 2^40 + 1 breakpoints
+        [lambda r: r["blocks"][0].update(k=40),  # block 1 checked against nu_40
          lambda r: r["blocks"].reverse()],
         ids=["k-40", "reversed"],
     )

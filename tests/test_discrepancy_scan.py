@@ -6,6 +6,9 @@ verbatim as oracles: the stability diagnostic's plain and y-weighted scans
 their shared extrema rule) and the adversary's sorted-array scans
 (`_uniform_sorted` and `_weighted_sorted`).  Every path that now runs
 `measures._interval_sup` must return the same float as its reference.
+The one departure from the replaced code: the references scan nu_k
+(`RademacherMeasure`) at its whole grid j / 2^k, which the library no
+longer asks for (`conftest.grid_breakpoints`).
 """
 import math
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mixture_model
+from conftest import grid_breakpoints, random_mixture_model
 from stableseq.adversary import (
     RademacherMeasure,
     _SortedPrefixes,
@@ -48,7 +51,7 @@ def ref_sup_interval(seq, model):
 
 def ref_sup_weighted(seq, target):
     n = len(seq)
-    bks = np.asarray(target.breakpoints(), dtype=float)
+    bks = grid_breakpoints(target)
     tail_anchor = max(
         float(seq.x_sorted[-1]),
         float(bks.max()) if len(bks) else -math.inf,
@@ -75,7 +78,7 @@ def ref_uniform_sorted(xs):
 def ref_weighted_sorted(xs, ys, t_xs, target, distinct):
     m = len(xs)
     cum = np.concatenate([[0.0], np.cumsum(ys)])
-    bks = np.asarray(target.breakpoints(), dtype=float)
+    bks = grid_breakpoints(target)
     tail = max(float(xs[-1]), float(bks.max())) + 1.0
     extra = np.concatenate([bks, [tail]])
     t_extra = np.asarray(target.cumulative(extra), dtype=float)
@@ -205,6 +208,36 @@ def test_prefix_scans_equal_reference(seed, n, tied):
             assert weighted_prefix_discrepancy(x[:m], y[:m], target) == want_w
             assert prefixes.weighted(m) == want_w
             assert want_w == ref_weighted_sorted(xs, ys, t_sorted[sel], target, distinct)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    k=st.integers(0, 14),
+    binary=st.booleans(),
+)
+@example(seed=0, n=1, k=14, binary=True)
+def test_grid_free_scans_equal_grid_scans(seed, n, k, binary):
+    # nu_k gives the scans its support ends only; the references scan all
+    # of its 2^k + 1 grid points, and every float must agree
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, k + 3))  # dyadic ties coarser than, at and finer than nu_k's grid
+    x = rng.integers(-(1 << r) // 4 - 1, (1 << r) + (1 << r) // 4 + 2, size=n) / (1 << r)
+    spread = rng.random(n) < 0.3
+    x[spread] = rng.uniform(-0.2, 1.2, size=int(spread.sum()))
+    y = (rng.integers(0, 2, size=n) if binary else rng.integers(-2, 3, size=n)).astype(float)
+    target = RademacherMeasure(k)
+    seq = SampleSequence(x, y)
+    assert sup_weighted_discrepancy(seq, target) == ref_sup_weighted(seq, target)
+    prefixes = _SortedPrefixes(seq, target)
+    ys = y[seq.sorted_index]
+    t_sorted = target.cumulative(seq.x_sorted)
+    for m in range(1, n + 1):
+        sel = np.flatnonzero(seq.sorted_index < m)
+        want = ref_weighted_sorted(seq.x_sorted[sel], ys[sel], t_sorted[sel], target, False)
+        assert weighted_prefix_discrepancy(x[:m], y[:m], target) == want
+        assert prefixes.weighted(m) == want
 
 
 @pytest.mark.parametrize("at", [0, 2, 4])
