@@ -120,14 +120,10 @@ def rademacher_eval(k: int, x) -> np.ndarray | float:
 def rademacher_cumulative(k: int, t) -> np.ndarray | float:
     """N_k(t) = integral of h_k over (-inf, t]; exact piecewise-linear form.
 
-    The float returned is N_k(t) correctly rounded, so it is non-decreasing
-    in t, as N_k is.  Clipping t to [0, 1] is monotone.  Below the clamp,
-    ldexp(t, k - 1) = y is exact (y <= 2^52), and so are q = floor(y),
-    f = y - q and 2 min(f, 1/2).  q + 2 min(f, 1/2) is exact too: it is a
-    multiple of ulp(y) below q + 1, in y's binade (or below 1 when q = 0).
-    The one rounding is the final ldexp, and t / 2 above the clamp is one
-    rounding of the exact value as well; round-to-nearest is monotone.
-    `RademacherMeasure` relies on this to give the scan no grid points.
+    The float returned is N_k(t) rounded once to nearest (see below), so
+    it is non-decreasing in t as N_k is: clipping t to [0, 1] and rounding
+    are both monotone.  `RademacherMeasure` relies on this to give the
+    scans no grid points.
     """
     scalar = np.ndim(t) == 0
     tt = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, 1.0)
@@ -135,8 +131,10 @@ def rademacher_cumulative(k: int, t) -> np.ndarray | float:
         out = 0.5 * tt
     else:
         # with y = t * 2^(k-1), q = floor(y) and f = y - q, N_k(t) is
-        # (q + 2 min(f, 1/2)) * 2^-k, whose first factor is a double: one
-        # rounding, in the final ldexp (all in place in `out`).  From
+        # (q + 2 min(f, 1/2)) * 2^-k.  y, q, f and 2 min(f, 1/2) are exact,
+        # and so is the first factor: a multiple of ulp(y) below q + 1, it
+        # stays in y's binade (or below 1 when q = 0).  So the one rounding
+        # is in the final ldexp (all in place in `out`).  From
         # t >= 2^(53-k) on, y is an integer and N_k(t) = t / 2; t is clamped
         # there so y never overflows, and N_k is N_1075 for k >= 1075 (see
         # `rademacher_eval`)
