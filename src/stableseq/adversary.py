@@ -41,8 +41,10 @@ The full run is a finite-prefix witness (the thresholds' suprema are
 truncated at the configured horizon) and reports label it as such.
 
 The splice and `verify_adversary_report` share one certificate routine per
-block and one for the pairwise distances, so a report is re-checked by the
-code that produced it.
+block and one for the oscillation fields, so a report is re-checked by the
+code that produced it.  Every prefix discrepancy, of a block or of the
+spliced sequence, is the scan of `measures` over `SampleSequence.prefix`,
+the prefix view the stability diagnostic reads.
 """
 from __future__ import annotations
 
@@ -235,10 +237,14 @@ def _uniform_sorted(xs: np.ndarray) -> float:
     return _interval_sup(xs, np.arange(len(xs) + 1, dtype=float), f, f, _UNIT)
 
 
-def _weighted_sorted(xs: np.ndarray, ys: np.ndarray, t_xs: np.ndarray, target) -> float:
-    """weighted_prefix_discrepancy of points in stable x order; `ys` is in
-    the same order and `t_xs` is target.cumulative(xs)."""
-    return _interval_sup(xs, np.concatenate([[0.0], np.cumsum(ys)]), t_xs, t_xs, target)
+def _weighted_sorted(seq: SampleSequence, target) -> float:
+    """weighted_prefix_discrepancy of seq, read from its sorted view with a
+    plain cumsum of the sorted labels (`y_cumsum_sorted` is compensated
+    above 10^6 points, where it rounds differently)."""
+    xs = seq.x_sorted
+    t_xs = np.asarray(target.cumulative(xs), dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum(seq.y[seq.sorted_index])])
+    return _interval_sup(xs, cum, t_xs, t_xs, target)
 
 
 def uniform_prefix_discrepancy(x: np.ndarray) -> float:
@@ -253,47 +259,7 @@ def weighted_prefix_discrepancy(
 
     `target` is continuous (no atoms): cumulative == cumulative_left.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    t_xs = np.asarray(target.cumulative(xs), dtype=float)
-    return _weighted_sorted(xs, y[order], t_xs, target)
-
-
-class _SortedPrefixes:
-    """Both prefix discrepancies of one block, read from its sorted view.
-
-    The values of prefix m in sorted order are the entries of the block's
-    stable sorted view whose original index is below m (ties keep index
-    order, as a stable sort of the prefix would), so no evaluation sorts.
-    The labels in sorted order and the target's cumulative values at the
-    sorted points are computed once per block; each evaluation selects its
-    prefix from them and runs the one interval scan of `measures`, counting
-    with the plain cumulative sum of the prefix's labels.  Every value is
-    therefore bitwise equal to uniform_prefix_discrepancy(x[:m]) and
-    weighted_prefix_discrepancy(x[:m], y[:m], target).
-    """
-
-    def __init__(self, block: SampleSequence, target):
-        self.order = block.sorted_index
-        self.x_sorted = block.x_sorted
-        self.y = block.y
-        self.target = target
-        self._weighted_view = None
-
-    def uniform(self, m: int) -> float:
-        return _uniform_sorted(self.x_sorted[self.order < m])
-
-    def weighted(self, m: int) -> float:
-        if self._weighted_view is None:  # built on first use only
-            self._weighted_view = (
-                self.y[self.order],
-                np.asarray(self.target.cumulative(self.x_sorted), dtype=float),
-            )
-        ys, t_xs = self._weighted_view
-        sel = np.flatnonzero(self.order < m)
-        return _weighted_sorted(self.x_sorted[sel], ys[sel], t_xs[sel], self.target)
+    return _weighted_sorted(SampleSequence(x, y), target)
 
 
 # -- certified scans over all prefix lengths --------------------------------------
@@ -354,9 +320,13 @@ def compute_block_thresholds(
             f"block has {len(block)} pairs; need at least horizon = {horizon}"
         )
     theta = 1.0 / (k + 1)
-    prefixes = _SortedPrefixes(block, RademacherMeasure(k))
-    lv_plain, _, _ = certified_prefix_scan(prefixes.uniform, 1, horizon, theta)
-    lv_wt, _, _ = certified_prefix_scan(prefixes.weighted, 1, horizon, theta)
+    nu_k = RademacherMeasure(k)
+    lv_plain, _, _ = certified_prefix_scan(
+        lambda m: _uniform_sorted(block.prefix(m).x_sorted), 1, horizon, theta
+    )
+    lv_wt, _, _ = certified_prefix_scan(
+        lambda m: _weighted_sorted(block.prefix(m), nu_k), 1, horizon, theta
+    )
     if lv_plain >= horizon or lv_wt >= horizon:
         raise HorizonExhausted(
             f"prefix discrepancy still above {theta:.4g} at the horizon {horizon}"
@@ -420,19 +390,17 @@ class ConstantProcedure:
 
 class OracleProcedure:
     """Returns the exact ladder function whose labels explain the longest
-    trailing run of the prefix -- the idealized procedure that locks onto
-    each block immediately."""
+    trailing run of the prefix's last 64 pairs -- the idealized procedure
+    that locks onto each block immediately."""
 
-    def __init__(self, max_index: int = 12, window: int = 64):
+    def __init__(self, max_index: int = 12):
         self.max_index = max_index
-        self.window = window
         self.name = "oracle"
 
     def fit(self, xs, ys) -> RademacherFn:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        t = min(self.window, len(xs))
-        xt, yt = xs[-t:], ys[-t:]
+        t = min(64, len(xs))
+        xt = np.asarray(xs, dtype=float)[-t:]
+        yt = np.asarray(ys, dtype=float)[-t:]
         best_k, best_run = 1, -1
         # h_k repeats from _LADDER_TOP on, and only a strictly longer run wins
         for k in range(1, min(self.max_index, _LADDER_TOP) + 1):
@@ -611,7 +579,9 @@ class BlockStreams:
         if len(xs) < horizon:
             raise RuntimeError("collision filtering exhausted the stream slack")
         rank = np.cumsum(keep)[kept] - 1  # positions in xs, in sorted order
-        return SampleSequence._presorted(xs, rademacher_eval(k, xs), rank[rank < horizon])
+        ys = rademacher_eval(k, xs)
+        order = rank[rank < horizon]
+        return SampleSequence._presorted(xs, ys, order, xs[order])
 
     def _sequence(self, k: int) -> SampleSequence:
         if k not in self._presorted:
@@ -693,9 +663,13 @@ def _block_certificates(phi, xs: np.ndarray, ys: np.ndarray, k: int, quad_cells:
     return est, l2, uniform_prefix_discrepancy(xs), weighted_prefix_discrepancy(xs, ys, nu_k)
 
 
-def _pairwise_distances(fitted: list, quad_cells: int) -> tuple[list[list[float]], bool]:
-    """The squared L2 distance matrix of the boundary estimates, and whether
-    every distance converged."""
+_OSCILLATION_BOUND = 1.0 / 20.0
+
+
+def _oscillation(fitted: list, quad_cells: int) -> dict:
+    """The report's oscillation fields, derived from the boundary estimates:
+    their squared L2 distance matrix, whether every distance converged, the
+    least distance and whether it reaches the bound 1/20."""
     count = len(fitted)
     distances = [[0.0] * count for _ in range(count)]
     converged = True
@@ -704,7 +678,14 @@ def _pairwise_distances(fitted: list, quad_cells: int) -> tuple[list[list[float]
             r = l2_unit_distance(fitted[i], fitted[j], quad_cells)
             distances[i][j] = distances[j][i] = r.value
             converged = converged and r.converged
-    return distances, converged
+    pairs = [distances[i][j] for i in range(count) for j in range(i + 1, count)]
+    least = min(pairs, default=math.inf)
+    return {
+        "pairwise_sq_distances": distances,
+        "pairwise_distances_converged": converged,
+        "min_pairwise_sq_distance": least,
+        "oscillation_ok": least >= _OSCILLATION_BOUND,
+    }
 
 
 def splice_next_block(
@@ -763,18 +744,18 @@ def splice_next_block(
         offset *= 2
 
 
-def _span_scan(prefixes: _SortedPrefixes, k: int, lo: int, hi: int) -> dict:
+def _span_scan(weighted: Callable[[int], float], k: int, lo: int, hi: int) -> dict:
     """Span k of the report: the certified sup over n in (lo, hi] of the
-    prefix discrepancy against nu_0, under the bound 6/k.  `prefixes` is
-    the whole sequence against nu_0."""
+    prefix discrepancy against nu_0, under the bound 6/k.  `weighted(n)` is
+    that discrepancy of the sequence's first n pairs."""
     threshold = 6.0 / k
     if threshold >= 1.0:
         # vacuous bound; still sample a few points for the report
         pts = sorted(set(int(v) for v in np.geomspace(lo + 1, hi, num=6)))
-        evals = [(m, prefixes.weighted(m)) for m in pts]
+        evals = [(m, weighted(m)) for m in pts]
         certified, max_obs = True, max(d for _, d in evals)
     else:
-        last_viol, max_obs, evals = certified_prefix_scan(prefixes.weighted, lo + 1, hi, threshold)
+        last_viol, max_obs, evals = certified_prefix_scan(weighted, lo + 1, hi, threshold)
         certified = last_viol == 0
     return {
         "k": k,
@@ -790,9 +771,11 @@ def _span_scan(prefixes: _SortedPrefixes, k: int, lo: int, hi: int) -> dict:
 def _spans(seq: SampleSequence, bounds: list[int]) -> list[dict]:
     """The report's spans: span k over (n_k, n_{k+1}] of seq, for each pair
     of consecutive boundaries."""
-    prefixes = _SortedPrefixes(seq, RademacherMeasure(0))
+    def weighted(m: int) -> float:
+        return _weighted_sorted(seq.prefix(m), RademacherMeasure(0))
+
     pairs = zip(bounds, bounds[1:])
-    return [_span_scan(prefixes, k, lo, hi) for k, (lo, hi) in enumerate(pairs, 1)]
+    return [_span_scan(weighted, k, lo, hi) for k, (lo, hi) in enumerate(pairs, 1)]
 
 
 def build_adversarial_sequence(
@@ -814,22 +797,14 @@ def build_adversarial_sequence(
     for k in range(1, n_blocks + 1):
         splice_next_block(state, phi, k, streams)
 
-    distances, dist_converged = _pairwise_distances(state.fitted, config.quad_cells)
     spans = _spans(state.sequence(), state.boundaries)
-    min_pairwise = min(
-        (distances[i][j] for i in range(n_blocks) for j in range(i + 1, n_blocks)),
-        default=float("inf"),
-    )
     report = {
         "phi": getattr(phi, "name", repr(phi)),
         "config": config.to_dict(),
         "finite_prefix_witness": True,
         "blocks": state.records,
-        "pairwise_sq_distances": distances,
-        "pairwise_distances_converged": dist_converged,
-        "min_pairwise_sq_distance": min_pairwise,
-        "oscillation_bound": 1.0 / 20.0,
-        "oscillation_ok": min_pairwise >= 1.0 / 20.0,
+        **_oscillation(state.fitted, config.quad_cells),
+        "oscillation_bound": _OSCILLATION_BOUND,
         "spans": spans,
         "spans_ok": all(s["certified"] for s in spans),
         "total_length": state.n,
@@ -844,10 +819,11 @@ def verify_adversary_report(
 
     Checks that the boundaries n_k strictly increase and that the last one
     equals `total_length` and the sequence length.  Recomputes boundary
-    discrepancies and, when the procedure is available
-    (a built-in one rebuilt from its recorded name, or an explicit object),
-    the boundary L2 certificates and the pairwise distances.  Without it
-    those two checks come back as skipped: ok is None, not a verdict.
+    discrepancies and, when the procedure is available (a built-in one
+    rebuilt from its recorded name, or an explicit object), the boundary L2
+    certificates and the oscillation fields (the pairwise distances and
+    what derives from them).  Without it those two checks come back as
+    skipped: ok is None, not a verdict.
     The span envelopes are scanned again, by the code that wrote them, and
     must equal `spans`, be certified and agree with `spans_ok`; they are
     skipped when the boundaries do not match the sequence.  Raises
@@ -917,13 +893,16 @@ def verify_adversary_report(
         results.append(("block-l2-certificates", None, why))
         results.append(("pairwise-distances", None, why))
     elif len(fitted) >= 2:
-        dist, _ = _pairwise_distances(fitted, quad_cells)
-        recorded = report["pairwise_sq_distances"]
+        osc = _oscillation(fitted, quad_cells)
+        dist, recorded = osc["pairwise_sq_distances"], report["pairwise_sq_distances"]
         worst = ""
         for i in range(len(fitted)):
             for j in range(i + 1, len(fitted)):
-                if abs(dist[i][j] - recorded[i][j]) > 1e-9 or dist[i][j] < 1.0 / 20.0:
+                if abs(dist[i][j] - recorded[i][j]) > 1e-9 or dist[i][j] < _OSCILLATION_BOUND:
                     worst = f"pair ({i+1},{j+1}) recomputed {dist[i][j]:.6g}"
+        wrong = [key for key, value in osc.items() if report.get(key) != value]
+        if wrong and not worst:
+            worst = f"recorded {', '.join(wrong)} differ from the recomputed"
         results.append(("pairwise-distances", not worst, worst or "all >= 1/20"))
     if bounds_ok:
         spans = _spans(seq, bounds)

@@ -543,11 +543,13 @@ def checkpoint_to_dict(state: EstimatorState) -> dict:
 
 def checkpoint_from_dict(d: dict) -> dict:
     """Parse a checkpoint into structured pieces (budget, tau, frozen fns)."""
+    stalled = d.get("stalled_at")  # absent: None
     return {
         "budget": VariationBudget.from_dict(d["budget"]),
         "consumed": int(d["consumed"]),
         "tau": [int(t) for t in d["tau"]],
         "frozen": [PiecewiseDyadicFn.from_dict(f) for f in d["frozen"]],
+        "stalled_at": None if stalled is None else int(stalled),
     }
 
 
@@ -581,8 +583,10 @@ def _frozen_checks(seq: SampleSequence, budget, tau: list[int], frozen: list) ->
 def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, str]]:
     """Replay a checkpoint against its sequence and re-validate everything.
 
-    Checks the structure first: one frozen estimate per stopping time, and
-    `consumed` between the last stopping time and the sequence length.
+    Checks the structure first: one frozen estimate per stopping time,
+    `consumed` between the last stopping time and the sequence length, and
+    `stalled_at` either null or, where the stream stopped, equal to
+    `consumed`, which is then past the last stopping time.
     Then, per recorded stopping time: the frozen estimate equals the
     histogram recomputed from scratch on that prefix (exact float
     equality), and the strict variation bound holds on recomputation.
@@ -609,6 +613,10 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
             f"{last} <= consumed={consumed} <= {len(seq)}",
         )
     )
+    stalled = parsed["stalled_at"]
+    ok_stall = stalled is None or last < stalled == consumed
+    detail = f"stalled_at={stalled}, consumed={consumed}, last tau={last}"
+    results.append(("stalled-at-equals-consumed", ok_stall, detail))
     results += _frozen_checks(seq, budget, tau, frozen)
     del parsed, frozen  # the parsed estimates go before the replay makes its own
     replay = EstimatorState(budget)

@@ -222,24 +222,21 @@ def consistency_curve(
     budget: VariationBudget,
     checkpoints: Sequence[int],
     stall_patience: int | None = None,
-    membership_windows: int = 4,
-    metadata: dict | None = None,
 ) -> ErrorCurve:
     """Stream seq through the estimator; exact L2(mu) error at checkpoints.
 
-    Declared budget membership (V(m:-i,i) < alpha(i)) is advisory: a
-    violation is recorded in the metadata rather than raised, because the
-    stopping-time search can still settle whenever the projected variation
-    stays under 4*alpha.  If `stall_patience` is set and the open search
-    exceeds it, the curve is truncated at the last completed checkpoint and
-    `stalled_at` records the sample count where patience ran out.
+    Declared budget membership (V(m:-i,i) < alpha(i) for i = 1..4) is
+    advisory: a violation is recorded in the metadata rather than raised,
+    because the stopping-time search can still settle whenever the
+    projected variation stays under 4*alpha.  If `stall_patience` is set and
+    the open search exceeds it, the curve is truncated at the last completed
+    checkpoint and `stalled_at` records the sample count where patience ran
+    out.
     """
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints or max(checkpoints) > len(seq):
         raise ValueError("checkpoints must be nonempty and within the sequence")
-    meta = dict(metadata or {})
-    meta["budget"] = budget.to_dict()
-    meta["declared_membership_ok"] = m.fits_budget(budget, membership_windows)
+    meta = {"budget": budget.to_dict(), "declared_membership_ok": m.fits_budget(budget, 4)}
     _, rows, stalled_at = stream_checkpoints(
         seq, budget, max(checkpoints), checkpoints, stall_patience, m, mu
     )

@@ -26,7 +26,9 @@ the data and the breakpoints carries the constant tail value, which the
 weighted curves need not share.  A monotone target (a non-negative
 measure, with a cumulative that is non-decreasing in floats) needs only
 its support ends as breakpoints: between two samples D only falls, so the
-samples' right values and left limits already hold its extremes.
+samples' right values and left limits already hold its extremes.  One
+prefix view, `SampleSequence.prefix`, gives the scan a sequence's first m
+points, for the stability diagnostic and the adversary's scans alike.
 
 A separate, weaker statistic is the Levy metric between the empirical CDF
 and the model CDF (`levy_distance`).  It metrizes pointwise CDF convergence
@@ -328,13 +330,8 @@ class SampleSequence:
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise ValueError("x and y must be 1-d arrays of equal length")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        self._index(np.argsort(x, kind="stable"))
-
-    def _index(self, order: np.ndarray) -> None:
-        object.__setattr__(self, "sorted_index", order)
-        object.__setattr__(self, "x_sorted", self.x[order])
+        order = np.argsort(x, kind="stable")
+        vars(self).update(x=x, y=y, sorted_index=order, x_sorted=x[order])
 
     @cached_property
     def y_cumsum_sorted(self) -> np.ndarray:
@@ -342,24 +339,29 @@ class SampleSequence:
         return np.concatenate([[0.0], _compensated_cumsum(self.y[self.sorted_index])])
 
     @classmethod
-    def _presorted(cls, x: np.ndarray, y: np.ndarray, order: np.ndarray) -> "SampleSequence":
-        """Instance over float64 arrays x, y whose stable argsort by x is
-        already known; builds the sorted view without sorting again."""
+    def _presorted(cls, x, y, order, x_sorted) -> "SampleSequence":
+        """Instance over float64 arrays x, y whose stable argsort by x and
+        sorted values are already known."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "x", x)
-        object.__setattr__(seq, "y", y)
-        seq._index(order)
+        vars(seq).update(x=x, y=y, sorted_index=order, x_sorted=x_sorted)
         return seq
 
     def __len__(self) -> int:
         return len(self.x)
 
     def prefix(self, m: int) -> "SampleSequence":
+        """SampleSequence(x[:m], y[:m]), array for array.  A stable sort of
+        the prefix keeps the parent's order of its indices, so its sorted
+        view is the parent's masked to indices below m; below n/16 sorting
+        the prefix costs less than masking all n, and gives the same."""
         if not 0 <= m <= len(self):
             raise ValueError(f"prefix length {m} out of range")
-        # a stable sort of the prefix keeps the parent's order of its indices
-        order = self.sorted_index
-        return SampleSequence._presorted(self.x[:m], self.y[:m], order[order < m])
+        if 16 * m < len(self):
+            return SampleSequence(self.x[:m], self.y[:m])
+        keep = self.sorted_index < m
+        return SampleSequence._presorted(
+            self.x[:m], self.y[:m], self.sorted_index[keep], self.x_sorted[keep]
+        )
 
     # -- counting -------------------------------------------------------------
     def count_le(self, t) -> np.ndarray | int:

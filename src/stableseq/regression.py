@@ -326,9 +326,16 @@ class SignedMeasureModel:
         return self.base.atom_mass(u) * float(self.regressor.eval(u))
 
     def breakpoints(self) -> np.ndarray:
+        """The atoms, the piece ends and each piece's interior zero of the
+        regressor, t = -c/s: between two of them the cumulative is
+        monotone, as the discrepancy scan requires."""
         pts = set(map(float, self.base.breakpoints()))
         pts.update(map(float, self._piece_lo))
         pts.update(map(float, self._piece_hi))
+        with np.errstate(all="ignore"):  # pieces with s == 0 are discarded
+            zeros = -self._coef_c / self._coef_s
+        inside = (self._coef_s != 0) & (self._piece_lo < zeros) & (zeros < self._piece_hi)
+        pts.update(map(float, zeros[inside]))
         return np.array(sorted(pts), dtype=float)
 
     def total(self) -> float:

@@ -22,7 +22,8 @@ from stableseq.adversary import (
     BlockStreams,
     HorizonExhausted,
     RademacherMeasure,
-    _SortedPrefixes,
+    _uniform_sorted,
+    _weighted_sorted,
     certified_prefix_scan,
     compute_block_thresholds,
     rademacher_eval,
@@ -149,11 +150,11 @@ def test_scan_values_equal_per_prefix_functions(xs, k, data):
         dtype=float,
     )
     target = RademacherMeasure(k)
-    prefixes = _SortedPrefixes(SampleSequence(x, y), target)
+    seq = SampleSequence(x, y)
     for m in range(1, len(x) + 1):
-        u = prefixes.uniform(m)
+        u = _uniform_sorted(seq.prefix(m).x_sorted)
         assert u == ref_uniform(x[:m]) == uniform_prefix_discrepancy(x[:m])
-        w = prefixes.weighted(m)
+        w = _weighted_sorted(seq.prefix(m), target)
         assert w == ref_weighted(x[:m], y[:m], target)
         assert w == weighted_prefix_discrepancy(x[:m], y[:m], target)
 
@@ -161,10 +162,9 @@ def test_scan_values_equal_per_prefix_functions(xs, k, data):
 def test_scan_values_equal_on_a_real_block():
     blk = BlockStreams(AdversaryConfig(n_blocks=2, horizon=1 << 12)).block(2)
     target = RademacherMeasure(2)
-    prefixes = _SortedPrefixes(blk, target)
     for m in [1, 2, 3, 17, 100, 1000, 4095, 4096]:
-        assert prefixes.uniform(m) == ref_uniform(blk.x[:m])
-        assert prefixes.weighted(m) == ref_weighted(blk.x[:m], blk.y[:m], target)
+        assert _uniform_sorted(blk.prefix(m).x_sorted) == ref_uniform(blk.x[:m])
+        assert _weighted_sorted(blk.prefix(m), target) == ref_weighted(blk.x[:m], blk.y[:m], target)
 
 
 def _tied_block(seed, n, k):

@@ -422,10 +422,10 @@ class TestAdversary:
         for art in outs[0]:
             assert (tmp_path / "name" / art).read_bytes() == (tmp_path / "object" / art).read_bytes()
 
-    def _verify_edited(self, tmp_path, edit):
+    def _verify_edited(self, tmp_path, edit, phi="plugin"):
         cfg = write_json(
             tmp_path / "a.json",
-            {"phi": "plugin", "n_blocks": 3, "horizon": 1 << 13, "block_budget": 1 << 14},
+            {"phi": phi, "n_blocks": 3, "horizon": 1 << 13, "block_budget": 1 << 14},
         )
         assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
         report = json.loads((tmp_path / "a" / "report.json").read_text())
@@ -470,6 +470,19 @@ class TestAdversary:
         assert self._verify_edited(tmp_path, edit) == 1
         fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
         assert len(fails) == 1 and "span-envelopes" in fails[0]
+
+    def test_edited_oscillation_fails(self, tmp_path, capsys):
+        # verify derives the oscillation fields from the boundary fits
+        def edit(report):
+            report.update(oscillation_ok=False, min_pairwise_sq_distance=0.001,
+                          pairwise_distances_converged=False)
+
+        assert self._verify_edited(tmp_path, edit, phi="oracle") == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1 and "pairwise-distances" in fails[0]
+        for field in ("pairwise_distances_converged", "min_pairwise_sq_distance",
+                      "oscillation_ok"):
+            assert field in fails[0]
 
     def test_unedited_spans_pass(self, tmp_path, capsys):
         assert self._verify_edited(tmp_path, lambda report: None) == 0
@@ -628,7 +641,21 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS  frozen-count-equals-tau-count" in out
         assert "PASS  consumed-within-sequence" in out
+        assert "PASS  stalled-at-equals-consumed  (stalled_at=None" in out
         assert "FAIL" not in out
+
+    def test_stalled_checkpoint_verifies(self, tmp_path, capsys):
+        seq, _ = self._iid_checkpoint(tmp_path)
+        ecfg = write_json(
+            tmp_path / "s.json",
+            {"sequence": seq, "alpha": {"kind": "constant", "c": 1.0}, "stall_patience": 20},
+        )
+        assert main(["estimate", "--config", ecfg, "--out", str(tmp_path / "s")]) == 4
+        chk = json.loads((tmp_path / "s" / "checkpoint.json").read_text())
+        assert chk["stalled_at"] == chk["consumed"] > chk["tau"][-1]
+        capsys.readouterr()
+        assert self._verify(tmp_path, seq, str(tmp_path / "s" / "checkpoint.json")) == 0
+        assert "PASS  stalled-at-equals-consumed" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "edit, check",
@@ -639,8 +666,10 @@ class TestVerify:
             (lambda c: c.update(consumed=10**9), "consumed-within-sequence"),
             # the replay would slice the sequence to all but its last 5 pairs
             (lambda c: c.update(consumed=-5), "consumed-within-sequence"),
+            # the run did not stall, and a stall is where the stream stopped
+            (lambda c: c.update(stalled_at=7), "stalled-at-equals-consumed"),
         ],
-        ids=["extra-frozen", "consumed-1e9", "consumed-negative"],
+        ids=["extra-frozen", "consumed-1e9", "consumed-negative", "stalled-at-7"],
     )
     def test_checkpoint_structure_edit_fails(self, tmp_path, capsys, edit, check):
         seq, chk = self._iid_checkpoint(tmp_path)

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from conftest import grid_breakpoints, random_mixture_model
 from stableseq.adversary import (
     RademacherMeasure,
-    _SortedPrefixes,
+    _uniform_sorted,
+    _weighted_sorted,
     uniform_prefix_discrepancy,
     weighted_prefix_discrepancy,
 )
@@ -195,18 +196,17 @@ def test_prefix_scans_equal_reference(seed, n, tied):
     block = SampleSequence(x, y)
     distinct = bool(np.all(block.x_sorted[1:] > block.x_sorted[:-1]))
     for target in continuous_targets(rng):
-        prefixes = _SortedPrefixes(block, target)
         t_sorted = np.asarray(target.cumulative(block.x_sorted), dtype=float)
         for m in range(1, n + 1):
             sel = np.flatnonzero(block.sorted_index < m)
             xs = block.x_sorted[sel]
             want_u = ref_uniform_sorted(xs)
             assert uniform_prefix_discrepancy(x[:m]) == want_u
-            assert prefixes.uniform(m) == want_u
+            assert _uniform_sorted(block.prefix(m).x_sorted) == want_u
             ys = y[block.sorted_index][sel]
             want_w = ref_weighted_sorted(xs, ys, t_sorted[sel], target, False)
             assert weighted_prefix_discrepancy(x[:m], y[:m], target) == want_w
-            assert prefixes.weighted(m) == want_w
+            assert _weighted_sorted(block.prefix(m), target) == want_w
             assert want_w == ref_weighted_sorted(xs, ys, t_sorted[sel], target, distinct)
 
 
@@ -230,14 +230,13 @@ def test_grid_free_scans_equal_grid_scans(seed, n, k, binary):
     target = RademacherMeasure(k)
     seq = SampleSequence(x, y)
     assert sup_weighted_discrepancy(seq, target) == ref_sup_weighted(seq, target)
-    prefixes = _SortedPrefixes(seq, target)
     ys = y[seq.sorted_index]
     t_sorted = target.cumulative(seq.x_sorted)
     for m in range(1, n + 1):
         sel = np.flatnonzero(seq.sorted_index < m)
         want = ref_weighted_sorted(seq.x_sorted[sel], ys[sel], t_sorted[sel], target, False)
         assert weighted_prefix_discrepancy(x[:m], y[:m], target) == want
-        assert prefixes.weighted(m) == want
+        assert _weighted_sorted(seq.prefix(m), target) == want
 
 
 @pytest.mark.parametrize("at", [0, 2, 4])

@@ -128,20 +128,32 @@ class TestEmpiricalProperties:
         assert got == pytest.approx(direct, abs=1e-12)
 
     @given(
-        st.lists(st.integers(0, 6).map(lambda i: i / 4.0), min_size=1, max_size=40),
+        st.lists(
+            st.one_of(
+                st.integers(-2, 6).map(lambda i: i / 4.0),  # ties, and values outside [0, 1]
+                st.floats(-3.0, 3.0),
+                st.just(math.nan),
+                st.just(-0.0),
+            ),
+            max_size=80,
+        ),
         st.data(),
     )
     def test_prefix_sorted_view_equals_stable_sort(self, xs, data):
-        # the prefix takes its sorted view from the parent's, without sorting
-        x = np.array(xs)
-        y = np.arange(len(xs), dtype=float) - 3.0
-        m = data.draw(st.integers(0, len(xs)))
-        pre = SampleSequence(x, y).prefix(m)
-        assert np.array_equal(pre.sorted_index, np.argsort(x[:m], kind="stable"))
-        plain = SampleSequence(x[:m], y[:m])
-        assert np.array_equal(pre.x_sorted, plain.x_sorted)
-        assert np.array_equal(pre.y_cumsum_sorted, plain.y_cumsum_sorted)
-        assert np.array_equal(pre.x, x[:m]) and np.array_equal(pre.y, y[:m])
+        # prefix(m) is the sequence built from the first m pairs, bit for
+        # bit, at every m: the parent's masked view (16 m >= n) and the
+        # sorted short prefix (16 m < n) alike
+        x = np.array(xs, dtype=float)
+        y = np.array(
+            data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(xs), max_size=len(xs))),
+            dtype=float,
+        )
+        seq = SampleSequence(x, y)
+        for m in range(len(xs) + 1):
+            got, want = seq.prefix(m), SampleSequence(x[:m], y[:m])
+            for name in ("x", "y", "sorted_index", "x_sorted", "y_cumsum_sorted"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (m, name)
 
 
 class TestEmpirical:
@@ -242,6 +254,20 @@ class TestSupWeightedDiscrepancy:
         seq = SampleSequence(np.array([0.1, 0.6]), np.array([1.0, 0.0]))
         target = SignedMeasureModel(UNIFORM, m)
         assert sup_weighted_discrepancy(seq, target) == pytest.approx(0.5, abs=1e-12)
+
+    def test_regressor_zero_inside_a_piece_is_scanned(self):
+        # nu(-inf, t] = t^2 - t has its minimum -1/4 at the regressor's zero
+        # t = 1/2, inside the one piece (0, 1]; (0, 1/2] alone deviates by 1/4
+        m = RegressionModel.piecewise_linear([0.0, 1.0], [-1.0, 1.0])
+        target = SignedMeasureModel(UNIFORM, m)
+        assert target.breakpoints().tolist() == [0.0, 0.5, 1.0]
+        seq = SampleSequence(np.array([0.9]), np.array([0.0]))
+        assert sup_weighted_discrepancy(seq, target) == 0.25
+        # the identity's zero is the segment end 0, and the ramp has none
+        ramp = RegressionModel.piecewise_linear([0.2, 0.8], [0.2, 0.8])
+        identity = SignedMeasureModel(UNIFORM, RegressionModel.identity_on_unit())
+        assert identity.breakpoints().tolist() == [0.0, 1.0]
+        assert SignedMeasureModel(UNIFORM, ramp).breakpoints().tolist() == [0.0, 0.2, 0.8, 1.0]
 
     def test_signed_measure_bound(self, rng):
         for _ in range(20):
