@@ -543,13 +543,11 @@ def checkpoint_to_dict(state: EstimatorState) -> dict:
 
 def checkpoint_from_dict(d: dict) -> dict:
     """Parse a checkpoint into structured pieces (budget, tau, frozen fns)."""
-    stalled = d.get("stalled_at")  # absent: None
     return {
         "budget": VariationBudget.from_dict(d["budget"]),
         "consumed": int(d["consumed"]),
         "tau": [int(t) for t in d["tau"]],
         "frozen": [PiecewiseDyadicFn.from_dict(f) for f in d["frozen"]],
-        "stalled_at": None if stalled is None else int(stalled),
     }
 
 
@@ -613,8 +611,8 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
             f"{last} <= consumed={consumed} <= {len(seq)}",
         )
     )
-    stalled = parsed["stalled_at"]
-    ok_stall = stalled is None or last < stalled == consumed
+    stalled = chk.get("stalled_at")  # absent: null
+    ok_stall = stalled is None or (type(stalled) is int and last < stalled == consumed)
     detail = f"stalled_at={stalled}, consumed={consumed}, last tau={last}"
     results.append(("stalled-at-equals-consumed", ok_stall, detail))
     results += _frozen_checks(seq, budget, tau, frozen)

@@ -668,8 +668,10 @@ class TestVerify:
             (lambda c: c.update(consumed=-5), "consumed-within-sequence"),
             # the run did not stall, and a stall is where the stream stopped
             (lambda c: c.update(stalled_at=7), "stalled-at-equals-consumed"),
+            (lambda c: c.update(stalled_at=c["consumed"] + 0.5), "stalled-at-equals-consumed"),
         ],
-        ids=["extra-frozen", "consumed-1e9", "consumed-negative", "stalled-at-7"],
+        ids=["extra-frozen", "consumed-1e9", "consumed-negative", "stalled-at-7",
+             "stalled-at-not-an-int"],
     )
     def test_checkpoint_structure_edit_fails(self, tmp_path, capsys, edit, check):
         seq, chk = self._iid_checkpoint(tmp_path)
