@@ -98,6 +98,7 @@ from .partitions import (
     PiecewiseDyadicFn,
     VariationBudget,
     _cell_indices,
+    _numbers,
     _smallest_window,
     adjacent_jumps,
     cell_of,
@@ -542,11 +543,12 @@ def checkpoint_to_dict(state: EstimatorState) -> dict:
 
 
 def checkpoint_from_dict(d: dict) -> dict:
-    """Parse a checkpoint into structured pieces (budget, tau, frozen fns)."""
+    """Parse a checkpoint into structured pieces (budget, tau, frozen fns);
+    a non-integer count, stopping time, k or cell index raises ValueError."""
     return {
         "budget": VariationBudget.from_dict(d["budget"]),
-        "consumed": int(d["consumed"]),
-        "tau": [int(t) for t in d["tau"]],
+        "consumed": _numbers([d["consumed"]], integer=True)[0],
+        "tau": _numbers(list(d["tau"]), integer=True),
         "frozen": [PiecewiseDyadicFn.from_dict(f) for f in d["frozen"]],
     }
 

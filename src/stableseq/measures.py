@@ -16,7 +16,9 @@ the closure of its range.  D is piecewise linear between the breakpoints of
 either CDF, hence the extrema sit at breakpoint right-values and left
 limits, plus the value 0 carried by a -> -inf / b beyond the data.  No
 epsilon-perturbation is involved; suprema that are approached but not
-attained are captured by the left limits.
+attained are captured by the left limits.  One table of atoms and pieces,
+`_CumulativeTable`, evaluates the cumulative and its left limit of mu and
+of nu(A) = integral of m over A against mu alike.
 
 One scan, `_interval_sup`, evaluates that supremum on points sorted by
 value, for the plain class and the y-weighted one alike: it counts with
@@ -48,6 +50,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .partitions import _numbers
 
 __all__ = [
     "IntervalA",
@@ -102,6 +106,57 @@ class ModelError(ValueError):
 _MASS_TOL = 1e-12
 
 
+class _CumulativeTable:
+    """The cumulative of atoms, (location, value) pairs, and pieces, (lo,
+    hi, d) rows: each piece (lo, hi] has density d * (c + s*t), with (c, s)
+    = coefs(midpoint), or c = 1 and s = 0 without coefs (mu).  Both sorted,
+    the pieces disjoint.  The slope term is evaluated on sloped pieces only:
+    far out t*t overflows, and 0 * inf is NaN.  The piece cumulative starts
+    at +0.0, so no value read from it is -0.0; without atoms, adding their
+    +0.0 is skipped."""
+
+    def __init__(self, atoms, pieces, coefs=None):
+        self.locs, vals = np.array(atoms, dtype=float).reshape(-1, 2).T.copy()
+        self.atom_cum = np.concatenate([[0.0], np.cumsum(vals)])
+        self.lo, self.hi, self.d = np.array(pieces, dtype=float).reshape(-1, 3).T.copy()
+        mids = (self.lo + self.hi) / 2.0
+        self.c, self.s = coefs(mids) if coefs else (None, np.zeros_like(mids))
+        self._sloped = self.s != 0
+        whole = self._integral(np.arange(len(mids)), self.hi.copy())
+        self.piece_cum = np.cumsum(np.concatenate([[0.0], whole]))
+
+    def _integral(self, p: np.ndarray, tt: np.ndarray) -> np.ndarray:
+        """The measure of (lo, tt] on each piece p, tt clipped to the piece:
+        d*(c*(tt - lo) + (0.5*s)*(tt*tt - lo*lo)), computed in tt's memory."""
+        lo = self.lo[p]
+        np.minimum(tt, self.hi[p], out=tt)
+        np.maximum(tt, lo, out=tt)
+        q = self._sloped[p]
+        slope = np.square(tt[q])
+        slope -= np.square(lo[q])
+        slope *= 0.5 * self.s[p[q]]
+        tt -= lo
+        if self.c is not None:
+            tt *= self.c[p]
+        tt[q] += slope
+        tt *= self.d[p]
+        return tt
+
+    def at(self, t, side: str) -> np.ndarray | float:
+        """The measure of (-inf, t] (side "right") or (-inf, t) ("left")."""
+        scalar = np.ndim(t) == 0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        p = np.searchsorted(self.hi, t, side="left")
+        inside = p < len(self.hi)
+        out = self.piece_cum[np.minimum(p, len(self.hi))]
+        p = p[inside]
+        out[inside] += self._integral(p, t[inside])
+        del p, inside
+        if len(self.locs):
+            out += self.atom_cum[np.searchsorted(self.locs, t, side=side)]
+        return float(out[0]) if scalar else out
+
+
 @dataclass(frozen=True)
 class DistributionModel:
     """Probability distribution = finite atoms + piecewise-constant density.
@@ -119,15 +174,6 @@ class DistributionModel:
     atoms: tuple[tuple[float, float], ...] = ()
     segments: tuple[tuple[float, float, float], ...] = ()
 
-    # derived arrays, filled in __post_init__
-    _atom_locs: np.ndarray = field(repr=False, compare=False, default=None)
-    _atom_mass: np.ndarray = field(repr=False, compare=False, default=None)
-    _atom_cum: np.ndarray = field(repr=False, compare=False, default=None)
-    _seg_a: np.ndarray = field(repr=False, compare=False, default=None)
-    _seg_b: np.ndarray = field(repr=False, compare=False, default=None)
-    _seg_d: np.ndarray = field(repr=False, compare=False, default=None)
-    _seg_cum: np.ndarray = field(repr=False, compare=False, default=None)
-
     def __post_init__(self):
         atoms = tuple(sorted((float(u), float(m)) for u, m in self.atoms))
         segs = tuple(
@@ -136,8 +182,7 @@ class DistributionModel:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "segments", segs)
 
-        locs = [u for u, _ in atoms]
-        if len(set(locs)) != len(locs):
+        if len({u for u, _ in atoms}) != len(atoms):
             raise ModelError("atom locations must be distinct")
         if any(m <= 0 for _, m in atoms):
             raise ModelError("atom masses must be positive")
@@ -152,15 +197,7 @@ class DistributionModel:
         total = math.fsum([m for _, m in atoms] + [d * (b - a) for a, b, d in segs])
         if abs(total - 1.0) > _MASS_TOL:
             raise ModelError(f"total mass is {total!r}, must be 1 within {_MASS_TOL}")
-
-        object.__setattr__(self, "_atom_locs", np.array(locs, dtype=float))
-        object.__setattr__(self, "_atom_mass", np.array([m for _, m in atoms], dtype=float))
-        object.__setattr__(self, "_atom_cum", np.concatenate([[0.0], np.cumsum(self._atom_mass)]))
-        object.__setattr__(self, "_seg_a", np.array([a for a, _, _ in segs], dtype=float))
-        object.__setattr__(self, "_seg_b", np.array([b for _, b, _ in segs], dtype=float))
-        object.__setattr__(self, "_seg_d", np.array([d for _, _, d in segs], dtype=float))
-        seg_mass = self._seg_d * (self._seg_b - self._seg_a)
-        object.__setattr__(self, "_seg_cum", np.concatenate([[0.0], np.cumsum(seg_mass)]))
+        object.__setattr__(self, "_cum", _CumulativeTable(atoms, segs))
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -178,35 +215,15 @@ class DistributionModel:
     # -- CDF machinery --------------------------------------------------------
     def cdf(self, t) -> np.ndarray | float:
         """mu(-inf, t], vectorized; exact up to float rounding."""
-        scalar = np.ndim(t) == 0
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self._atom_cum[np.searchsorted(self._atom_locs, t_arr, side="right")]
-        out = out + self._continuous_cdf(t_arr)
-        return float(out[0]) if scalar else out
+        return self._cum.at(t, "right")
 
     def cdf_left(self, t) -> np.ndarray | float:
         """mu(-inf, t), the left limit of the CDF."""
-        scalar = np.ndim(t) == 0
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self._atom_cum[np.searchsorted(self._atom_locs, t_arr, side="left")]
-        out = out + self._continuous_cdf(t_arr)
-        return float(out[0]) if scalar else out
+        return self._cum.at(t, "left")
 
     # mu as a target of the interval scan, which counts the plain class with y = 1
     cumulative = cdf
     cumulative_left = cdf_left
-
-    def _continuous_cdf(self, t: np.ndarray) -> np.ndarray:
-        if len(self._seg_a) == 0:
-            return np.zeros_like(t)
-        idx = np.searchsorted(self._seg_b, t, side="left")
-        out = self._seg_cum[np.minimum(idx, len(self._seg_a))].copy()
-        inside = idx < len(self._seg_a)
-        if np.any(inside):
-            ii = idx[inside]
-            part = np.maximum(0.0, np.minimum(t[inside], self._seg_b[ii]) - self._seg_a[ii])
-            out[inside] += self._seg_d[ii] * part
-        return out
 
     def atom_mass(self, t: float) -> float:
         """mu({t})."""
@@ -217,9 +234,7 @@ class DistributionModel:
 
     def breakpoints(self) -> np.ndarray:
         """All CDF breakpoints: atom locations and segment endpoints."""
-        pts = list(self._atom_locs)
-        for a, b, _ in self.segments:
-            pts.extend((a, b))
+        pts = [u for u, _ in self.atoms] + [v for a, b, _ in self.segments for v in (a, b)]
         return np.array(sorted(set(pts)), dtype=float)
 
     def inverse_cdf(self, u) -> np.ndarray:
@@ -271,10 +286,10 @@ class DistributionModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistributionModel":
-        return cls(
-            atoms=tuple((u, m) for u, m in d.get("atoms", [])),
-            segments=tuple((a, b, dd) for a, b, dd in d.get("segments", [])),
-        )
+        atoms = tuple((u, m) for u, m in d.get("atoms", []))
+        segments = tuple((a, b, dd) for a, b, dd in d.get("segments", []))
+        _numbers([v for row in atoms + segments for v in row])
+        return cls(atoms=atoms, segments=segments)
 
 
 def interval_prob(model: DistributionModel, A: IntervalA) -> float:

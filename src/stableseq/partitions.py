@@ -26,8 +26,22 @@ interior cell boundaries do).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
+
+
+def _numbers(values, integer: bool = False):
+    """values, a list of numbers (integers with integer=True), checked in one
+    pass over their types: the `from_dict` readers take JSON numbers only, so
+    a bool, a string, null or a float for an integer raises ValueError."""
+    kind = numbers.Integral if integer else numbers.Real
+    for t in set(map(type, values)):
+        if issubclass(t, bool) or not issubclass(t, kind):
+            bad = next(v for v in values if type(v) is t)
+            raise ValueError(f"{bad!r} is not {'an integer' if integer else 'a number'}")
+    return values
+
 
 @dataclass(frozen=True)
 class DyadicCell:
@@ -145,11 +159,10 @@ class PiecewiseDyadicFn:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewiseDyadicFn":
-        return cls(
-            k=int(d["k"]),
-            values={int(j): float(v) for j, v in d["cells"]},
-            default=float(d["default"]),
-        )
+        cells, k, default = d["cells"], d["k"], d["default"]
+        _numbers([k] + [j for j, _ in cells], integer=True)
+        _numbers([default] + [v for _, v in cells])
+        return cls(int(k), {int(j): float(v) for j, v in cells}, float(default))
 
 
 def adjacent_jumps(f: PiecewiseDyadicFn):
@@ -260,9 +273,9 @@ class VariationBudget:
     def from_dict(cls, d: dict) -> "VariationBudget":
         kind = d["kind"]
         if kind == "constant":
-            return cls.const(d["c"])
+            return cls.const(*_numbers([d["c"]]))
         if kind == "affine":
-            return cls.affine(d["slope"], d["intercept"])
+            return cls.affine(*_numbers([d["slope"], d["intercept"]]))
         if kind == "table":
-            return cls.from_table(d["values"])
+            return cls.from_table(_numbers(d["values"]))
         raise ValueError(f"unknown budget kind {kind!r}")

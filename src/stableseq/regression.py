@@ -13,10 +13,10 @@ their class membership declared and *verified exactly* from the node data
 steepest piece), not estimated off a grid.
 
 `SignedMeasureModel` pairs a distribution with a regression curve and
-materializes nu(A) = integral of m over A against mu.  Its cumulative
-function is piecewise quadratic with jumps at the atoms; the construction
-precomputes the piece table once, so interval values, cumulative values and
-left limits are cheap and vectorized.
+materializes nu(A) = integral of m over A against mu: mu's segments cut at
+m's breakpoints, each with density d*(c + s*t), go into the table of atoms
+and pieces that also evaluates mu's CDF (`measures._CumulativeTable`), once,
+so cumulative values and left limits are vectorized.
 
 `average_over_partition` is the conditional-average projection onto a
 dyadic partition: on each cell of positive mu-mass the value is
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DistributionModel, IntervalA
-from .partitions import PiecewiseDyadicFn, adjacent_jumps, cell_of
+from .measures import DistributionModel, IntervalA, _CumulativeTable
+from .partitions import PiecewiseDyadicFn, _numbers, adjacent_jumps, cell_of
 
 __all__ = [
     "RegressionModel",
@@ -247,8 +247,10 @@ class RegressionModel:
     def from_dict(cls, d: dict) -> "RegressionModel":
         if d["kind"] == "dyadic":
             return cls.from_dyadic(PiecewiseDyadicFn.from_dict(d["fn"]))
+        lipschitz = d.get("lipschitz")
         return cls.piecewise_linear(
-            d["xs"], d["vs"], d.get("monotone", False), d.get("lipschitz")
+            _numbers(d["xs"]), _numbers(d["vs"]), d.get("monotone", False),
+            None if lipschitz is None else _numbers([lipschitz])[0],
         )
 
 
@@ -266,56 +268,18 @@ class SignedMeasureModel:
     def __init__(self, base: DistributionModel, regressor: RegressionModel):
         self.base = base
         self.regressor = regressor
-        lows: list[float] = []
-        highs: list[float] = []
-        dens: list[float] = []  # m = c + s*t against density d on each (lo, hi]
+        pieces = []  # m = c + s*t against density d on each (lo, hi]
         for a, b, d in base.segments:
-            cuts = [a] + [float(t) for t in regressor.breakpoints_in(a, b)] + [b]
-            lows += cuts[:-1]
-            highs += cuts[1:]
-            dens += [d] * (len(cuts) - 1)
-        lo = self._piece_lo = np.array(lows, dtype=float)
-        hi = self._piece_hi = np.array(highs, dtype=float)
-        d = self._coef_d = np.array(dens, dtype=float)
-        c, s = self._coef_c, self._coef_s = regressor._linear_pieces((lo + hi) / 2.0)
-        # the running sum starts at 0.0, so a first piece of -0.0 gives 0.0
-        parts = d * (c * (hi - lo) + 0.5 * s * (hi * hi - lo * lo))
-        self._piece_cum = np.cumsum(np.concatenate([[0.0], parts]))
-        self._atom_locs = np.array([u for u, _ in base.atoms], dtype=float)
-        self._atom_vals = np.array(
-            [m * float(regressor.eval(u)) for u, m in base.atoms], dtype=float
-        )
-        self._atom_cum = np.concatenate([[0.0], np.cumsum(self._atom_vals)])
-
-    def _continuous_cumulative(self, t: np.ndarray) -> np.ndarray:
-        n_pieces = len(self._piece_lo)
-        if n_pieces == 0:
-            return np.zeros_like(t)
-        idx = np.searchsorted(self._piece_hi, t, side="left")
-        out = self._piece_cum[np.minimum(idx, n_pieces)].copy()
-        inside = np.nonzero(idx < n_pieces)[0]
-        if len(inside):
-            p = idx[inside]
-            lo = self._piece_lo[p]
-            tt = np.maximum(np.minimum(t[inside], self._piece_hi[p]), lo)
-            out[inside] += self._coef_d[p] * (
-                self._coef_c[p] * (tt - lo) + 0.5 * self._coef_s[p] * (tt * tt - lo * lo)
-            )
-        return out
+            cuts = [a, *map(float, regressor.breakpoints_in(a, b)), b]
+            pieces += [(lo, hi, d) for lo, hi in zip(cuts, cuts[1:])]
+        atoms = [(u, m * float(regressor.eval(u))) for u, m in base.atoms]
+        self._cum = _CumulativeTable(atoms, pieces, regressor._linear_pieces)
 
     def cumulative(self, t) -> np.ndarray | float:
-        scalar = np.ndim(t) == 0
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self._atom_cum[np.searchsorted(self._atom_locs, t_arr, side="right")]
-        out = out + self._continuous_cumulative(t_arr)
-        return float(out[0]) if scalar else out
+        return self._cum.at(t, "right")
 
     def cumulative_left(self, t) -> np.ndarray | float:
-        scalar = np.ndim(t) == 0
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self._atom_cum[np.searchsorted(self._atom_locs, t_arr, side="left")]
-        out = out + self._continuous_cumulative(t_arr)
-        return float(out[0]) if scalar else out
+        return self._cum.at(t, "left")
 
     def interval(self, A: IntervalA) -> float:
         hi = self.cumulative(A.b)
@@ -330,19 +294,16 @@ class SignedMeasureModel:
         regressor, t = -c/s: between two of them the cumulative is
         monotone, as the discrepancy scan requires."""
         pts = set(map(float, self.base.breakpoints()))
-        pts.update(map(float, self._piece_lo))
-        pts.update(map(float, self._piece_hi))
+        cum = self._cum
+        pts.update([*cum.lo.tolist(), *cum.hi.tolist()])
         with np.errstate(all="ignore"):  # pieces with s == 0 are discarded
-            zeros = -self._coef_c / self._coef_s
-        inside = (self._coef_s != 0) & (self._piece_lo < zeros) & (zeros < self._piece_hi)
-        pts.update(map(float, zeros[inside]))
+            zeros = -cum.c / cum.s
+        pts.update(zeros[cum._sloped & (cum.lo < zeros) & (zeros < cum.hi)].tolist())
         return np.array(sorted(pts), dtype=float)
 
     def total(self) -> float:
         """integral of m d(mu) over the whole line."""
-        pts = self.breakpoints()
-        anchor = (float(pts.max()) + 1.0) if len(pts) else 1.0
-        return float(self.cumulative(anchor))
+        return float(self._cum.atom_cum[-1] + self._cum.piece_cum[-1])
 
 
 def average_over_partition(

@@ -2,12 +2,13 @@
 
 perfbench/digests.json pins the sha256 of every artifact each workload
 writes.  The benchmark checks them only when it runs; these tests run each
-workload's smoke-size stages, stream-vdc at its full size (2^16 pairs,
-frozen estimates to depth 16: about 3 s) and adversary-plugin at its full
-size (horizon 2^20, five blocks of 2^20 values each: about 4 s), through
-the CLI in-process and compare, so a changed output byte fails tier-1.
-stream-vdc ignores the seed; adversary-plugin runs at the pinned default
-seed.  perfbench/ is read, never written.
+workload's smoke-size stages and each one at its full size: stream-vdc
+(2^16 pairs, frozen estimates to depth 16: about 3 s), stream-noisy (2^18
+pairs, whose stability report evaluates mu and nu at up to 2^18 points:
+about 2 s) and adversary-plugin (horizon 2^20, five blocks of 2^20 values
+each: about 4 s), through the CLI in-process and compare, so a changed
+output byte fails tier-1.  stream-vdc ignores the seed; the others run at
+the pinned default seed.  perfbench/ is read, never written.
 """
 import hashlib
 import importlib.util
@@ -60,6 +61,12 @@ def test_full_stream_vdc_artifacts_match_pins(tmp_path, monkeypatch, capsys):
     assert not WORKLOADS.WORKLOADS["stream-vdc"].seeded
     monkeypatch.chdir(tmp_path)
     run_and_compare("full", "stream-vdc")
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_full_stream_noisy_artifacts_match_pins(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_and_compare("full", "stream-noisy")
     assert "FAIL" not in capsys.readouterr().out
 
 

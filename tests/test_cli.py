@@ -254,8 +254,16 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "bad,path",
         [({"checkpoints": [2.5]}, "'checkpoints[0]'"), ({"truth": 0}, "'truth'"),
-         ({"stall_patience": "x"}, "'stall_patience'"), ({"alpha": []}, "'alpha'")],
-        ids=["checkpoint-float", "truth-0", "patience-string", "alpha-array"],
+         ({"stall_patience": "x"}, "'stall_patience'"), ({"alpha": []}, "'alpha'"),
+         # the model readers take JSON numbers only
+         ({"alpha": {"kind": "constant", "c": "2.0"}}, "'alpha'"),
+         ({"alpha": {"kind": "constant", "c": True}}, "'alpha'"),
+         ({"truth": {"distribution": UNIT_UNIFORM,
+                     "regression": {**RAMP, "xs": ["0", 1]}}}, "'truth.regression'"),
+         ({"truth": {"distribution": {"atoms": [[True, 0.5]], "segments": [[0.0, 1.0, 0.5]]},
+                     "regression": RAMP}}, "'truth.distribution'")],
+        ids=["checkpoint-float", "truth-0", "patience-string", "alpha-array",
+             "budget-string", "budget-bool", "regression-node-string", "atom-at-true"],
     )
     def test_bad_value_exit2_names_key_path(self, tmp_path, capsys, bad, path):
         seq_csv = self._sequence(tmp_path, n=8)
@@ -498,6 +506,20 @@ class TestAdversary:
         assert self._verify_edited(tmp_path, edit) == 2
         assert "block 1 of the report has k = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda r: r["blocks"][0]["certificates"].update(min_length_required=7.9),
+         lambda r: r["blocks"][0].update(n_k=16.5),
+         lambda r: r["blocks"][0].update(n_k=float(r["blocks"][0]["n_k"])),
+         lambda r: r["blocks"][0].update(k=1.0),
+         lambda r: r.update(total_length=float(r["total_length"]))],
+        ids=["min-length-7.9", "n_k-16.5", "n_k-float", "k-float", "total-length-float"],
+    )
+    def test_non_integer_report_field_exit2(self, tmp_path, capsys, edit):
+        # each was truncated by int() and verified with exit 0
+        assert self._verify_edited(tmp_path, edit, phi="oracle") == 2
+        assert "is not an integer" in capsys.readouterr().err
+
     def test_constant_phi_witness_exit5(self, tmp_path):
         cfg = write_json(
             tmp_path / "a.json",
@@ -680,6 +702,25 @@ class TestVerify:
         assert self._verify(tmp_path, seq, write_json(tmp_path / "c.json", chk)) == 1
         fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
         assert len(fails) == 1 and check in fails[0]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda c: c.update(consumed=c["consumed"] + 0.9),
+         lambda c: c["tau"].append(c["tau"].pop() + 0.4),
+         lambda c: c["frozen"][-1]["cells"][0].__setitem__(0, float(c["frozen"][-1]["cells"][0][0])),
+         lambda c: c["frozen"][-1].update(k=float(c["frozen"][-1]["k"])),
+         lambda c: c["budget"].update(c=str(c["budget"]["c"])),
+         lambda c: c["budget"].update(c=True)],
+        ids=["consumed-float", "tau-float", "cell-index-float", "k-float", "budget-string",
+             "budget-bool"],
+    )
+    def test_checkpoint_non_integer_exit2(self, tmp_path, capsys, edit):
+        # each was truncated by int() or read by float() and verified with exit 0
+        seq, chk = self._iid_checkpoint(tmp_path)
+        edit(chk)
+        capsys.readouterr()
+        assert self._verify(tmp_path, seq, write_json(tmp_path / "c.json", chk)) == 2
+        assert "bad report" in capsys.readouterr().err
 
     def _verify(self, tmp_path, sequence, report):
         vcfg = write_json(tmp_path / "v.json", {"sequence": sequence, "report": report})

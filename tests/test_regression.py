@@ -148,11 +148,12 @@ class TestSignedMeasureModel:
                         coefs.append((lo, hi, d, c, s))
                         acc += d * (c * (hi - lo) + 0.5 * s * (hi * hi - lo * lo))
                         cum.append(acc)
-                got = zip(nu._piece_lo, nu._piece_hi, nu._coef_d, nu._coef_c, nu._coef_s)
+                table = nu._cum
+                got = zip(table.lo, table.hi, table.d, table.c, table.s)
                 assert [tuple(map(repr, map(float, row))) for row in got] == [
                     tuple(map(repr, map(float, row))) for row in coefs
                 ]
-                assert list(map(repr, nu._piece_cum.tolist())) == list(map(repr, cum))
+                assert list(map(repr, table.piece_cum.tolist())) == list(map(repr, cum))
 
     def test_exact_interval_values(self):
         nu = SignedMeasureModel(UNIFORM, RegressionModel.identity_on_unit())
