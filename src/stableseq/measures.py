@@ -151,7 +151,7 @@ class _CumulativeTable:
         out = self.piece_cum[np.minimum(p, len(self.hi))]
         p = p[inside]
         out[inside] += self._integral(p, t[inside])
-        del p, inside
+        del p, inside  # before the atom lookup makes its own arrays
         if len(self.locs):
             out += self.atom_cum[np.searchsorted(self.locs, t, side=side)]
         return float(out[0]) if scalar else out

@@ -298,7 +298,7 @@ class SignedMeasureModel:
         pts.update([*cum.lo.tolist(), *cum.hi.tolist()])
         with np.errstate(all="ignore"):  # pieces with s == 0 are discarded
             zeros = -cum.c / cum.s
-        pts.update(zeros[cum._sloped & (cum.lo < zeros) & (zeros < cum.hi)].tolist())
+        pts.update(zeros[(cum.s != 0) & (cum.lo < zeros) & (zeros < cum.hi)].tolist())
         return np.array(sorted(pts), dtype=float)
 
     def total(self) -> float:

@@ -707,7 +707,7 @@ class TestVerify:
         "edit",
         [lambda c: c.update(consumed=c["consumed"] + 0.9),
          lambda c: c["tau"].append(c["tau"].pop() + 0.4),
-         lambda c: c["frozen"][-1]["cells"][0].__setitem__(0, float(c["frozen"][-1]["cells"][0][0])),
+         lambda c: c["frozen"][-1].update(cells=[[float(j), v] for j, v in c["frozen"][-1]["cells"]]),
          lambda c: c["frozen"][-1].update(k=float(c["frozen"][-1]["k"])),
          lambda c: c["budget"].update(c=str(c["budget"]["c"])),
          lambda c: c["budget"].update(c=True)],
