@@ -43,8 +43,10 @@ truncated at the configured horizon) and reports label it as such.
 The splice and `verify_adversary_report` share one certificate routine per
 block and one for the oscillation fields, so a report is re-checked by the
 code that produced it.  Every prefix discrepancy, of a block or of the
-spliced sequence, is the scan of `measures` over `SampleSequence.prefix`,
-the prefix view the stability diagnostic reads.
+spliced sequence, is the scan of `measures` over one `SampleSequence`: a
+block's `prefix`, the spliced prefix at a check, or `prefix(n_k)` of the
+stored sequence in `verify`.  Both discrepancies of a prefix read its one
+sorted view, built on first use, so no prefix is sorted twice.
 """
 from __future__ import annotations
 
@@ -257,9 +259,7 @@ def uniform_prefix_discrepancy(x: np.ndarray) -> float:
     return _uniform_sorted(np.sort(np.asarray(x, dtype=float)))
 
 
-def weighted_prefix_discrepancy(
-    x: np.ndarray, y: np.ndarray, target
-) -> float:
+def weighted_prefix_discrepancy(x: np.ndarray, y: np.ndarray, target) -> float:
     """sup over intervals of |y-weighted empirical mass - target|, exact.
 
     `target` is continuous (no atoms): cumulative == cumulative_left.
@@ -656,16 +656,16 @@ def _block_thresholds_cached(
     return state.thresholds[k]
 
 
-def _block_certificates(phi, xs: np.ndarray, ys: np.ndarray, k: int, quad_cells: int):
-    """Block k's certificates on the prefix (xs, ys): phi's fit and its
-    squared L2 distance to h_k (both None without a procedure), and the
-    interval and weighted prefix discrepancies against uniform and nu_k."""
+def _block_certificates(phi, seq: SampleSequence, k: int, quad_cells: int):
+    """Block k's certificates on the prefix seq: phi's fit and its squared
+    L2 distance to h_k (both None without a procedure), and the interval
+    and weighted prefix discrepancies against uniform and nu_k, both read
+    from seq's one sorted view."""
     est = l2 = None
     if phi is not None:
-        est = phi.fit(xs, ys)
+        est = phi.fit(seq.x, seq.y)
         l2 = l2_unit_distance(est, RademacherFn(k), quad_cells)
-    nu_k = RademacherMeasure(k)
-    return est, l2, uniform_prefix_discrepancy(xs), weighted_prefix_discrepancy(xs, ys, nu_k)
+    return est, l2, _uniform_sorted(seq.x_sorted), _weighted_sorted(seq, RademacherMeasure(k))
 
 
 _OSCILLATION_BOUND = 1.0 / 20.0
@@ -719,7 +719,7 @@ def splice_next_block(
         state.xs = np.concatenate([prefix_x, block_x[:take]])
         state.ys = np.concatenate([prefix_y, block_y[:take]])
         n = state.n
-        est, l2, d_int, d_wt = _block_certificates(phi, state.xs, state.ys, k, cfg.quad_cells)
+        est, l2, d_int, d_wt = _block_certificates(phi, state.sequence(), k, cfg.quad_cells)
         trajectory.append((n, l2.value))
         if l2.value <= 1.0 / 40.0 and d_int <= theta and d_wt <= theta and n >= need_len:
             l_k, lt_k = _block_thresholds_cached(state, streams, k)
@@ -864,7 +864,9 @@ def verify_adversary_report(
     for k, (rec, n_k) in enumerate(zip(blocks, bounds), 1):
         certs = rec["certificates"]
         theta = 1.0 / (k + 1)
-        est, l2, d_int, d_wt = _block_certificates(phi, seq.x[:n_k], seq.y[:n_k], k, quad_cells)
+        # the pairs of seq.x[:n_k]: a boundary off the sequence fails its own check only
+        pre = seq.prefix(len(seq.x[:n_k]))
+        est, l2, d_int, d_wt = _block_certificates(phi, pre, k, quad_cells)
         results.append(
             (
                 f"block{k}-interval-discrepancy",

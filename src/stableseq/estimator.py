@@ -152,7 +152,7 @@ def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, n
     place raises as `cell_of` does."""
     x = np.asarray(xs[:n], dtype=float)
     y = np.asarray(ys[:n], dtype=float)
-    scaled = np.zeros(n) if k == 0 else _cell_indices(x, k)
+    scaled = _cell_indices(x, k)
     lost = np.isnan(scaled)
     if lost.any():
         cell_of(float(x[lost.argmax()]), k)  # raises ValueError or OverflowError
@@ -178,6 +178,8 @@ def _window_buckets(keys: np.ndarray, values: np.ndarray, k: int) -> dict[int, i
     """Each window's exact sum of its jumps, in units of 2^-1074, for the
     step function with `values` on the sorted nonempty cells `keys` and 0
     elsewhere; only windows up to k, and no zero sums."""
+    if not len(keys):
+        return {}
     adjacent = keys[1:] - keys[:-1] == 1
     left = np.zeros(len(keys))
     left[1:][adjacent] = values[:-1][adjacent]
@@ -335,14 +337,6 @@ class EstimatorState:
         xs, ys = xs[:n], ys[:n]
         events: list[tuple[int, int]] = []
         i = 0
-        if n and not self.xs:  # the first pair freezes resolution 0 at tau = 1
-            x, y = float(xs[0]), float(ys[0])
-            _check_pair(x, y, 1)
-            self.xs.append(x)
-            self.ys.append(y)
-            self._cells = {0: [1, y]}
-            events.append((self._freeze(), 1))
-            i = 1
         while i < n:
             i = self._ingest_run(xs, ys, i, events)
         return events

@@ -28,9 +28,11 @@ the data and the breakpoints carries the constant tail value, which the
 weighted curves need not share.  A monotone target (a non-negative
 measure, with a cumulative that is non-decreasing in floats) needs only
 its support ends as breakpoints: between two samples D only falls, so the
-samples' right values and left limits already hold its extremes.  One
-prefix view, `SampleSequence.prefix`, gives the scan a sequence's first m
-points, for the stability diagnostic and the adversary's scans alike.
+samples' right values and left limits already hold its extremes.  A
+`SampleSequence` holds x and y in arrival order; its sorted view is built
+on first use, so only the scans pay for the sort.  One prefix view,
+`SampleSequence.prefix`, gives the scan a sequence's first m points, for
+the stability diagnostic and the adversary's scans alike.
 
 A separate, weaker statistic is the Levy metric between the empirical CDF
 and the model CDF (`levy_distance`).  It metrizes pointwise CDF convergence
@@ -45,7 +47,7 @@ import csv
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -182,6 +184,8 @@ class DistributionModel:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "segments", segs)
 
+        if not all(map(math.isfinite, [v for row in atoms + segs for v in row])):
+            raise ModelError("atom locations and masses, segment ends and densities must be finite")
         if len({u for u, _ in atoms}) != len(atoms):
             raise ModelError("atom locations must be distinct")
         if any(m <= 0 for _, m in atoms):
@@ -240,42 +244,24 @@ class DistributionModel:
     def inverse_cdf(self, u) -> np.ndarray:
         """Quantile transform; maps Uniform(0,1) draws to mu-distributed points.
 
-        The mixture pieces (atoms and segments) are walked in location
-        order, which is exactly the CDF's own order, so the transform is the
-        generalized inverse of `cdf`.
+        The pieces (atoms, density 0, and segments) sit in one table in
+        location order, an atom before a segment that starts at it, which is
+        exactly the CDF's own order, so the transform is the generalized
+        inverse of `cdf`.  A piece's start is the sequential sum of the
+        masses before it.  A piece without density maps to its location.
         """
-        pieces: list[tuple[float, float, float, float]] = []  # (cum0, mass, a, slope-or-atom)
-        cum = 0.0
-        ai = si = 0
-        rows = []
-        while ai < len(self.atoms) or si < len(self.segments):
-            next_atom = self.atoms[ai][0] if ai < len(self.atoms) else math.inf
-            next_seg = self.segments[si][0] if si < len(self.segments) else math.inf
-            if next_atom <= next_seg:
-                loc, m = self.atoms[ai]
-                rows.append(("atom", cum, m, loc, 0.0))
-                cum += m
-                ai += 1
-            else:
-                a, b, d = self.segments[si]
-                m = d * (b - a)
-                rows.append(("seg", cum, m, a, d))
-                cum += m
-                si += 1
-        starts = np.array([r[1] for r in rows])
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        idx = np.clip(np.searchsorted(starts, u_arr, side="right") - 1, 0, len(rows) - 1)
-        out = np.empty_like(u_arr)
-        for i, r in enumerate(rows):
-            sel = idx == i
-            if not np.any(sel):
-                continue
-            kind, cum0, m, a, d = r
-            if kind == "atom" or m == 0 or d == 0:
-                out[sel] = a
-            else:
-                out[sel] = a + (u_arr[sel] - cum0) / d
-        return out
+        atoms = np.array(self.atoms, dtype=float).reshape(-1, 2)
+        segs = np.array(self.segments, dtype=float).reshape(-1, 3)
+        loc = np.concatenate([atoms[:, 0], segs[:, 0]])
+        order = np.argsort(loc, kind="stable")  # the atoms come first at a tie
+        loc = loc[order]
+        mass = np.concatenate([atoms[:, 1], segs[:, 2] * (segs[:, 1] - segs[:, 0])])[order]
+        dens = np.concatenate([np.zeros(len(atoms)), segs[:, 2]])[order]
+        starts = np.cumsum(np.concatenate([[0.0], mass[:-1]]))
+        flat = (mass == 0) | (dens == 0)
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        i = np.clip(np.searchsorted(starts, u, side="right") - 1, 0, len(loc) - 1)
+        return np.where(flat[i], loc[i], loc[i] + (u - starts[i]) / np.where(flat, 1.0, dens)[i])
 
     # -- serialization --------------------------------------------------------
     def to_dict(self) -> dict:
@@ -326,27 +312,36 @@ def _compensated_cumsum(y: np.ndarray) -> np.ndarray:
 class SampleSequence:
     """An observed finite prefix (x_i, y_i), i = 1..n, insertion order kept.
 
-    The sorted view (stable argsort by x) and the prefix sums of y in sorted
-    order, the latter built on first use, support O(log n) interval queries
-    for both the plain and the y-weighted empirical measures.  Ties in x keep
-    insertion order in the sorted view; every query is by x-value range, so
-    the tie order never changes an answer.
+    The sorted view (stable argsort by x, and x in that order) and the
+    prefix sums of y in sorted order are built on first use; they support
+    O(log n) interval queries for both the plain and the y-weighted
+    empirical measures.  Code that reads the pairs in arrival order only
+    (the estimator, checkpoint verification, the procedures under attack)
+    never sorts.  Ties in x keep insertion order in the sorted view; every
+    query is by x-value range, so the tie order never changes an answer.
 
     Instances are immutable after construction; all query methods are pure.
     """
 
     x: np.ndarray
     y: np.ndarray
-    sorted_index: np.ndarray = field(repr=False, compare=False, default=None)
-    x_sorted: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise ValueError("x and y must be 1-d arrays of equal length")
-        order = np.argsort(x, kind="stable")
-        vars(self).update(x=x, y=y, sorted_index=order, x_sorted=x[order])
+        vars(self).update(x=x, y=y)
+
+    @cached_property
+    def sorted_index(self) -> np.ndarray:
+        """The stable argsort of x."""
+        return np.argsort(self.x, kind="stable")
+
+    @cached_property
+    def x_sorted(self) -> np.ndarray:
+        """x in sorted order."""
+        return self.x[self.sorted_index]
 
     @cached_property
     def y_cumsum_sorted(self) -> np.ndarray:
@@ -355,10 +350,10 @@ class SampleSequence:
 
     @classmethod
     def _presorted(cls, x, y, order, x_sorted) -> "SampleSequence":
-        """Instance over float64 arrays x, y whose stable argsort by x and
-        sorted values are already known."""
-        seq = object.__new__(cls)
-        vars(seq).update(x=x, y=y, sorted_index=order, x_sorted=x_sorted)
+        """Instance over x, y whose stable argsort by x and sorted values
+        are already known."""
+        seq = cls(x, y)
+        vars(seq).update(sorted_index=order, x_sorted=x_sorted)
         return seq
 
     def __len__(self) -> int:
@@ -367,8 +362,9 @@ class SampleSequence:
     def prefix(self, m: int) -> "SampleSequence":
         """SampleSequence(x[:m], y[:m]), array for array.  A stable sort of
         the prefix keeps the parent's order of its indices, so its sorted
-        view is the parent's masked to indices below m; below n/16 sorting
-        the prefix costs less than masking all n, and gives the same."""
+        view is the parent's masked to indices below m (which builds the
+        parent's); below n/16 the prefix sorts itself on first use, which
+        costs less than masking all n, and gives the same."""
         if not 0 <= m <= len(self):
             raise ValueError(f"prefix length {m} out of range")
         if 16 * m < len(self):

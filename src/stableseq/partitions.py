@@ -90,11 +90,13 @@ def cell_of(x: float, k: int) -> DyadicCell:
 
 
 def _cell_indices(xs, k: int):
-    """`cell_of(x, k).j` for every x of a float array (k >= 1), as integral
-    floats; NaN where `cell_of` raises (x non-finite, or the index at or
-    beyond 2^256)."""
+    """`cell_of(x, k).j` for every x of a float array, as integral floats;
+    NaN where x is non-finite or, for k >= 1, where the index is at or
+    beyond 2^256 (where `cell_of` raises)."""
     import numpy as np
 
+    if k == 0:  # the one cell, index 0
+        return np.where(np.isfinite(xs), 0.0, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf
         scaled = np.ceil(np.ldexp(xs, k))
     return np.where(np.abs(scaled) < 2.0**256, scaled, np.nan)

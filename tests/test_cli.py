@@ -108,6 +108,18 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert path in capsys.readouterr().err
 
+    def test_non_finite_model_number_exit2(self, tmp_path, capsys):
+        # json reads the NaN literal; the model's total mass was NaN and
+        # passed, and the stability report held NaN
+        dist = {"atoms": [[0.5, 1.0]], "segments": [[0.0, 1.0, float("nan")]]}
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"kind": "iid", "n": 16, "seed": 7, "distribution": dist,
+             "regression": RAMP, "noise": {"kind": "binary"}},
+        )
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_ragged_transition_exit3(self, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",

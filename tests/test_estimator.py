@@ -22,7 +22,10 @@ from stableseq.estimator import (
     verify_checkpoint,
 )
 from stableseq.generators import RandomSource, gen_deterministic, gen_iid
-from stableseq.measures import DistributionModel, SampleSequence
+from stableseq.evaluation import stream_checkpoints
+from stableseq.measures import (
+    DistributionModel, SampleSequence, read_sequence_csv, write_sequence_csv
+)
 from stableseq.partitions import PiecewiseDyadicFn, VariationBudget
 from stableseq.regression import RegressionModel
 
@@ -288,6 +291,16 @@ class TestCheckpointFormat:
             assert a.k == b.k and dict(a.values) == dict(b.values)
         assert json.dumps(checkpoint_to_dict_from_parsed(parsed), sort_keys=True) == blob
 
+
+    def test_estimate_and_verify_leave_the_sorted_view_unbuilt(self, tmp_path):
+        # the stream and the checkpoint replay read x and y in arrival order
+        path = tmp_path / "sequence.csv"
+        write_sequence_csv(gen_iid(UNIFORM, H1, "binary", 600, RandomSource(4)), path)
+        seq = read_sequence_csv(path)
+        state, _, _ = stream_checkpoints(seq, VariationBudget.const(1.0), len(seq), [16, 600], 300)
+        chk = json.loads(json.dumps(checkpoint_to_dict(state)))
+        assert len(state.tau) > 2 and all(ok for _, ok, _ in verify_checkpoint(seq, chk))
+        assert "sorted_index" not in vars(seq) and "x_sorted" not in vars(seq)
 
     def test_verify_checkpoint_passes_and_detects_tamper(self):
         seq = gen_iid(UNIFORM, H1, "binary", 300, RandomSource(4))

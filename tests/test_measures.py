@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import brute_force_interval_sup, random_mixture_model
 from stableseq import measures
@@ -35,6 +35,76 @@ from stableseq.regression import RegressionModel, SignedMeasureModel
 UNIFORM = DistributionModel.uniform(0.0, 1.0)
 
 
+def _ref_rows(model):
+    """The pieces in location order, an atom first at a tie, each as (kind,
+    start, mass, location, density), the start summed one mass at a time."""
+    rows, cum, ai, si = [], 0.0, 0, 0
+    while ai < len(model.atoms) or si < len(model.segments):
+        next_atom = model.atoms[ai][0] if ai < len(model.atoms) else math.inf
+        next_seg = model.segments[si][0] if si < len(model.segments) else math.inf
+        if next_atom <= next_seg:
+            loc, m = model.atoms[ai]
+            rows.append(("atom", cum, m, loc, 0.0))
+            ai += 1
+        else:
+            a, b, d = model.segments[si]
+            m = d * (b - a)
+            rows.append(("seg", cum, m, a, d))
+            si += 1
+        cum += m
+    return rows
+
+
+def ref_row_starts(model):
+    return [r[1] for r in _ref_rows(model)]
+
+
+def ref_inverse_cdf(model, u):
+    """The quantile transform as a walk over the pieces, one mask per piece."""
+    rows = _ref_rows(model)
+    starts = np.array([r[1] for r in rows])
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    idx = np.clip(np.searchsorted(starts, u_arr, side="right") - 1, 0, len(rows) - 1)
+    out = np.empty_like(u_arr)
+    for i, (kind, cum0, m, a, d) in enumerate(rows):
+        sel = idx == i
+        if kind == "atom" or m == 0 or d == 0:
+            out[sel] = a
+        else:
+            out[sel] = a + (u_arr[sel] - cum0) / d
+    return out
+
+
+@st.composite
+def mixture_rows(draw):
+    """(atoms, segments) of a mass-1 mixture on a grid of quarters, so atoms
+    sit at segment starts and ends; some segments have density 0 or a
+    subnormal density whose mass is 0."""
+    grid = st.integers(-12, 12).map(lambda i: i / 4.0)
+    ends = sorted(draw(st.sets(grid, min_size=0, max_size=6)))
+    segs = []
+    for a, b in zip(ends, ends[1:]):
+        kind = draw(st.sampled_from(["weight", "weight", "zero", "subnormal", "skip"]))
+        if kind != "skip":
+            segs.append((a, b, kind))
+    locs = sorted(draw(st.sets(grid | st.floats(-4.0, 4.0), max_size=4)))
+    if not locs and not any(kind == "weight" for _, _, kind in segs):
+        locs = [draw(grid)]
+    weights = draw(
+        st.lists(st.floats(0.01, 10.0), min_size=len(locs) + len(segs),
+                 max_size=len(locs) + len(segs))
+    )
+    total = math.fsum(weights[:len(locs)]) + math.fsum(
+        w for w, (_, _, kind) in zip(weights[len(locs):], segs) if kind == "weight"
+    )
+    atoms = tuple((u, w / total) for u, w in zip(locs, weights))
+    segments = []
+    for w, (a, b, kind) in zip(weights[len(locs):], segs):
+        d = {"weight": w / total / (b - a), "zero": 0.0, "subnormal": 5e-324}[kind]
+        segments.append((a, b, d))
+    return atoms, tuple(segments)
+
+
 class TestIntervalA:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,6 +126,22 @@ class TestDistributionModel:
             DistributionModel(atoms=((0.0, 0.5), (0.0, 0.5)))  # duplicate atom
         with pytest.raises(ModelError):
             DistributionModel(segments=((0.0, 1.0, 0.5), (0.5, 1.5, 0.5)))  # overlap
+
+    @pytest.mark.parametrize(
+        "atoms,segments",
+        [
+            (((0.5, 1.0),), ((0.0, 1.0, math.nan),)),
+            (((0.5, 1.0),), ((-math.inf, 0.0, 0.0),)),
+            (((0.5, 1.0),), ((0.0, math.inf, 0.0),)),
+            (((math.nan, 1.0),), ()),
+            (((-math.inf, 1.0),), ()),
+        ],
+        ids=["nan-density", "infinite-start", "infinite-end", "nan-location", "infinite-location"],
+    )
+    def test_non_finite_numbers_rejected(self, atoms, segments):
+        # each total mass is NaN or 1, and NaN passes the mass check alone
+        with pytest.raises(ModelError, match="finite"):
+            DistributionModel(atoms=atoms, segments=segments)
 
     def test_interval_prob_examples(self):
         assert interval_prob(UNIFORM, IntervalA(0.25, 0.5)) == pytest.approx(0.25, abs=1e-15)
@@ -81,6 +167,22 @@ class TestDistributionModel:
         x = model.inverse_cdf(u)
         seq = SampleSequence(x, np.zeros_like(x))
         assert sup_interval_discrepancy(seq, model) < 0.02
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixture_rows(), st.lists(st.floats(allow_nan=True), max_size=20))
+    def test_inverse_cdf_equals_the_piece_walk(self, rows, extra_u):
+        atoms, segments = rows
+        model = DistributionModel(atoms=atoms, segments=segments)
+        starts = ref_row_starts(model)
+        # 0, 1, each row start and its float neighbours, values past both
+        # ends, and any float
+        u = [0.0, -0.0, 1.0, 1.5, -0.5, math.inf, -math.inf, *extra_u]
+        for s0 in starts:
+            u += [s0, math.nextafter(s0, -math.inf), math.nextafter(s0, math.inf)]
+        u = np.array(u)
+        with np.errstate(over="ignore"):  # a subnormal density overflows both
+            got, want = model.inverse_cdf(u), ref_inverse_cdf(model, u)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_half_open_additivity_random(self, rng):
         for _ in range(50):
@@ -150,10 +252,18 @@ class TestEmpiricalProperties:
         )
         seq = SampleSequence(x, y)
         for m in range(len(xs) + 1):
-            got, want = seq.prefix(m), SampleSequence(x[:m], y[:m])
-            for name in ("x", "y", "sorted_index", "x_sorted", "y_cumsum_sorted"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (m, name)
+            want = SampleSequence(x[:m], y[:m])
+            # a parent whose sorted view is built, and one whose view is not yet
+            for got in (seq.prefix(m), SampleSequence(x, y).prefix(m)):
+                for name in ("x", "y", "sorted_index", "x_sorted", "y_cumsum_sorted"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (m, name)
+
+    def test_sorted_view_is_built_on_first_use(self):
+        seq = SampleSequence(np.array([0.5, 0.1, 0.5]), np.array([1.0, 2.0, 4.0]))
+        assert "sorted_index" not in vars(seq) and "x_sorted" not in vars(seq)
+        assert seq.count_le(0.5) == 3
+        assert seq.sorted_index.tolist() == [1, 0, 2] and seq.x_sorted.tolist() == [0.1, 0.5, 0.5]
 
 
 class TestEmpirical:
