@@ -261,7 +261,11 @@ class DistributionModel:
         flat = (mass == 0) | (dens == 0)
         u = np.atleast_1d(np.asarray(u, dtype=float))
         i = np.clip(np.searchsorted(starts, u, side="right") - 1, 0, len(loc) - 1)
-        return np.where(flat[i], loc[i], loc[i] + (u - starts[i]) / np.where(flat, 1.0, dens)[i])
+        out = u - starts[i]  # loc + (u - start) / density, in out's memory
+        out /= np.where(flat, 1.0, dens)[i]
+        out += loc[i]
+        np.copyto(out, loc[i], where=flat[i])
+        return out
 
     # -- serialization --------------------------------------------------------
     def to_dict(self) -> dict:
