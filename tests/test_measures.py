@@ -55,10 +55,6 @@ def _ref_rows(model):
     return rows
 
 
-def ref_row_starts(model):
-    return [r[1] for r in _ref_rows(model)]
-
-
 def ref_inverse_cdf(model, u):
     """The quantile transform as a walk over the pieces, one mask per piece."""
     rows = _ref_rows(model)
@@ -173,7 +169,7 @@ class TestDistributionModel:
     def test_inverse_cdf_equals_the_piece_walk(self, rows, extra_u):
         atoms, segments = rows
         model = DistributionModel(atoms=atoms, segments=segments)
-        starts = ref_row_starts(model)
+        starts = [r[1] for r in _ref_rows(model)]
         # 0, 1, each row start and its float neighbours, values past both
         # ends, and any float
         u = [0.0, -0.0, 1.0, 1.5, -0.5, math.inf, -math.inf, *extra_u]
