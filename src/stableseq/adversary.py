@@ -61,7 +61,8 @@ import numpy as np
 
 from .evaluation import QuadratureResult, l2_error_quadrature
 from .measures import (
-    DistributionModel, IntervalA, SampleSequence, _interval_sup, sequence_csv_bytes
+    DistributionModel, IntervalA, SampleSequence, _interval_sup, _number_literal,
+    sequence_csv_bytes,
 )
 from .partitions import PiecewiseDyadicFn, _cell_indices, _numbers
 from .generators import RandomSource, van_der_corput
@@ -375,11 +376,8 @@ class PluginHistogramProcedure:
         yy = np.asarray(ys, dtype=float)[keep]
         counts = np.bincount(idx, minlength=(1 << d) + 1)
         sums = np.bincount(idx, weights=yy, minlength=(1 << d) + 1)
-        values = {
-            int(j): float(sums[j] / counts[j])
-            for j in np.nonzero(counts)[0]
-        }
-        return PiecewiseDyadicFn(d, values, 0.0)
+        js = np.flatnonzero(counts)
+        return PiecewiseDyadicFn(d, (js, sums[js] / counts[js]), 0.0)
 
 
 class ConstantProcedure:
@@ -400,7 +398,10 @@ class OracleProcedure:
 
     def __init__(self, max_index: int = 12):
         self.max_index = max_index
-        self.name = "oracle"
+        # the name alone rebuilds the procedure (`_procedure_from_name`); an
+        # index beyond the ladder's top fits as the top does, and is named so
+        top = min(max_index, _LADDER_TOP)
+        self.name = "oracle" if top == 12 else f"oracle(max_index={top})"
 
     def fit(self, xs, ys) -> RademacherFn:
         t = min(64, len(xs))
@@ -459,16 +460,23 @@ class ExternalProcedure:
                     f"external estimator {self.cmd[0]!r} failed "
                     f"(exit {e.returncode}): {e.stderr.strip()[:500]}"
                 ) from e
-            vals = []
-            for row in out.strip().splitlines():
-                parts = row.split()
-                if len(parts) != 2:
-                    raise ExternalProcedureError(f"bad external estimator line: {row!r}")
-                vals.append(float(parts[1]))
-            if len(vals) != len(points):
+            rows = out.strip().splitlines()
+            if len(rows) != len(points):
                 raise ExternalProcedureError(
-                    f"external estimator answered {len(vals)} of {len(points)} queries"
+                    f"external estimator answered {len(rows)} of {len(points)} queries"
                 )
+            vals = []
+            for line, (row, p) in enumerate(zip(rows, points.tolist()), 1):
+                try:  # `x value`, each read as the sequence CSV reads a number
+                    x, v = map(_number_literal, row.split())
+                except ValueError:  # not two such numbers
+                    x = v = math.nan
+                if x != p or not math.isfinite(v):
+                    raise ExternalProcedureError(
+                        f"external estimator {self.cmd[0]!r} answer line {line}: {row!r} "
+                        f"is not 'x value' with x = {p!r} and a finite value"
+                    )
+                vals.append(v)
             return np.array(vals, dtype=float)
 
         return query
@@ -481,7 +489,8 @@ def _procedure_from_name(name: str):
     m = re.fullmatch(r"plugin_histogram\(offset=(-?\d+)(?:, max_depth=(-?\d+))?\)", name)
     if m:
         return PluginHistogramProcedure(int(m[1]), int(m[2] or 16))
-    return OracleProcedure() if name == "oracle" else None
+    m = re.fullmatch(r"oracle(?:\(max_index=(-?\d+)\))?", name)
+    return OracleProcedure(int(m[1] or 12)) if m else None
 
 
 # -- the splice --------------------------------------------------------------------

@@ -44,7 +44,7 @@ import traceback
 from pathlib import Path
 
 from . import adversary as adv
-from .estimator import checkpoint_to_dict, verify_checkpoint
+from .estimator import checkpoint_from_dict, checkpoint_to_dict, verify_checkpoint
 from .evaluation import (
     ErrorCurve,
     consistency_curve,
@@ -308,7 +308,11 @@ def _make_phi(cfg: dict) -> object:
         cmd = _get(spec, "cmd", [str], at="phi.")
         if not cmd:
             raise ConfigError("'phi.cmd' must name a command")
-        return adv.ExternalProcedure(cmd, _get(spec, "name", str, None, at="phi."))
+        name = _get(spec, "name", str, None, at="phi.")
+        if name is not None and adv._procedure_from_name(name) is not None:
+            # verify would rebuild that built-in procedure in place of the command
+            raise ConfigError(f"'phi.name' {name!r} names a built-in procedure")
+        return adv.ExternalProcedure(cmd, name)
     if kind == "plugin":
         offset = _get(spec, "depth_offset", int, 5, at="phi.")
         max_depth = _get(spec, "max_depth", int, 16, at="phi.")
@@ -380,6 +384,7 @@ def cmd_verify(cfg: dict) -> int:
         with open(report_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
         if "tau" in report:
+            report = checkpoint_from_dict(report)  # the JSON lists go before the replay
             results = verify_checkpoint(seq, report)
         elif "blocks" in report:
             results = adv.verify_adversary_report(report, seq)

@@ -24,22 +24,25 @@ new - old without rounding.  A window sum acc / 2^1074 is one correctly
 rounded int/int division, hence the same float as the `math.fsum` of the
 same jumps that `variation_check` compares -- the public function a
 from-scratch audit calls -- so the streaming decision is
-`variation_check`'s bit for bit, with no snapshot and no re-check.  Per-cell
-y-sums accumulate in arrival order both here and in `histogram_estimate`,
-so all three paths (streaming, batch reference, certificate replay) see
-identical cell values.  Ingest rejects |y| >= 2^512 (the paper assumes
-bounded y): below it no cell sum, jump or window sum can overflow.
+`variation_check`'s bit for bit, with no snapshot and no re-check.  Both
+read the jumps of a histogram, a `PiecewiseDyadicFn` on sorted cell and
+value arrays, from the one enumerator `partitions.adjacent_jumps`.
+Per-cell y-sums accumulate in arrival order both here and in
+`histogram_estimate`, so all three paths (streaming, batch reference,
+certificate replay) see identical cell values.  Ingest rejects
+|y| >= 2^512 (the paper assumes bounded y): below it no cell sum, jump or
+window sum can overflow.
 
 Statistics at a freshly unlocked resolution are rebuilt by one array pass
 over the retained prefix: cell indices, per-cell sums seeded with each
 cell's first y and then `np.add.at` in arrival order (the same additions
-as `+=`), jumps as differences over the sorted occupied cells, and each
-bucket's integer from exponent-binned int64 sums.  The estimator keeps the
-whole prefix and is not constant-memory by design (correctness over space
-at desk scale).  No jump is stored: an update recomputes the jumps beside
-a cell from its old and new value and its neighbours.  Only buckets of
-windows up to k are kept, none of them 0, so the state is a function of
-the cells alone, whichever path built it.
+as `+=`), the jumps `adjacent_jumps` finds over the sorted occupied
+cells, and each bucket's integer from exponent-binned int64 sums.  The
+estimator keeps the whole prefix and is not constant-memory by design
+(correctness over space at desk scale).  No jump is stored: an update
+recomputes the jumps beside a cell from its old and new value and its
+neighbours.  Only buckets of windows up to k are kept, none of them 0, so
+the state is a function of the cells alone, whichever path built it.
 
 Certified spans.  Deciding at every pair, as `batch_tau_search` does from
 scratch, walks the windows once per pair.  `ingest_many` decides only where
@@ -88,7 +91,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +101,7 @@ from .partitions import (
     PiecewiseDyadicFn,
     VariationBudget,
     _cell_indices,
+    _int_keys,
     _numbers,
     _smallest_window,
     adjacent_jumps,
@@ -138,13 +142,6 @@ class HistogramEstimate:
     n: int
 
 
-def _int_keys(scaled: np.ndarray) -> np.ndarray:
-    """Integral floats as integers: int64, or Python ints beyond 2^62."""
-    if not len(scaled) or np.abs(scaled).max() < 2.0**62:
-        return scaled.astype(np.int64)
-    return np.array([int(v) for v in scaled.tolist()], dtype=object)
-
-
 def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cells, counts, ysums) of the first n pairs at resolution k, cells
     ascending.  Each sum starts at its cell's first y (a cell of -0.0s stays
@@ -166,34 +163,25 @@ def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, n
     return _int_keys(keys), counts, sums
 
 
-def _cell_table(keys: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> dict[int, list]:
-    return dict(zip(keys.tolist(), map(list, zip(counts.tolist(), sums.tolist()))))
-
-
 def _cells_to_fn(cells: dict[int, list], k: int) -> PiecewiseDyadicFn:
-    return PiecewiseDyadicFn(k, {j: c[1] / c[0] for j, c in cells.items()}, 0.0)
+    """The histogram of a table cell -> [count, sum]; empty cells are 0.  The
+    indices came from integral floats, so they convert back exactly."""
+    keys = sorted(cells)
+    vals = [c[1] / c[0] for c in map(cells.__getitem__, keys)]
+    return PiecewiseDyadicFn(k, (_int_keys(np.array(keys, dtype=float)), vals), 0.0)
 
 
-def _window_buckets(keys: np.ndarray, values: np.ndarray, k: int) -> dict[int, int]:
-    """Each window's exact sum of its jumps, in units of 2^-1074, for the
-    step function with `values` on the sorted nonempty cells `keys` and 0
-    elsewhere; only windows up to k, and no zero sums."""
-    if not len(keys):
-        return {}
-    adjacent = keys[1:] - keys[:-1] == 1
-    left = np.zeros(len(keys))
-    left[1:][adjacent] = values[:-1][adjacent]
-    open_right = np.append(~adjacent, True)
-    # boundary j - 1 of every cell j, and boundary j where cell j + 1 is empty
-    b = np.concatenate([keys - 1, keys[open_right]])
-    d = np.concatenate([np.abs(values - left), np.abs(values[open_right])])
-    del adjacent, left, open_right  # the temporaries go as soon as they are used
-    m = np.maximum(1, -(-np.maximum(b + 1, 1 - b) >> k))  # `_smallest_window`
-    keep = (d != 0.0) & (m <= k)
+def _window_buckets(fn: PiecewiseDyadicFn) -> dict[int, int]:
+    """Each window's exact sum of fn's absolute jumps, in units of 2^-1074;
+    only windows up to fn.k, and no zero sums."""
+    k = fn.k
+    b, d = adjacent_jumps(fn)
+    m = _smallest_window(b, k)
+    keep = m <= k
     if not keep.any():
         return {}
-    d, m = d[keep], m[keep].astype(np.int64)
-    del b, keep
+    d, m = np.abs(d[keep]), m[keep].astype(np.int64)
+    del b, keep  # the temporaries go as soon as they are used
     # d * 2^1074 = mant * 2^shift, mant < 2^53; split it in 26-bit halves so
     # the int64 sums per (window, shift) bin hold for fewer than 2^36 jumps
     frac, expo = np.frexp(d)
@@ -218,31 +206,29 @@ def histogram_estimate(seq: SampleSequence, k: int, n: int) -> HistogramEstimate
     if not 1 <= n <= len(seq):
         raise ValueError(f"need 1 <= n <= {len(seq)}, got {n}")
     keys, counts, sums = _accumulate_cells(seq.x, seq.y, k, n)
-    values = dict(zip(keys.tolist(), (sums / counts).tolist()))
-    return HistogramEstimate(PiecewiseDyadicFn(k, values, 0.0), k, n)
+    return HistogramEstimate(PiecewiseDyadicFn(k, (keys, sums / counts), 0.0), k, n)
 
 
 def variation_check(fn: PiecewiseDyadicFn, budget: VariationBudget) -> bool:
     """Strictly below 4*alpha on every window up to the function's resolution.
 
-    Ties (exact equality with 4*alpha(i)) fail.  Each jump goes in the bucket
-    of the smallest window holding it; window i's variation is the fsum of
-    buckets 1..i, bit-equal to `total_variation_window(fn, i)` and to the
-    streaming estimator's exact integer bucket sums (`_window_buckets`)
-    divided by 2^1074.  The walk stays here because those sums cost more
-    per call on small functions, where this check runs most.
+    Ties (exact equality with 4*alpha(i)) fail.  Window i's variation is
+    the fsum of the jumps at -i*2^k < b < i*2^k, as in `total_variation_window`;
+    fsum is correctly rounded, so it is also the streaming estimator's exact
+    integer bucket sum (`_window_buckets`) divided by 2^1074.  A window that
+    adds no jump keeps the sum, and alpha does not decrease: it passes too.
     """
     k = fn.k
-    buckets: list[list[float]] = [[] for _ in range(k + 1)]
-    for b, d in adjacent_jumps(fn):
-        i = _smallest_window(b, k)
-        if i <= k:
-            buckets[i].append(d)
-    terms: list[float] = []
+    b, d = adjacent_jumps(fn)
+    b, terms = b.tolist(), np.abs(d).tolist()
+    checked = (0, 0)
     for i in range(1, k + 1):
-        terms += buckets[i]
-        if not math.fsum(terms) < 4.0 * budget.alpha(i):
-            return False
+        span = i << k
+        inside = bisect_right(b, -span), bisect_left(b, span)
+        if inside != checked:
+            if not math.fsum(terms[inside[0]:inside[1]]) < 4.0 * budget.alpha(i):
+                return False
+            checked = inside
     return True
 
 
@@ -405,13 +391,8 @@ class EstimatorState:
         from each cell's value when first touched to its current one."""
         cells = self._cells
         if _REBUILD_SHARE * len(touched) > len(cells) + _REBUILD_MIN:
-            keys = sorted(cells)  # many touched: rebuild all buckets at once
-            count_sum = np.array([cells[j] for j in keys], dtype=float)
-            self._bucket = _window_buckets(
-                _int_keys(np.array(keys, dtype=float)),  # cell indices are doubles
-                count_sum[:, 1] / count_sum[:, 0],
-                self._k,
-            )
+            # many touched: rebuild all buckets at once
+            self._bucket = _window_buckets(_cells_to_fn(cells, self._k))
             return
         pending = dict(touched)  # cells whose buckets still hold the old value
 
@@ -469,8 +450,8 @@ class EstimatorState:
 
     def _set_cells(self, keys: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
         self._cells = self._bucket = {}  # release the old tables first
-        self._cells = _cell_table(keys, counts, sums)
-        self._bucket = _window_buckets(keys, sums / counts, self._k)
+        self._cells = dict(zip(keys.tolist(), map(list, zip(counts.tolist(), sums.tolist()))))
+        self._bucket = _window_buckets(PiecewiseDyadicFn(self._k, (keys, sums / counts)))
 
     def _move_jump(self, pair: int, old: float, new: float) -> None:
         """The jump across boundary `pair` moved from old to new: its window
@@ -507,21 +488,22 @@ def batch_tau_search(
     tau = [1]
     frozen = [PiecewiseDyadicFn(0, {0: float(ys[0])}, 0.0)]
     k = 1
-    cells = _cell_table(*_accumulate_cells(xs, ys, k, 1))
+    keys, counts, sums = _accumulate_cells(xs, ys, k, 1)
     for n in range(2, n_total + 1):
-        j = cell_of(float(xs[n - 1]), k).j
-        c = cells.get(j)
-        if c is None:
-            cells[j] = [1, float(ys[n - 1])]
-        else:
-            c[0] += 1
-            c[1] += float(ys[n - 1])
-        fn = _cells_to_fn(cells, k)
+        j, y = cell_of(float(xs[n - 1]), k).j, float(ys[n - 1])
+        p = bisect_left(keys, j)
+        if p < len(keys) and keys[p] == j:
+            counts[p] += 1
+            sums[p] += y
+        else:  # a new cell; cell indices are integral doubles
+            keys = _int_keys(np.insert(keys.astype(float), p, j))
+            counts, sums = np.insert(counts, p, 1), np.insert(sums, p, y)
+        fn = PiecewiseDyadicFn(k, (keys, sums / counts), 0.0)
         if variation_check(fn, budget):
             tau.append(n)
             frozen.append(fn)
             k += 1
-            cells = _cell_table(*_accumulate_cells(xs, ys, k, n))
+            keys, counts, sums = _accumulate_cells(xs, ys, k, n)
     return tau, frozen
 
 
@@ -537,13 +519,16 @@ def checkpoint_to_dict(state: EstimatorState) -> dict:
 
 
 def checkpoint_from_dict(d: dict) -> dict:
-    """Parse a checkpoint into structured pieces (budget, tau, frozen fns);
-    a non-integer count, stopping time, k or cell index raises ValueError."""
+    """Parse a checkpoint into structured pieces (budget, tau, frozen fns,
+    and `stalled_at` as written, None when absent); a non-integer count,
+    stopping time, k or cell index raises ValueError, and so does a
+    non-finite cell value or default."""
     return {
         "budget": VariationBudget.from_dict(d["budget"]),
         "consumed": _numbers([d["consumed"]], integer=True)[0],
         "tau": _numbers(list(d["tau"]), integer=True),
         "frozen": [PiecewiseDyadicFn.from_dict(f) for f in d["frozen"]],
+        "stalled_at": d.get("stalled_at"),
     }
 
 
@@ -552,18 +537,12 @@ def _frozen_checks(seq: SampleSequence, budget, tau: list[int], frozen: list) ->
     and the recomputed one against the variation budget."""
     results = []
     for k, (t, fn) in enumerate(zip(tau, frozen)):
-        if k == 0:
-            expect = PiecewiseDyadicFn(0, {0: float(seq.y[0])}, 0.0)
-            same = dict(fn.values) == dict(expect.values) and fn.k == 0
+        if k == 0:  # the default of the one-cell function is not compared
+            same = fn == PiecewiseDyadicFn(0, {0: float(seq.y[0])}, fn.default)
             results.append(("frozen[0]-is-first-y", same, f"tau_0={t}"))
             continue
         rebuilt = histogram_estimate(seq, k, t).fn
-        same = (
-            rebuilt.k == fn.k
-            and rebuilt.default == fn.default
-            and dict(rebuilt.values) == dict(fn.values)
-        )
-        results.append((f"frozen[{k}]-matches-recomputation", same, f"tau_{k}={t}"))
+        results.append((f"frozen[{k}]-matches-recomputation", rebuilt == fn, f"tau_{k}={t}"))
         results.append(
             (
                 f"frozen[{k}]-variation-bound",
@@ -575,7 +554,8 @@ def _frozen_checks(seq: SampleSequence, budget, tau: list[int], frozen: list) ->
 
 
 def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, str]]:
-    """Replay a checkpoint against its sequence and re-validate everything.
+    """Replay a checkpoint, as `checkpoint_from_dict` parses it, against its
+    sequence and re-validate everything.
 
     Checks the structure first: one frozen estimate per stopping time,
     `consumed` between the last stopping time and the sequence length, and
@@ -586,9 +566,8 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
     equality), and the strict variation bound holds on recomputation.
     Finally, a full streaming re-run must reproduce the tau sequence.
     """
-    parsed = checkpoint_from_dict(chk)
-    budget, tau, frozen = parsed["budget"], parsed["tau"], parsed["frozen"]
-    consumed = parsed["consumed"]
+    budget, tau, frozen = chk["budget"], chk["tau"], chk["frozen"]
+    consumed, stalled = chk["consumed"], chk["stalled_at"]
     results: list[tuple[str, bool, str]] = []
     ok_mono = all(b > a for a, b in zip(tau, tau[1:])) and (not tau or tau[0] == 1)
     results.append(("tau-strictly-increasing-from-1", ok_mono, f"tau={tau[:8]}..."))
@@ -607,12 +586,10 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
             f"{last} <= consumed={consumed} <= {len(seq)}",
         )
     )
-    stalled = chk.get("stalled_at")  # absent: null
     ok_stall = stalled is None or (type(stalled) is int and last < stalled == consumed)
     detail = f"stalled_at={stalled}, consumed={consumed}, last tau={last}"
     results.append(("stalled-at-equals-consumed", ok_stall, detail))
     results += _frozen_checks(seq, budget, tau, frozen)
-    del parsed, frozen  # the parsed estimates go before the replay makes its own
     replay = EstimatorState(budget)
     n_replay = min(consumed, len(seq))
     replay.ingest_many(seq.x[:n_replay], seq.y[:n_replay])

@@ -758,6 +758,14 @@ def read_sequence_csv(path) -> SampleSequence:
     return SampleSequence(x, y)
 
 
+def _number_literal(text: str) -> float:
+    """A value of the sequence CSV: an ASCII decimal or `inf`/`nan` literal,
+    surrounded by any whitespace, parsed as by float(); ValueError otherwise."""
+    v = text.strip()
+    # float() alone also takes digit separators and non-ASCII digits
+    return float(v if v.isascii() and "_" not in v else "not ascii")
+
+
 def _bad_csv_line(fh) -> ValueError | None:
     """The error naming the first data row of `fh` that `read_sequence_csv`
     cannot read, by the same rules; None if there is none."""
@@ -767,9 +775,8 @@ def _bad_csv_line(fh) -> ValueError | None:
         if row and len(row) < 3:
             return ValueError(f"sequence CSV line {r.line_num} has {len(row)} columns, need 3")
         for value in row[1:3]:
-            v = value.strip()
-            try:  # float() alone also takes digit separators and non-ASCII digits
-                float(v if v.isascii() and "_" not in v else "not ascii")
+            try:
+                _number_literal(value)
             except ValueError:
                 return ValueError(f"sequence CSV line {r.line_num}: {value!r} is not a number")
     return None

@@ -16,30 +16,39 @@ atom semantics at cell edges feed directly into measure queries downstream;
 floating rounding in the scaling step would silently move boundary points
 across cells.
 
-A `PiecewiseDyadicFn` is a sparse, immutable step function: a map from cell
-index to value, a default for unmapped cells, and the resolution.  Its total
-variation on a window (-i, i] is a finite sum of adjacent-cell differences,
-which is also the supremum-over-grids definition of variation for such step
-functions (jumps at the window's open left edge do not count; jumps at
-interior cell boundaries do).
+A `PiecewiseDyadicFn` is a sparse, immutable step function: the sorted
+indices of its mapped cells and their values, as two arrays, a default for
+every other cell, and the resolution.  Its total variation on a window
+(-i, i] is a finite sum of adjacent-cell differences, which is also the
+supremum-over-grids definition of variation for such step functions (jumps
+at the window's open left edge do not count; jumps at interior cell
+boundaries do).  `adjacent_jumps` enumerates those differences, and every
+variation sum reads it.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
 
-def _numbers(values, integer: bool = False):
+
+def _numbers(values, integer: bool = False, finite: bool = False):
     """values, a list of numbers (integers with integer=True), checked in one
     pass over their types: the `from_dict` readers take JSON numbers only, so
-    a bool, a string, null or a float for an integer raises ValueError."""
+    a bool, a string, null or a float for an integer raises ValueError, and
+    with finite=True so does NaN or an infinity."""
     kind = numbers.Integral if integer else numbers.Real
     for t in set(map(type, values)):
         if issubclass(t, bool) or not issubclass(t, kind):
             bad = next(v for v in values if type(v) is t)
             raise ValueError(f"{bad!r} is not {'an integer' if integer else 'a number'}")
+    if finite and not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"{bad!r} is not a finite number")
     return values
 
 
@@ -93,8 +102,6 @@ def _cell_indices(xs, k: int):
     """`cell_of(x, k).j` for every x of a float array, as integral floats;
     NaN where x is non-finite or, for k >= 1, where the index is at or
     beyond 2^256 (where `cell_of` raises)."""
-    import numpy as np
-
     if k == 0:  # the one cell, index 0
         return np.where(np.isfinite(xs), 0.0, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf
@@ -102,92 +109,133 @@ def _cell_indices(xs, k: int):
     return np.where(np.abs(scaled) < 2.0**256, scaled, np.nan)
 
 
-@dataclass(frozen=True)
+def _int_keys(keys: np.ndarray) -> np.ndarray:
+    """Integral floats, or Python ints of dtype object, as int64, or as Python
+    ints of dtype object when one is beyond 2^62 (int64 room for b + 1)."""
+    if not len(keys) or np.abs(keys).max() < 2.0**62:
+        return keys.astype(np.int64)
+    return np.array([int(v) for v in keys.tolist()], dtype=object)
+
+
 class PiecewiseDyadicFn:
     """Sparse step function, constant on the cells of one dyadic partition.
 
-    `values` maps cell index -> value; unmapped cells take `default`.
-    Instances are value types: nothing mutates them after construction, so
-    they are safe to share across threads.
+    `cells` holds the mapped cell indices in increasing order, as `_int_keys`
+    makes them, and `vals` their values as float64; every other cell takes
+    `default`.  Instances are value types: the arrays are read-only and
+    nothing mutates them after construction, so they are safe to share
+    across threads.
     """
 
-    k: int
-    values: Mapping[int, float] = field(default_factory=dict)
-    default: float = 0.0
-
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, k: int, values=None, default: float = 0.0):
+        """`values` is a mapping cell -> value, for small literal functions,
+        or the pair (cells, vals) of arrays as the attributes hold them."""
+        if values is None or isinstance(values, Mapping):
+            js = sorted(values or ())
+            cells, vals = _int_keys(np.array(js, dtype=object)), [values[j] for j in js]
+        else:
+            cells, vals = values
+        vals = np.asarray(vals, dtype=float)
+        if k < 0:
             raise ValueError("resolution must be >= 0")
-        if self.k == 0 and any(j != 0 for j in self.values):
+        if k == 0 and (cells != 0).any():
             raise ValueError("the one-cell partition only has index 0")
+        cells.flags.writeable = vals.flags.writeable = False
+        self.k, self.cells, self.vals, self.default = k, cells, vals, default
+
+    @property
+    def values(self) -> Mapping[int, float]:
+        """The read-only mapping cell -> value, built from the arrays."""
+        return MappingProxyType(dict(zip(self.cells.tolist(), self.vals.tolist())))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PiecewiseDyadicFn)
+            and (self.k, self.default) == (other.k, other.default)
+            and np.array_equal(self.cells, other.cells)
+            and np.array_equal(self.vals, other.vals)
+        )
+
+    def __repr__(self) -> str:
+        return f"PiecewiseDyadicFn({self.k}, {dict(self.values)!r}, {self.default!r})"
 
     def __call__(self, x: float) -> float:
         return self.value_at_cell(cell_of(x, self.k).j)
 
     def value_at_cell(self, j: int) -> float:
-        return self.values.get(j, self.default)
+        return float(self._at(_int_keys(np.array([j], dtype=object)))[0])
 
-    def eval_many(self, xs) -> "object":
+    def _at(self, js: np.ndarray) -> np.ndarray:
+        """The values at the cell indices js, integers as `_int_keys` makes them."""
+        cells = self.cells
+        if not len(cells):
+            return np.full(len(js), self.default, dtype=float)
+        pos = np.minimum(np.searchsorted(cells, js), len(cells) - 1)
+        return np.where(cells[pos] == js, self.vals[pos], self.default)
+
+    def eval_many(self, xs) -> np.ndarray:
         """Vectorized `__call__`; NaN or +-inf anywhere raises ValueError, and
         an x that `cell_of` cannot locate raises OverflowError."""
-        import numpy as np
-
         xs = np.asarray(xs, dtype=float)
         if not np.isfinite(xs).all():
             raise ValueError("cannot locate non-finite values in a dyadic cell")
-        if self.k == 0:
-            return np.full(xs.shape, self.values.get(0, self.default), dtype=float)
-        scaled = _cell_indices(xs, self.k)
+        scaled = _cell_indices(xs.ravel(), self.k)
         if np.isnan(scaled).any():
             raise OverflowError(
                 f"cell index at resolution {self.k} exceeds the supported integer range"
             )
-        # integral floats hash and compare equal to the int keys
-        get, default = self.values.get, self.default
-        out = [get(j, default) for j in scaled.ravel().tolist()]
-        return np.array(out, dtype=float).reshape(xs.shape)
-
-    def support_cells(self) -> list[int]:
-        """Mapped cell indices in increasing order."""
-        return sorted(self.values)
+        return self._at(_int_keys(scaled)).reshape(xs.shape)
 
     def to_dict(self) -> dict:
-        values = self.values
-        return {
-            "k": self.k,
-            "default": self.default,
-            "cells": [[j, float(values[j])] for j in sorted(values)],
-        }
+        cells = zip(self.cells.tolist(), self.vals.tolist())
+        return {"k": self.k, "default": self.default, "cells": [[j, v] for j, v in cells]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewiseDyadicFn":
+        """The inverse of `to_dict`; cells may come in any order, and a
+        repeated cell keeps its last value."""
         cells, k, default = d["cells"], d["k"], d["default"]
         _numbers([k] + [j for j, _ in cells], integer=True)
-        _numbers([default] + [v for _, v in cells])
-        return cls(int(k), {int(j): float(v) for j, v in cells}, float(default))
+        _numbers([default] + [v for _, v in cells], finite=True)
+        # a cell's first place in the reversed list holds its last value
+        js = _int_keys(np.array([j for j, _ in reversed(cells)], dtype=object))
+        js, last = np.unique(js, return_index=True)
+        vals = np.array([v for _, v in reversed(cells)], dtype=float)[last]
+        return cls(int(k), (js, vals), float(default))
 
 
-def adjacent_jumps(f: PiecewiseDyadicFn):
-    """Yield (b, |f(A_b) - f(A_{b+1})|) for every nonzero jump, ascending in b.
+def adjacent_jumps(f: PiecewiseDyadicFn) -> tuple[np.ndarray, np.ndarray]:
+    """(b, d): every jump d = f(A_{b+1}) - f(A_b) with f(A_b) != f(A_{b+1})
+    (so 0.0 beside -0.0 is none, and NaN always one), ascending in the
+    boundary b, the point b/2^k.  Only mapped cells can border a jump: each
+    claims its left boundary, and its right one when the right neighbour is
+    unmapped.  Every variation sum reads |d|."""
+    cells, vals, default = f.cells, f.vals, f.default
+    n = len(vals)
+    adjacent = cells[1:] - cells[:-1] == 1
+    left = np.full(n, default)
+    left[1:][adjacent] = vals[:-1][adjacent]
+    open_right = np.ones(n, dtype=bool)
+    open_right[:-1] = ~adjacent
+    # slot 2i holds cell i's left boundary, slot 2i + 1 its right one
+    b, d, jump = np.empty(2 * n, dtype=cells.dtype), np.empty(2 * n), np.empty(2 * n, dtype=bool)
+    b[0::2], b[1::2] = cells - 1, cells
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is no jump
+        d[0::2], d[1::2] = vals - left, default - vals
+    jump[0::2], jump[1::2] = vals != left, open_right & (vals != default)
+    return b[jump], d[jump]
 
-    Boundary b (the point b/2^k) separates cells b and b+1.  Only mapped
-    cells can border a jump: each claims its left boundary, and its right
-    one when the right neighbor is unmapped.
-    """
-    values, default = f.values, f.default
-    for j in sorted(values):
-        v = values[j]
-        left = values.get(j - 1, default)
-        if left != v:
-            yield j - 1, abs(v - left)
-        if (j + 1) not in values and v != default:
-            yield j, abs(v - default)
 
-
-def _smallest_window(b: int, k: int) -> int:
+def _smallest_window(b, k: int):
     """Smallest i >= 1 with boundary b inside (-i, i), i.e. -i*2^k < b < i*2^k:
-    ceil((|b| + 1) / 2^k)."""
+    ceil((|b| + 1) / 2^k); b is an integer or an array of them."""
     return -((-1 - abs(b)) >> k)
+
+
+def _variation_inside(f: PiecewiseDyadicFn, lo, hi) -> float:
+    """The fsum of the jumps' absolute values at the boundaries lo < b < hi."""
+    b, d = adjacent_jumps(f)
+    return math.fsum(np.abs(d[(lo < b) & (b < hi)]).tolist())
 
 
 def total_variation_window(f: PiecewiseDyadicFn, i: int) -> float:
@@ -209,7 +257,7 @@ def total_variation_window(f: PiecewiseDyadicFn, i: int) -> float:
     if f.k == 0:
         return 0.0
     span = i << f.k  # i * 2^k
-    return math.fsum(d for b, d in adjacent_jumps(f) if -span < b < span)
+    return _variation_inside(f, -span, span)
 
 
 @dataclass(frozen=True)
@@ -229,6 +277,8 @@ class VariationBudget:
     table: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if any(map(math.isnan, (self.constant, self.slope, self.intercept, *self.table))):
+            raise ValueError("budget numbers must not be NaN")
         if self.kind == "constant":
             if not self.constant > 0:
                 raise ValueError("constant budget must be positive")

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DistributionModel, IntervalA, _CumulativeTable
-from .partitions import PiecewiseDyadicFn, _numbers, adjacent_jumps, cell_of
+from .partitions import (
+    PiecewiseDyadicFn, _int_keys, _numbers, _variation_inside, adjacent_jumps, cell_of
+)
 
 __all__ = [
     "RegressionModel",
@@ -126,29 +128,20 @@ class RegressionModel:
         if self.kind == "piecewise_linear":
             dv = np.diff(self.vs)
             return bool(np.all(dv >= 0) or np.all(dv <= 0))
-        js = self.fn.support_cells()
-        vals: list[float] = [self.fn.default]
-        prev = None
-        for j in js:
-            if prev is not None and j > prev + 1:
-                vals.append(self.fn.default)
-            vals.append(self.fn.values[j])
-            prev = j
-        vals.append(self.fn.default)
-        dv = np.diff(vals)
-        return bool(np.all(dv >= 0) or np.all(dv <= 0))
+        _, d = adjacent_jumps(self.fn)
+        return bool(np.all(d > 0) or np.all(d < 0))
 
     def _max_slope(self) -> float:
         if self.kind != "piecewise_linear":
             # any jump breaks every Lipschitz constant
-            return math.inf if self.fn.values else 0.0
+            return math.inf if len(self.fn.cells) else 0.0
         dx = np.diff(self.xs)
         dv = np.abs(np.diff(self.vs))
         return float((dv / dx).max()) if len(dx) else 0.0
 
     def bound(self) -> float:
         if self.kind == "dyadic":
-            return max([abs(self.fn.default)] + [abs(v) for v in self.fn.values.values()])
+            return float(np.abs(self.fn.vals).max(initial=abs(self.fn.default)))
         return float(np.abs(self.vs).max())
 
     # -- pieces and variation ----------------------------------------------------
@@ -206,8 +199,12 @@ class RegressionModel:
         k = self.fn.k
         if k == 0:
             return 0.0
-        w = math.ldexp(1.0, -k)
-        return math.fsum(d for b, d in adjacent_jumps(self.fn) if lo < b * w < hi)
+        # the boundary point b / 2^k is inside (lo, hi) iff lo 2^k < b < hi 2^k
+        lo, hi = math.ldexp(lo, k), math.ldexp(hi, k)
+        return _variation_inside(
+            self.fn, math.floor(lo) if math.isfinite(lo) else lo,
+            math.ceil(hi) if math.isfinite(hi) else hi,
+        )
 
     def variation_window(self, i: int) -> float:
         """V(m : -i, i)."""
@@ -223,9 +220,7 @@ class RegressionModel:
         if self.kind == "dyadic":
             f = self.fn
             return RegressionModel.from_dyadic(
-                PiecewiseDyadicFn(
-                    f.k, {j: factor * v for j, v in f.values.items()}, factor * f.default
-                )
+                PiecewiseDyadicFn(f.k, (f.cells, factor * f.vals), factor * f.default)
             )
         return RegressionModel.piecewise_linear(
             self.xs, tuple(factor * v for v in self.vs)
@@ -249,8 +244,9 @@ class RegressionModel:
             return cls.from_dyadic(PiecewiseDyadicFn.from_dict(d["fn"]))
         lipschitz = d.get("lipschitz")
         return cls.piecewise_linear(
-            _numbers(d["xs"]), _numbers(d["vs"]), d.get("monotone", False),
-            None if lipschitz is None else _numbers([lipschitz])[0],
+            _numbers(d["xs"], finite=True), _numbers(d["vs"], finite=True),
+            d.get("monotone", False),
+            None if lipschitz is None else _numbers([lipschitz], finite=True)[0],
         )
 
 
@@ -332,13 +328,11 @@ def average_over_partition(
         cells.update(range(j0, j1 + 1))
     for u, _ in mu.atoms:
         cells.add(cell_of(u, k).j)
-    js = np.array(sorted(cells), dtype=float)
+    keys = _int_keys(np.array(sorted(cells), dtype=object))
+    js = keys.astype(float)
     left = (js - 1.0) * w
     right = js * w
     dens = np.maximum(0.0, np.asarray(mu.cdf(right)) - np.asarray(mu.cdf(left)))
     nums = np.asarray(nu.cumulative(right)) - np.asarray(nu.cumulative(left))
-    values: dict[int, float] = {}
-    for j, den, num in zip(sorted(cells), dens, nums):
-        if den > 0:
-            values[j] = float(num) / float(den)
-    return PiecewiseDyadicFn(k, values, 0.0)
+    mass = dens > 0
+    return PiecewiseDyadicFn(k, (keys[mass], nums[mass] / dens[mass]), 0.0)

@@ -120,6 +120,25 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "regression",
+        [{"kind": "dyadic", "fn": {"k": 1, "default": 0.0, "cells": [[1, float("nan")], [2, 0.0]]}},
+         {"kind": "dyadic", "fn": {"k": 1, "default": float("inf"), "cells": [[1, 1.0]]}},
+         {**RAMP, "vs": [float("nan"), 0.8]},
+         {**RAMP, "lipschitz": float("nan")}],
+        ids=["dyadic-cell-nan", "dyadic-default-inf", "vs-nan", "lipschitz-nan"],
+    )
+    def test_non_finite_regression_number_exit2(self, tmp_path, capsys, regression):
+        # each was read, and the first three wrote nan or inf y values into sequence.csv
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"kind": "iid", "n": 16, "seed": 7, "distribution": UNIT_UNIFORM,
+             "regression": regression},
+        )
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "'regression'" in err and "is not a finite number" in err
+
     def test_ragged_transition_exit3(self, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -273,9 +292,13 @@ class TestEstimate:
          ({"truth": {"distribution": UNIT_UNIFORM,
                      "regression": {**RAMP, "xs": ["0", 1]}}}, "'truth.regression'"),
          ({"truth": {"distribution": {"atoms": [[True, 0.5]], "segments": [[0.0, 1.0, 0.5]]},
-                     "regression": RAMP}}, "'truth.distribution'")],
+                     "regression": RAMP}}, "'truth.distribution'"),
+         # a NaN budget number was read, and no window could pass against it
+         ({"alpha": {"kind": "table", "values": [1.0, float("nan")]}}, "'alpha'"),
+         ({"alpha": {"kind": "affine", "slope": float("nan"), "intercept": 1.0}}, "'alpha'")],
         ids=["checkpoint-float", "truth-0", "patience-string", "alpha-array",
-             "budget-string", "budget-bool", "regression-node-string", "atom-at-true"],
+             "budget-string", "budget-bool", "regression-node-string", "atom-at-true",
+             "budget-table-nan", "budget-slope-nan"],
     )
     def test_bad_value_exit2_names_key_path(self, tmp_path, capsys, bad, path):
         seq_csv = self._sequence(tmp_path, n=8)
@@ -607,6 +630,74 @@ class TestAdversary:
         # a constant external estimator can never approach the block target
         assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 5
 
+    def test_oracle_max_index_is_named_and_rebuilt(self, tmp_path, capsys):
+        # the report named every oracle "oracle", so verify rebuilt max_index 12
+        cfg = write_json(
+            tmp_path / "a.json",
+            {"phi": {"kind": "oracle", "max_index": 3}, "n_blocks": 3, "horizon": 4096,
+             "block_budget": 1024},
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert report["phi"] == "oracle(max_index=3)"
+        assert adv._procedure_from_name(report["phi"]).max_index == 3
+        vcfg = write_json(
+            tmp_path / "v.json",
+            {"sequence": str(tmp_path / "a" / "sequence.csv"),
+             "report": str(tmp_path / "a" / "report.json")},
+        )
+        capsys.readouterr()
+        assert main(["verify", "--config", vcfg]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  block3-l2-certificate" in out and "SKIP" not in out
+
+    @staticmethod
+    def _external(tmp_path, order="qs", value="0.5"):
+        """An external estimator answering each query line with `value`, the
+        query lines in the given order."""
+        est = tmp_path / "est.py"
+        est.write_text(
+            "import sys\n"
+            "lines = sys.stdin.read().splitlines()\n"
+            "i = next(j for j, l in enumerate(lines) if l.startswith('QUERIES'))\n"
+            "qs = lines[i + 1:]\n"
+            f"for q in {order}:\n"
+            f"    print(q, {value!r})\n"
+        )
+        return [sys.executable, str(est)]
+
+    @pytest.mark.parametrize(
+        "name", ["oracle", "oracle(max_index=3)", "plugin_histogram(offset=5)"]
+    )
+    def test_external_named_as_a_built_in_exit2(self, tmp_path, capsys, name):
+        # verify would re-run the built-in procedure in place of the command
+        cfg = write_json(
+            tmp_path / "a.json",
+            {"phi": {"kind": "external", "cmd": self._external(tmp_path), "name": name},
+             "n_blocks": 2, "horizon": 1 << 10, "block_budget": 64, "quad_cells": 1 << 10},
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert "'phi.name'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "order,value",
+        [("qs", "nan"), ("qs", "inf"), ("qs", "1_0"), ("qs[::-1]", "0.5")],
+        ids=["nan", "inf", "digit-separator", "out-of-order"],
+    )
+    def test_external_answer_not_a_finite_echo_exit2(self, tmp_path, capsys, order, value):
+        # nan and inf gave exit 5 with NaN or Infinity in witness.json, 1_0 read
+        # as 10, and the echoed x was never read
+        cmd = self._external(tmp_path, order, value)
+        cfg = write_json(
+            tmp_path / "a.json",
+            {"phi": {"kind": "external", "cmd": cmd}, "n_blocks": 2, "horizon": 1 << 10,
+             "block_budget": 64, "quad_cells": 1 << 10},
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert f"external estimator {sys.executable!r} answer line 1:" in err
+        assert not (tmp_path / "a" / "witness.json").exists()
+
     def test_external_command_that_cannot_run_exit2(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "a.json",
@@ -728,6 +819,21 @@ class TestVerify:
     )
     def test_checkpoint_non_integer_exit2(self, tmp_path, capsys, edit):
         # each was truncated by int() or read by float() and verified with exit 0
+        seq, chk = self._iid_checkpoint(tmp_path)
+        edit(chk)
+        capsys.readouterr()
+        assert self._verify(tmp_path, seq, write_json(tmp_path / "c.json", chk)) == 2
+        assert "bad report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda c: c["frozen"][-1]["cells"][0].__setitem__(1, float("nan")),
+         lambda c: c["frozen"][-1].update(default=float("inf")),
+         lambda c: c.update(budget={"kind": "table", "values": [1.0, float("nan")]})],
+        ids=["cell-nan", "default-inf", "budget-table-nan"],
+    )
+    def test_checkpoint_non_finite_exit2(self, tmp_path, capsys, edit):
+        # each was read, and failed a recomputation or variation check (exit 1)
         seq, chk = self._iid_checkpoint(tmp_path)
         edit(chk)
         capsys.readouterr()

@@ -298,7 +298,7 @@ class TestCheckpointFormat:
         write_sequence_csv(gen_iid(UNIFORM, H1, "binary", 600, RandomSource(4)), path)
         seq = read_sequence_csv(path)
         state, _, _ = stream_checkpoints(seq, VariationBudget.const(1.0), len(seq), [16, 600], 300)
-        chk = json.loads(json.dumps(checkpoint_to_dict(state)))
+        chk = checkpoint_from_dict(json.loads(json.dumps(checkpoint_to_dict(state))))
         assert len(state.tau) > 2 and all(ok for _, ok, _ in verify_checkpoint(seq, chk))
         assert "sorted_index" not in vars(seq) and "x_sorted" not in vars(seq)
 
@@ -307,10 +307,10 @@ class TestCheckpointFormat:
         st = EstimatorState(VariationBudget.const(1.0))
         st.ingest_many(seq.x, seq.y)
         chk = checkpoint_to_dict(st)
-        assert all(ok for _, ok, _ in verify_checkpoint(seq, chk))
+        assert all(ok for _, ok, _ in verify_checkpoint(seq, checkpoint_from_dict(chk)))
         bad = json.loads(json.dumps(chk))
         bad["frozen"][-1]["cells"][0][1] += 0.125
-        assert not all(ok for _, ok, _ in verify_checkpoint(seq, bad))
+        assert not all(ok for _, ok, _ in verify_checkpoint(seq, checkpoint_from_dict(bad)))
 
 
 def checkpoint_to_dict_from_parsed(parsed: dict) -> dict:
@@ -368,7 +368,7 @@ def _reference(budget, xs, ys):
     if n:
         keys, counts, sums = _accumulate_cells(xs, ys, k, n)
         cells = {j: [c, s] for j, c, s in zip(keys.tolist(), counts.tolist(), sums.tolist())}
-        buckets = _window_buckets(keys, sums / counts, k)
+        buckets = _window_buckets(PiecewiseDyadicFn(k, (keys, sums / counts)))
     alpha4 = [4.0 * budget.alpha(i) for i in range(1, k + 1)]
     units4 = [int(Fraction(min(a, sys.float_info.max)) * 2**1074) for a in alpha4]
     state = {

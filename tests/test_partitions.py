@@ -209,6 +209,29 @@ class TestPiecewiseDyadicFn:
                 return
             assert list(f.eval_many(np.array([x, x]))) == [expect, expect]
 
+    @given(
+        st.integers(60, 70),
+        st.lists(st.tuples(st.floats(-8, 8, allow_nan=False), st.floats(-9, 9)), max_size=8),
+        st.lists(st.floats(-8, 8, allow_nan=False), max_size=8),
+    )
+    def test_eval_many_equals_scalar_beyond_int64(self, k, mapped, others):
+        # at k >= 60 cell indices reach past 2^62, where the cells, the
+        # located indices or both are Python ints of dtype object
+        cells = {cell_of(x, k).j: v for x, v in mapped}
+        f = PiecewiseDyadicFn(k, cells, 0.25)
+        xs = [x for x, _ in mapped] + others
+        expect = [cells.get(cell_of(x, k).j, 0.25) for x in xs]
+        assert f.eval_many(np.array(xs)).tolist() == [f(x) for x in xs] == expect
+
+    def test_eval_many_mixes_index_kinds(self):
+        near, far = PiecewiseDyadicFn(70, {5: 2.0}, 0.5), PiecewiseDyadicFn(70, {2**70: 3.0}, 0.5)
+        assert near.cells.dtype == np.int64 and far.cells.dtype == object
+        xs = np.array([1.0, 5 * 2.0**-70, 0.5])  # cells 2^70, 5 and 2^69
+        assert near.eval_many(xs).tolist() == [0.5, 2.0, 0.5]
+        assert far.eval_many(xs).tolist() == [3.0, 0.5, 0.5]
+        # 2^70 + 1 is no double's cell: no point reaches it
+        assert PiecewiseDyadicFn(70, {2**70 + 1: 3.0}, 0.5).eval_many(xs).tolist() == [0.5] * 3
+
     def test_serialization_round_trip_exact(self, rng):
         f = PiecewiseDyadicFn(
             7, {int(j): float(v) for j, v in zip(rng.integers(-99, 99, 9), rng.normal(size=9))}, 0.125
@@ -216,6 +239,19 @@ class TestPiecewiseDyadicFn:
         g = PiecewiseDyadicFn.from_dict(f.to_dict())
         assert g.k == f.k and g.default == f.default
         assert dict(g.values) == dict(f.values)
+
+    def test_from_dict_takes_cells_in_any_order_and_the_last_repeat(self):
+        d = {"k": 2, "default": 0.5, "cells": [[3, 1.0], [-1, 2.0], [3, 4.0], [2**70, 5.0]]}
+        f = PiecewiseDyadicFn.from_dict(d)
+        assert f.cells.tolist() == [-1, 3, 2**70] and f.vals.tolist() == [2.0, 4.0, 5.0]
+        assert f.to_dict()["cells"] == [[-1, 2.0], [3, 4.0], [2**70, 5.0]]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_from_dict_rejects_non_finite_numbers(self, value):
+        for d in ({"k": 1, "default": 0.0, "cells": [[1, value]]},
+                  {"k": 1, "default": value, "cells": [[1, 0.5]]}):
+            with pytest.raises(ValueError, match="finite"):
+                PiecewiseDyadicFn.from_dict(d)
 
     def test_k0_only_index_zero(self):
         with pytest.raises(ValueError):
@@ -243,6 +279,16 @@ class TestVariationBudget:
             VariationBudget.from_table([0.5, 1.5]),
         ):
             assert VariationBudget.from_dict(b.to_dict()) == b
+
+    def test_nan_rejected_and_infinity_kept(self):
+        # a freeze reads an infinite 4 alpha(i) as a window that never binds
+        table = VariationBudget.from_dict({"kind": "table", "values": [1.0, math.inf]})
+        assert table.alpha(2) == math.inf
+        for d in ({"kind": "table", "values": [1.0, math.nan]},
+                  {"kind": "affine", "slope": math.nan, "intercept": 1.0},
+                  {"kind": "affine", "slope": 1.0, "intercept": math.nan}):
+            with pytest.raises(ValueError, match="NaN"):
+                VariationBudget.from_dict(d)
 
     def test_defined_on_positive_integers(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,26 @@
-"""The windowed-variation paths agree bit for bit with a dense reference.
+"""The windowed-variation paths agree bit for bit with two references.
 
-`total_variation_window`, the dyadic `RegressionModel.variation_window` and
-the one-pass `variation_check` all read the same jump walk.  The reference
-here shares none of it: it visits every adjacent cell pair of the window,
-mapped or not, and takes the fsum.  Functions reach beyond 320 cells, carry
-a nonzero default, and hold cells beyond 2^62, outside every window or, at
-k >= 60, inside them; at those depths the sparse `total_variation_window`
-is the reference.  Comparisons are `==`, never approx.
+`adjacent_jumps` is the one jump enumerator: `total_variation_window`, the
+dyadic `RegressionModel.variation_window`, `variation_check`, the
+estimator's `_window_buckets` and the dyadic `_is_monotone` all read it.
+Two references here share none of it.  `dense_variation` visits every
+adjacent cell pair of the window, mapped or not, and takes the fsum.
+`walk_adjacent_jumps` and `walk_variation_check` are the earlier dict walks
+over the mapped cells, kept here as copies.  Functions reach beyond 320
+cells, carry a nonzero default, hold -0.0, sit at k = 0, and hold cells
+beyond 2^62, outside every window or, at k >= 60, inside them; at those
+depths the walk stands in for the dense reference.  Comparisons are `==`
+on floats or exact integers, never approx.
 """
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stableseq.estimator import variation_check
+from stableseq.estimator import _window_buckets, variation_check
 from stableseq.partitions import (
     PiecewiseDyadicFn,
     VariationBudget,
@@ -61,13 +67,98 @@ def deep_step_functions(draw):
     return PiecewiseDyadicFn(k, cells, draw(VALUES))
 
 
-def dense_variation(fn: PiecewiseDyadicFn, i: int) -> float:
-    if fn.k >= 60:  # too many cells to visit; the sparse walk stands in
-        return total_variation_window(fn, i)
+@st.composite
+def one_cell_functions(draw):
+    cells = draw(st.dictionaries(st.just(0), VALUES, max_size=1))
+    return PiecewiseDyadicFn(0, cells, draw(VALUES))
+
+
+ANY_FUNCTION = st.one_of(
+    step_functions(), wide_step_functions(), deep_step_functions(), one_cell_functions()
+)
+
+
+# -- the earlier dict walks, copied as references -----------------------------
+
+def walk_adjacent_jumps(f: PiecewiseDyadicFn):
+    """Yield (b, |f(A_b) - f(A_{b+1})|) for every nonzero jump, ascending in b."""
+    values, default = dict(f.values), f.default
+    for j in sorted(values):
+        v = values[j]
+        left = values.get(j - 1, default)
+        if left != v:
+            yield j - 1, abs(v - left)
+        if (j + 1) not in values and v != default:
+            yield j, abs(v - default)
+
+
+def walk_smallest_window(b: int, k: int) -> int:
+    return -((-1 - abs(b)) >> k)
+
+
+def walk_variation_check(fn: PiecewiseDyadicFn, budget: VariationBudget) -> bool:
+    k = fn.k
+    buckets: list[list[float]] = [[] for _ in range(k + 1)]
+    for b, d in walk_adjacent_jumps(fn):
+        i = walk_smallest_window(b, k)
+        if i <= k:
+            buckets[i].append(d)
+    terms: list[float] = []
+    for i in range(1, k + 1):
+        terms += buckets[i]
+        if not math.fsum(terms) < 4.0 * budget.alpha(i):
+            return False
+    return True
+
+
+def walk_is_monotone(fn: PiecewiseDyadicFn) -> bool:
+    values = dict(fn.values)
+    vals: list[float] = [fn.default]
+    prev = None
+    for j in sorted(values):
+        if prev is not None and j > prev + 1:
+            vals.append(fn.default)
+        vals.append(values[j])
+        prev = j
+    vals.append(fn.default)
+    dv = np.diff(vals)
+    return bool(np.all(dv >= 0) or np.all(dv <= 0))
+
+
+def walk_variation(fn: PiecewiseDyadicFn, i: int) -> float:
     span = i << fn.k
+    return math.fsum(d for b, d in walk_adjacent_jumps(fn) if -span < b < span)
+
+
+def dense_variation(fn: PiecewiseDyadicFn, i: int) -> float:
+    if fn.k >= 60:  # too many cells to visit; the walk stands in
+        return walk_variation(fn, i)
+    span = i << fn.k
+    value = dict(fn.values).get
     return math.fsum(
-        abs(fn.value_at_cell(j + 1) - fn.value_at_cell(j)) for j in range(-span + 1, span)
+        abs(value(j + 1, fn.default) - value(j, fn.default)) for j in range(-span + 1, span)
     )
+
+
+@given(ANY_FUNCTION, st.integers(1, 4))
+def test_enumerator_and_its_readers_equal_the_walk(fn, i):
+    b, d = adjacent_jumps(fn)
+    assert list(zip(b.tolist(), np.abs(d).tolist())) == list(walk_adjacent_jumps(fn))
+    # signed: the value right of the boundary minus the one left of it
+    value = dict(fn.values).get
+    assert d.tolist() == [value(j + 1, fn.default) - value(j, fn.default) for j in b.tolist()]
+    model = RegressionModel.from_dyadic(fn)
+    assert model._is_monotone() == walk_is_monotone(fn)
+    ref = walk_variation(fn, i) if fn.k else 0.0
+    assert total_variation_window(fn, i) == ref
+    assert model.variation_window(i) == ref
+    # each window's exact integer sum of the walk's jumps, in units of 2^-1074
+    buckets: dict[int, int] = {}
+    for b, d in walk_adjacent_jumps(fn):
+        w = walk_smallest_window(b, fn.k)
+        if w <= fn.k:
+            buckets[w] = buckets.get(w, 0) + int(Fraction(d) * 2**1074)
+    assert _window_buckets(fn) == {w: s for w, s in buckets.items() if s}
 
 
 @given(step_functions(), st.integers(1, 4))
@@ -82,10 +173,7 @@ def test_wide_window_variation_equals_dense_reference(fn, i):
     assert total_variation_window(fn, i) == dense_variation(fn, i)
 
 
-@given(
-    st.one_of(step_functions(), wide_step_functions(), deep_step_functions()),
-    st.lists(st.sampled_from(["tie", "above", "below"]), min_size=7),
-)
+@given(ANY_FUNCTION, st.lists(st.sampled_from(["tie", "above", "below"]), min_size=7))
 def test_variation_check_equals_per_window_rule(fn, modes):
     # a table budget placed at, just above or below each window's variation,
     # so ties (which must fail) come up often; its last entry covers deeper
@@ -99,11 +187,11 @@ def test_variation_check_equals_per_window_rule(fn, modes):
             "below": quarter / 2.0,
         }[modes[i - 1]]
         table.append(max([a, 5e-324, *table[-1:]]))
-    budget = VariationBudget.from_table(table)
+    budget = VariationBudget.from_table(table or [1.0])
     expect = all(
         dense_variation(fn, i) < 4.0 * budget.alpha(i) for i in range(1, fn.k + 1)
     )
-    assert variation_check(fn, budget) == expect
+    assert variation_check(fn, budget) == expect == walk_variation_check(fn, budget)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -117,6 +205,6 @@ def test_non_finite_jump_fails(value):
 def test_window_sum_beyond_the_double_range_raises_as_fsum_does():
     fn = PiecewiseDyadicFn(2, {1: 1.5e308, 2: 0.0, 3: 1.5e308}, 0.0)  # finite jumps
     with pytest.raises(OverflowError):
-        math.fsum(d for _, d in adjacent_jumps(fn))
+        math.fsum(np.abs(adjacent_jumps(fn)[1]).tolist())
     with pytest.raises(OverflowError):
         variation_check(fn, VariationBudget.const(math.inf))
