@@ -5,7 +5,10 @@ JSON files; all outputs are deterministic functions of (config, seed):
 reports carry no timestamps, floats are written in shortest round-trip
 form, and JSON keys are sorted.  Every JSON artifact is, byte for byte, the
 text of `json.dumps(obj, sort_keys=True, indent=2)` plus a newline;
-`_dump_json` writes that text without json's pure-Python indent encoder.
+`_dump_json` writes that text straight to the file without json's
+pure-Python indent encoder, and a checkpoint's step functions straight
+from their cell and value arrays.  `verify` reads a checkpoint one step
+function at a time (`PiecewiseDyadicFn.object_hook`).
 
 Every config key is read through `_get`, which checks the value's JSON type
 and fixed range; a value that does not fit exits 2 with its key path, such
@@ -21,7 +24,7 @@ Exit codes separate theory-meaningful outcomes from operational errors:
        a value too large to handle, a failing external estimator)
     3  generator precondition failure (noise/transition constraints)
     4  estimator stall (patience or required resolution not met;
-       partial outputs are still written)
+       partial outputs are still written; stderr names the binding window)
     5  consistency-violation witness from the adversary (witness files are
        written -- this is a success mode of the theory, not a crash)
     6  adversary horizon exhausted
@@ -42,6 +45,8 @@ import math
 import sys
 import traceback
 from pathlib import Path
+
+import numpy as np
 
 from . import adversary as adv
 from .estimator import checkpoint_from_dict, checkpoint_to_dict, verify_checkpoint
@@ -68,7 +73,7 @@ from .measures import (
     sequence_csv_bytes,
     stability_diagnostic,
 )
-from .partitions import VariationBudget
+from .partitions import PiecewiseDyadicFn, VariationBudget
 from .regression import RegressionModel, SignedMeasureModel
 
 EXIT_OK = 0
@@ -88,6 +93,7 @@ class ConfigError(ValueError):
 _REQUIRED = dataclasses.MISSING  # the default of a key that must be given
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
 _KIND_NAMES[str, dict] = "a name or an object"
+_PIECE = 4096  # cells of a step function `_dump_json` formats at a time
 
 
 def _load_config(path: str) -> dict:
@@ -139,51 +145,61 @@ def _parse(builder, cfg: dict, key: str, at: str = ""):
         raise ConfigError(f"bad {at + key!r}: {type(e).__name__}: {e}") from e
 
 
-def _json_parts(obj, pad: str, out: list) -> None:
-    """Append to out, piece by piece, the text of `json.dumps(obj,
-    sort_keys=True, indent=2)` for obj written at the indentation `pad`.
-    Dicts with string keys and lists are written here; any other value, or
-    a dict with other keys, is json's own text with pad after each newline
-    (a JSON string never holds a raw newline).  A list of [int, finite
-    float] cells takes one f-string per cell: json writes an int as
-    `int.__repr__` and a finite float as `float.__repr__`."""
+def _json_parts(obj, pad: str, write) -> None:
+    """Write, piece by piece, the text of `json.dumps(obj, sort_keys=True,
+    indent=2)` for obj at the indentation `pad`, a `PiecewiseDyadicFn`
+    standing for its `to_dict()`.  Dicts with string keys, lists and step
+    functions are written here; any other value, or a dict with other keys,
+    is json's own text with pad after each newline (a JSON string never
+    holds a raw newline)."""
     inner = pad + "  "
-    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
+    if isinstance(obj, PiecewiseDyadicFn):
+        _fn_parts(obj, pad, write)
+    elif isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
         sep = "{\n"
         for key in sorted(obj):
-            out.append(f"{sep}{inner}{json.dumps(key)}: ")
-            _json_parts(obj[key], inner, out)
+            write(f"{sep}{inner}{json.dumps(key)}: ")
+            _json_parts(obj[key], inner, write)
             sep = ",\n"
-        out.append(f"\n{pad}}}")
+        write(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple)) and obj:
-        if all(
-            type(c) is list and len(c) == 2 and type(c[0]) is int
-            and type(c[1]) is float and math.isfinite(c[1])
-            for c in obj
-        ):
-            cell = inner + "  "
-            cells = [f"{inner}[\n{cell}{j},\n{cell}{v!r}\n{inner}]" for j, v in obj]
-            out += ("[\n", ",\n".join(cells), f"\n{pad}]")
-            return
         sep = "[\n"
         for item in obj:
-            out.append(sep + inner)
-            _json_parts(item, inner, out)
+            write(sep + inner)
+            _json_parts(item, inner, write)
             sep = ",\n"
-        out.append(f"\n{pad}]")
+        write(f"\n{pad}]")
     else:
-        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+        write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+
+
+def _fn_parts(fn: PiecewiseDyadicFn, pad: str, write) -> None:
+    """fn's `to_dict()` text, written from its arrays `_PIECE` cells at a
+    time: json writes an int as `int.__repr__`, a finite float as
+    `float.__repr__` and any other float as NaN or +-Infinity."""
+    inner, cell = pad + "  ", pad + "    "
+    write(f'{{\n{inner}"cells": ')
+    sep = "[\n"
+    for lo in range(0, len(fn.cells), _PIECE):
+        vs = fn.vals[lo:lo + _PIECE]
+        text = float.__repr__ if np.isfinite(vs).all() else json.dumps
+        write(sep + ",\n".join(
+            f"{cell}[\n{cell}  {j},\n{cell}  {text(v)}\n{cell}]"
+            for j, v in zip(fn.cells[lo:lo + _PIECE].tolist(), vs.tolist())
+        ))
+        sep = ",\n"
+    write(f"\n{inner}]" if len(fn.cells) else "[]")
+    write(f',\n{inner}"default": {json.dumps(fn.default)},')
+    write(f'\n{inner}"k": {json.dumps(fn.k)}\n{pad}}}')
 
 
 def _dump_json(obj: dict, path: Path) -> None:
     """Write obj as `json.dumps(obj, sort_keys=True, indent=2)` plus a
-    newline, byte for byte.  The pieces of `_json_parts` are written one
-    after another; the whole text is never held as one string."""
-    out: list[str] = []
-    _json_parts(obj, "", out)
-    out.append("\n")
+    newline, byte for byte, straight to the file as `_json_parts` makes the
+    pieces; the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(out)
+        _json_parts(obj, "", fh.write)
+        fh.write("\n")
 
 
 def build_generated_sequence(cfg: dict, at: str = ""):
@@ -284,7 +300,7 @@ def cmd_estimate(cfg: dict, out: Path) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     out.mkdir(parents=True, exist_ok=True)
-    chk = checkpoint_to_dict(state)
+    chk = checkpoint_to_dict(state, fns=True)
     chk["stalled_at"] = stalled_at
     _dump_json(chk, out / "checkpoint.json")
     if truth is not None:
@@ -292,9 +308,13 @@ def cmd_estimate(cfg: dict, out: Path) -> int:
         curve = ErrorCurve(tuple(rows), meta, stalled_at)
         (out / "curve.csv").write_bytes(error_curve_csv_bytes(curve))
         (out / "curve_meta.json").write_text(curve.to_metadata_json() + "\n", encoding="utf-8")
-    if stalled_at is not None:
-        return EXIT_STALL
-    if required is not None and state.kappa() < required:
+    if stalled_at is not None or (required is not None and state.kappa() < required):
+        i, v, lim = state.binding_window()
+        print(
+            f"estimate stalled: search resolution {state.search_resolution} after "
+            f"{state.consumed} pairs, binding window i={i}: V_i={v!r}, 4*alpha(i)={lim!r}",
+            file=sys.stderr,
+        )
         return EXIT_STALL
     return EXIT_OK
 
@@ -324,7 +344,7 @@ def _make_phi(cfg: dict) -> object:
     if kind == "constant":
         return adv.ConstantProcedure(_get(spec, "c", float, 0.5, at="phi."))
     if kind == "oracle":
-        return adv.OracleProcedure(max_index=_get(spec, "max_index", int, 12, at="phi."))
+        return adv.OracleProcedure(max_index=_get(spec, "max_index", int, 12, lo=1, at="phi."))
     raise ConfigError(f"unknown estimator kind {kind!r}")
 
 
@@ -382,9 +402,9 @@ def cmd_verify(cfg: dict) -> int:
     results = None
     try:  # an unreadable or malformed report is an input error, not a FAIL
         with open(report_path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+            report = json.load(fh, object_hook=PiecewiseDyadicFn.object_hook)
         if "tau" in report:
-            report = checkpoint_from_dict(report)  # the JSON lists go before the replay
+            report = checkpoint_from_dict(report)
             results = verify_checkpoint(seq, report)
         elif "blocks" in report:
             results = adv.verify_adversary_report(report, seq)

@@ -19,70 +19,72 @@ Exactness discipline.  The strict inequality against 4 * alpha(i) is a
 contract: ties fail, and a re-run from scratch must reproduce the same tau
 sequence bit for bit.  Every finite double is an integer multiple of
 2^-1074, so the streaming state keeps each window bucket as the exact
-integer sum of its jumps in that unit; a pair refresh moves it by
-new - old without rounding.  A window sum acc / 2^1074 is one correctly
-rounded int/int division, hence the same float as the `math.fsum` of the
-same jumps that `variation_check` compares -- the public function a
-from-scratch audit calls -- so the streaming decision is
-`variation_check`'s bit for bit, with no snapshot and no re-check.  Both
-read the jumps of a histogram, a `PiecewiseDyadicFn` on sorted cell and
-value arrays, from the one enumerator `partitions.adjacent_jumps`.
-Per-cell y-sums accumulate in arrival order both here and in
-`histogram_estimate`, so all three paths (streaming, batch reference,
-certificate replay) see identical cell values.  Ingest rejects
+integer sum of its jumps in that unit; a refresh moves it by the exact sum
+of the new jumps beside the touched cells minus the old ones.  A window sum
+acc / 2^1074 is one correctly rounded int/int division, hence the same
+float as the `math.fsum` of the same jumps that `variation_check` compares
+-- the public function a from-scratch audit calls -- so the streaming
+decision is `variation_check`'s bit for bit, with no snapshot and no
+re-check.  Both read the jumps of a histogram, a `PiecewiseDyadicFn` on
+sorted cell and value arrays, from the one enumerator
+`partitions.adjacent_jumps`.  Per-cell y-sums accumulate in arrival order
+both here and in `histogram_estimate`, so all three paths (streaming, batch
+reference, certificate replay) see identical cell values.  Ingest rejects
 |y| >= 2^512 (the paper assumes bounded y): below it no cell sum, jump or
 window sum can overflow.
 
-Statistics at a freshly unlocked resolution are rebuilt by one array pass
-over the retained prefix: cell indices, per-cell sums seeded with each
-cell's first y and then `np.add.at` in arrival order (the same additions
-as `+=`), the jumps `adjacent_jumps` finds over the sorted occupied
-cells, and each bucket's integer from exponent-binned int64 sums.  The
-estimator keeps the whole prefix and is not constant-memory by design
-(correctness over space at desk scale).  No jump is stored: an update
-recomputes the jumps beside a cell from its old and new value and its
-neighbours.  Only buckets of windows up to k are kept, none of them 0, so
-the state is a function of the cells alone, whichever path built it.
+State.  The prefix lives in two float64 arrays that double when full, and
+the occupied cells in sorted keys (as `_int_keys` makes them), int64
+counts and float64 y-sums; the estimator keeps the whole prefix by design
+(correctness over space at desk scale).  A freshly unlocked resolution
+rebuilds the cells in one pass over the prefix (sums seeded with each
+cell's first y, then `np.add.at` in arrival order: the `+=` additions) and
+the buckets from the jumps `adjacent_jumps` finds, binned by exponent into
+exact integers (`_window_sums`).  Ingest adds a chunk of pairs to the cells
+in one array pass, one vector step per occurrence rank of a cell, so each
+running sum is the sequential `+=`; each bucket then moves by the
+`_window_sums` of the new jumps beside the touched cells minus the old
+ones, or all are rebuilt when many cells moved.  No jump is stored, and
+only buckets of windows up to k, none of them 0, so the state is a
+function of the prefix alone, whichever path built it.
 
-Certified spans.  Deciding at every pair, as `batch_tau_search` does from
-scratch, walks the windows once per pair.  `ingest_many` decides only where
-a decision could pass, so it freezes at the same pairs.  Write U_i =
-units(4 alpha(i)).  Rounding is monotone and 4 alpha(i) is a double, so
-acc_i >= U_i makes window i fail.  At a decision that fails, the exact
-integer D = max_i (acc_i - U_i) is taken.  A later pair changes one cell's
-value from v to v' -- the doubles fl(s/c) of the cell before and after it,
-v = 0 for an empty cell -- and with it the two jumps beside the cell, each
-d = fl|v - w| against a neighbour value w.
-Reverse triangle inequality: each moves by at most |v' - v| plus the
-rounding of its two subtractions, u(|v' - w| + |v - w|) with u = 2^-53
-(a subtraction whose result is subnormal is exact, so the relative bound
-always holds).  Both jumps together move by at most
+Certified spans.  `batch_tau_search` decides at every pair; `ingest_many`
+decides only where a decision could pass, so it freezes at the same pairs.
+Write U_i = units(4 alpha(i)).  Rounding is monotone and 4 alpha(i) is a
+double, so acc_i >= U_i makes window i fail.  At a decision that fails, the
+exact integer D = max_i (acc_i - U_i) is taken.  A later pair changes one
+cell's value from v to v' -- the doubles fl(s/c) of the cell before and
+after it, v = 0 for an empty cell -- and with it the two jumps beside the
+cell, each d = fl|v - w| against a neighbour value w.  Reverse triangle
+inequality: each moves by at most |v' - v| plus the rounding of its two
+subtractions, u(|v' - w| + |v - w|) with u = 2^-53 (a subnormal
+difference is exact).  Both jumps together move by at most
 
-    2|v' - v| + 2u * S,   S = |v'| + |v| + |w_left| + |w_right|.
+    e = 2|v' - v| + 2u * S,   S = |v'| + |v| + |w_left| + |w_right|.
 
 The cell sum and s/c need no term of their own: v and v' are the very
 doubles a decision at that pair sees, so their rounding is already in them.
-The bound is accumulated in floats as
+W, the largest |value| of a cell at a chunk's start or after one of its
+pairs, bounds every neighbour while the chunk arrives.  One array pass
+over the chunk takes
 
-    B <- (B + 2|v' - v| + 2^-51 * S + 2^-1020) * (1 + 2^-50).
+    a = 2|v' - v| + 2^-51 * (|v'| + |v| + 2W) + 2^-1020,
+    B = (cumsum(a) + B_0) * (1 + 2^-40),
 
-Each rounding to nearest loses at most a factor 1 + u, so the new B is at
-least (1 + 2^-50) / (1 + u)^4 times
-
-    B + 2|v' - v| / (1 + u) + 2^-51 * S / (1 + u)^4 - 2^-1075 + 2^-1020:
-
-four roundings for the three additions and the product, one for v' - v,
-three for the float S and one for 2^-51 * S, which may also lose 2^-1075
-to underflow.  The 2^-1020 term covers that loss and keeps the product
-normal.  Since 1 + 2^-50 >= (1 + u)^5 and 2^-51 / (1 + u)^3 >= 2u, the
-new B is at least the old B plus the exact bound: B rounds up.  While B
-stays at or below D / 2^1074 rounded down, acc_i for the i that gave D
-stays >= U_i, so a decision at any of those pairs would fail and freeze
-nothing; those pairs only update their cells.  Once B exceeds it, each
-touched cell is refreshed once through the exact jump update (or, when
-many were touched, the buckets are rebuilt as at a freeze) and the
-windows are checked.  D <= 0 makes each pair a decision point, and so is
-the first pair after a freeze or at the start of a batch.
+with B_0 the bound carried from the chunk before (0 after a decision).
+Rounding a nonnegative x to nearest gives at least (1 - u) x, and a
+subnormal sum is exact.  So a >= (1 - u)^3 e: one rounding for v' - v, two
+for the additions; 2^-51 = 4u covers 2u and the two roundings of the float
+S, and 2^-1020 the at most 2^-1075 that 2^-51 * S may lose to underflow.
+The t <= `_CHUNK` = 4096 partial sums of cumsum, the addition of B_0 and
+the product lose a factor 1 - u each, and (1 - u)^4100 (1 + 2^-40) >= 1:
+B is at least B_0 plus the exact sum of the e's.  While B stays at or
+below D / 2^1074 rounded down, acc_i for the i that gave D stays >= U_i,
+so a decision at any of those pairs would fail and freeze nothing.  The
+first pair where B exceeds it is the next decision point: the pairs up to
+it join the cells, the buckets are refreshed, and the windows checked.
+D <= 0 makes each pair a decision point, and so is the first pair after a
+freeze or at the start of a batch.
 
 Single-writer: ingestion is strictly sequential.  Frozen estimates are
 immutable snapshots and may be read concurrently.
@@ -122,15 +124,15 @@ __all__ = [
 
 _Y_BOUND = 2.0**512  # |y| below it: no cell sum, jump or window sum overflows
 _ULP_SCALE = 1 << 1074  # every finite double is an integer multiple of 2^-1074
-_CHUNK = 4096  # pairs whose cells `ingest_many` locates in one array pass
-# a decision rebuilds all buckets once 8 * touched > cells + 320: refreshing
-# costs ~5 us per touched cell, a rebuild ~200 us + 0.6 us per cell
+_CHUNK = 4096  # pairs `ingest_many` locates and sums in one array pass
+_RANKS = 32  # occurrences of a cell summed one vector step each; the rest accumulate
+# a refresh rebuilds all buckets once 8 * touched > cells + 320
 _REBUILD_SHARE = 8
 _REBUILD_MIN = 320
 # the certified-span bound's rounding terms, derived in the module docstring
 _SLACK = 2.0**-51
 _TINY = 2.0**-1020
-_ROUND_UP = 1.0 + 2.0**-50
+_ROUND_UP = 1.0 + 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -163,42 +165,76 @@ def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, n
     return _int_keys(keys), counts, sums
 
 
-def _cells_to_fn(cells: dict[int, list], k: int) -> PiecewiseDyadicFn:
-    """The histogram of a table cell -> [count, sum]; empty cells are 0.  The
-    indices came from integral floats, so they convert back exactly."""
-    keys = sorted(cells)
-    vals = [c[1] / c[0] for c in map(cells.__getitem__, keys)]
-    return PiecewiseDyadicFn(k, (_int_keys(np.array(keys, dtype=float)), vals), 0.0)
-
-
-def _window_buckets(fn: PiecewiseDyadicFn) -> dict[int, int]:
-    """Each window's exact sum of fn's absolute jumps, in units of 2^-1074;
-    only windows up to fn.k, and no zero sums."""
-    k = fn.k
-    b, d = adjacent_jumps(fn)
-    m = _smallest_window(b, k)
-    keep = m <= k
-    if not keep.any():
+def _window_sums(m: np.ndarray, d: np.ndarray) -> dict[int, int]:
+    """Each window's exact sum of the doubles d >= 0, d[t] in window m[t], in
+    units of 2^-1074."""
+    if not len(d):
         return {}
-    d, m = np.abs(d[keep]), m[keep].astype(np.int64)
-    del b, keep  # the temporaries go as soon as they are used
+    m = m.astype(np.int64)
     # d * 2^1074 = mant * 2^shift, mant < 2^53; split it in 26-bit halves so
     # the int64 sums per (window, shift) bin hold for fewer than 2^36 jumps
     frac, expo = np.frexp(d)
     shift = expo + 1021
     mant = np.ldexp(frac, 53 + np.minimum(shift, 0)).astype(np.int64)
     key = m * 2048 + np.maximum(shift, 0)
-    del d, m, frac, expo, shift
+    del m, frac, expo, shift  # the temporaries go as soon as they are used
     order = np.argsort(key, kind="stable")
     key, mant = key[order], mant[order]
     starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
     high = np.add.reduceat(mant >> 26, starts).tolist()
     low = np.add.reduceat(mant & 0x3FFFFFF, starts).tolist()
-    buckets: dict[int, int] = {}
+    sums: dict[int, int] = {}
     for g, h, lo in zip(key[starts].tolist(), high, low):
         i, s = divmod(g, 2048)
-        buckets[i] = buckets.get(i, 0) + (((h << 26) + lo) << s)
-    return buckets
+        sums[i] = sums.get(i, 0) + (((h << 26) + lo) << s)
+    return sums
+
+
+def _window_buckets(fn: PiecewiseDyadicFn) -> dict[int, int]:
+    """Each window's exact sum of fn's absolute jumps, in units of 2^-1074;
+    only windows up to fn.k, and no zero sums."""
+    b, d = adjacent_jumps(fn)
+    m = _smallest_window(b, fn.k)
+    keep = m <= fn.k
+    return _window_sums(m[keep], np.abs(d[keep]))
+
+
+def _find(keys: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, hit): where each of js goes in the sorted keys, and whether it is there."""
+    pos = np.searchsorted(keys, js)
+    hit = np.zeros(len(js), dtype=bool)
+    inside = pos < len(keys)
+    hit[inside] = keys[pos[inside]] == js[inside]
+    return pos, hit
+
+
+def _running_cells(keys, counts, sums, js: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
+    """[count, sum, value before, value after] of each pair's cell, in arrival
+    order, as the pairs (js, ys) join the cells (keys, counts, sums): a new
+    cell's sum starts at its first y, later ys add in order as `+=` does.
+    Rank r of each cell is one vector step below `_RANKS`, then accumulate."""
+    cells, inv = np.unique(js, return_inverse=True)
+    pos, hit = _find(keys, cells)
+    c0, s0 = np.zeros(len(cells), dtype=np.int64), np.zeros(len(cells))
+    c0[hit], s0[hit] = counts[pos[hit]], sums[pos[hit]]
+    order = np.argsort(inv, kind="stable")  # by cell, then arrival
+    g = inv[order]
+    starts = np.flatnonzero(np.append(True, g[1:] != g[:-1]))
+    sizes = np.diff(np.append(starts, len(g)))
+    s = ys[order]
+    s[starts[hit]] += s0[hit]
+    for r in range(1, min(int(sizes.max(initial=0)), _RANKS)):
+        at = starts[sizes > r] + r
+        s[at] += s[at - 1]
+    for a, z in zip(starts[sizes > _RANKS].tolist(), sizes[sizes > _RANKS].tolist()):
+        np.add.accumulate(s[a + _RANKS - 1:a + z], out=s[a + _RANKS - 1:a + z])
+    c = c0[g] + np.arange(len(g)) - starts[g] + 1
+    after = s / c
+    before = np.empty_like(after)  # the cell's value after its previous pair
+    before[1:] = after[:-1]
+    before[starts] = np.divide(s0, c0, out=np.zeros(len(cells)), where=hit)
+    back = np.argsort(order)  # to arrival order
+    return [c[back], s[back], before[back], after[back]]
 
 
 def histogram_estimate(seq: SampleSequence, k: int, n: int) -> HistogramEstimate:
@@ -266,20 +302,30 @@ class EstimatorState:
 
     def __init__(self, budget: VariationBudget):
         self.budget = budget
-        self.xs: list[float] = []
-        self.ys: list[float] = []
+        self._x, self._y = np.empty(0), np.empty(0)  # the prefix, in the first _n slots
+        self._n = 0
         self.tau: list[int] = []
         self.frozen: list[PiecewiseDyadicFn] = []
         self._k = 0  # resolution currently searched (0 = waiting for first pair)
-        self._cells: dict[int, list] = {}
+        self._keys = np.empty(0, dtype=np.int64)  # occupied cells, ascending
+        self._counts = np.empty(0, dtype=np.int64)
+        self._sums = np.empty(0)
         self._bucket: dict[int, int] = {}  # smallest window -> sum of its jumps / 2^-1074
         self._alpha4: list[float] = []  # 4*alpha(i), i = 1.._k
         self._units4: list[int] = []  # the same in units of 2^-1074
 
     # -- public views -----------------------------------------------------------
     @property
+    def xs(self) -> np.ndarray:
+        return self._x[:self._n]
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self._y[:self._n]
+
+    @property
     def consumed(self) -> int:
-        return len(self.xs)
+        return self._n
 
     @property
     def search_resolution(self) -> int:
@@ -301,6 +347,14 @@ class EstimatorState:
             return 0
         return self.consumed - self.tau[-1]
 
+    def binding_window(self) -> tuple[int, float, float]:
+        """(i, V_i, 4 alpha(i)) for the window i on which the search histogram
+        fails by the most, or comes closest to failing (the i of the exact
+        margin D); V_i is its `total_variation_window`.  Needs k >= 1."""
+        i = self._window_margin()[1]
+        acc = sum(self._bucket.get(w, 0) for w in range(1, i + 1))
+        return i, acc / _ULP_SCALE, self._alpha4[i - 1]
+
     # -- ingestion ----------------------------------------------------------------
     def ingest(self, x: float, y: float) -> int | None:
         """Ingest one pair: `ingest_many` on it.  Returns the newly frozen
@@ -317,8 +371,7 @@ class EstimatorState:
         stored x (see `_freeze`).  Any split of a stream into batches gives
         the same state.  See "Certified spans" above.
         """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         n = min(len(xs), len(ys))
         xs, ys = xs[:n], ys[:n]
         events: list[tuple[int, int]] = []
@@ -333,97 +386,104 @@ class EstimatorState:
         first freeze or the end, and return the index after the last pair
         ingested; at the first pair `_check_pair` rejects, raise there.
         Pair lo is a decision point."""
-        cells = self._cells
-        get = cells.get
         limit, bound = -1.0, 0.0
-        touched: dict[int, float] = {}  # cell -> its value at the last decision
-        first_touch = touched.setdefault
         for start in range(lo, len(xs), _CHUNK):
             xc, yc = xs[start:start + _CHUNK], ys[start:start + _CHUNK]
             scaled = _cell_indices(xc, self._k)
             fit = ~np.isnan(scaled) & (np.abs(yc) < _Y_BOUND)
             stop = len(fit) if fit.all() else int(fit.argmin())
-            js = _int_keys(scaled[:stop]).tolist()
-            xl, yl = xc[:stop].tolist(), yc[:stop].tolist()
-            done = 0
-            for t, (j, y) in enumerate(zip(js, yl), 1):
-                c = get(j)
-                if c is None:
-                    v = 0.0
-                    cells[j] = [1, y]
-                    v2 = y
-                else:
-                    v = c[1] / c[0]
-                    c[0] += 1
-                    c[1] += y
-                    v2 = c[1] / c[0]
-                w = abs(v2) + abs(v)
-                c = get(j - 1)
-                if c:
-                    w += abs(c[1] / c[0])
-                c = get(j + 1)
-                if c:
-                    w += abs(c[1] / c[0])
-                bound = (bound + 2.0 * abs(v2 - v) + _SLACK * w + _TINY) * _ROUND_UP
-                first_touch(j, v)
-                if bound > limit:  # a decision point
-                    self._refresh_cells(touched)
-                    touched.clear()
-                    self.xs += xl[done:t]
-                    self.ys += yl[done:t]
-                    done = t
-                    limit, bound = self._window_margin(), 0.0
-                    if limit is None:
-                        cells = get = None  # the freeze releases the old cells
-                        events.append((self._freeze(), self.tau[-1]))
-                        return start + t
-            self.xs += xl[done:]
-            self.ys += yl[done:]
-            if stop < len(fit):
-                break
-        self._refresh_cells(touched)
-        if start + stop < len(xs):  # the pair the run cannot place
-            _check_pair(float(xs[start + stop]), float(ys[start + stop]), self._k)
-        return start + stop
+            if stop:
+                js = _int_keys(scaled[:stop])
+                cells = self._keys, self._counts, self._sums
+                count, total, v, v2 = _running_cells(*cells, js, yc[:stop])
+                w = max(np.abs(v2).max(), np.abs(self._sums / self._counts).max(initial=0.0))
+                a = 2.0 * np.abs(v2 - v) + _SLACK * (np.abs(v2) + np.abs(v) + 2.0 * w) + _TINY
+            p = 0
+            while p < stop:
+                b = (np.cumsum(a[p:]) + bound) * _ROUND_UP
+                t = p + int(np.searchsorted(b, limit, side="right"))  # B first exceeds
+                q = min(t + 1, stop)
+                self._apply(js[p:q], count[p:q], total[p:q])
+                self._extend(xc[p:q], yc[p:q])
+                if t == stop:
+                    bound = float(b[-1])
+                    break
+                p = q
+                limit, bound = self._window_margin()[0], 0.0
+                if limit is None:
+                    events.append((self._freeze(), self.tau[-1]))
+                    return start + q
+            if stop < len(fit):  # the pair the run cannot place
+                _check_pair(float(xc[stop]), float(yc[stop]), self._k)
+        return len(xs)
 
-    def _refresh_cells(self, touched: dict[int, float]) -> None:
-        """Move the window buckets by the jumps beside the touched cells,
-        from each cell's value when first touched to its current one."""
-        cells = self._cells
-        if _REBUILD_SHARE * len(touched) > len(cells) + _REBUILD_MIN:
-            # many touched: rebuild all buckets at once
-            self._bucket = _window_buckets(_cells_to_fn(cells, self._k))
+    def _apply(self, js: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
+        """Give each cell of js the count and sum after its last pair there,
+        and move the buckets by the jumps beside those cells (see "State")."""
+        cells, last = np.unique(js[::-1], return_index=True)
+        counts, sums = counts[::-1][last], sums[::-1][last]
+        keys, k = self._keys, self._k
+        pos, hit = _find(keys, cells)
+        rebuild = _REBUILD_SHARE * len(cells) > len(keys) + len(cells) - hit.sum() + _REBUILD_MIN
+        b = np.unique(np.concatenate([cells - 1, cells]))
+        m = _smallest_window(b, k)
+        b, m = b[m <= k], m[m <= k]
+        old = None if rebuild else self._jumps(b)
+        self._counts[pos[hit]], self._sums[pos[hit]] = counts[hit], sums[hit]
+        if not hit.all():
+            new = ~hit
+            if cells.dtype == object:
+                keys = keys.astype(object)
+            self._keys = np.insert(keys, pos[new], cells[new])
+            self._counts = np.insert(self._counts, pos[new], counts[new])
+            self._sums = np.insert(self._sums, pos[new], sums[new])
+        if rebuild:
+            self._bucket = _window_buckets(self._histogram())
             return
-        pending = dict(touched)  # cells whose buckets still hold the old value
+        moved = _window_sums(np.concatenate([m, m + k]), np.concatenate([self._jumps(b), old]))
+        for i, units in moved.items():  # one binning: the old jumps in windows k + 1 .. 2k
+            i, units = (i, units) if i <= k else (i - k, -units)
+            acc = self._bucket.pop(i, 0) + units
+            if acc:
+                self._bucket[i] = acc
 
-        def value(i: int) -> float:
-            if i in pending:
-                return pending[i]
-            c = cells.get(i)
-            return c[1] / c[0] if c else 0.0
+    def _jumps(self, b: np.ndarray) -> np.ndarray:
+        """|f(A_{b+1}) - f(A_b)| of the search histogram f at the boundaries b."""
+        js = np.concatenate([b, b + 1])
+        pos, hit = _find(self._keys, js)
+        f = np.zeros(len(js))
+        f[hit] = self._sums[pos[hit]] / self._counts[pos[hit]]
+        return np.abs(f[len(b):] - f[:len(b)])
 
-        for j, old in touched.items():
-            del pending[j]
-            v = value(j)
-            for b, w in ((j - 1, value(j - 1)), (j, value(j + 1))):
-                self._move_jump(b, abs(old - w), abs(v - w))
+    def _histogram(self) -> PiecewiseDyadicFn:
+        return PiecewiseDyadicFn(self._k, (self._keys, self._sums / self._counts), 0.0)
 
-    def _window_margin(self) -> float | None:
-        """One walk over the windows.  None when the current cells pass
-        `variation_check`: each correctly rounded window sum acc / 2^1074 is
-        the fsum that function compares.  Otherwise D / 2^1074 rounded down,
-        D = max_i (acc_i - units(4 alpha(i))) the exact margin by which the
-        cells fail, or -1.0 when D <= 0."""
-        acc = deficit = 0
-        passed = True
-        bucket = self._bucket
+    def _extend(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Append pairs to the prefix, doubling its arrays when they are full."""
+        n, m = self._n, len(x)
+        if n + m > len(self._x):
+            cap = max(n + m, 2 * len(self._x))
+            grown = (np.concatenate([a[:n], np.empty(cap - n)]) for a in (self._x, self._y))
+            self._x, self._y = grown
+        self._x[n:n + m], self._y[n:n + m] = x, y
+        self._n = n + m
+
+    def _window_margin(self) -> tuple[float | None, int]:
+        """One walk over the windows; returns (margin, i).  The margin is
+        None when the current cells pass `variation_check`: each correctly
+        rounded window sum acc / 2^1074 is the fsum that function compares.
+        Otherwise it is D / 2^1074 rounded down, D = max_i (acc_i -
+        units(4 alpha(i))) the exact margin by which the cells fail, or -1.0
+        when D <= 0.  i is the first window that attains the max."""
+        acc, passed, worst, at = 0, True, None, 1
         for i, (lim, units) in enumerate(zip(self._alpha4, self._units4), 1):
-            acc += bucket.get(i, 0)
+            acc += self._bucket.get(i, 0)
             passed = passed and acc / _ULP_SCALE < lim
-            deficit = max(deficit, acc - units)
+            if worst is None or acc - units > worst:
+                worst, at = acc - units, i
         if passed:
-            return None
-        return math.nextafter(deficit / _ULP_SCALE, 0.0) if deficit else -1.0
+            return None, at
+        return (math.nextafter(worst / _ULP_SCALE, 0.0) if worst > 0 else -1.0), at
 
     def _freeze(self) -> int:
         """Record tau = consumed with the search histogram, search one
@@ -431,15 +491,15 @@ class EstimatorState:
         are located first: if a stored x has no cell index at that
         resolution, the last pair is rejected -- the state returns to the
         one before it -- and the OverflowError propagates."""
-        k = self._k
-        fn = _cells_to_fn(self._cells, k)
+        k, n = self._k, self._n
+        fn = self._histogram()
         try:
-            cells = _accumulate_cells(self.xs, self.ys, k + 1, len(self.xs))
+            cells = _accumulate_cells(self.xs, self.ys, k + 1, n)
         except OverflowError:
-            del self.xs[-1], self.ys[-1]
-            self._set_cells(*_accumulate_cells(self.xs, self.ys, k, len(self.xs)))
+            self._n = n - 1
+            self._set_cells(*_accumulate_cells(self.xs, self.ys, k, n - 1))
             raise
-        self.tau.append(len(self.xs))
+        self.tau.append(n)
         self.frozen.append(fn)
         self._k = k + 1
         self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, k + 2)]
@@ -449,28 +509,8 @@ class EstimatorState:
         return k
 
     def _set_cells(self, keys: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
-        self._cells = self._bucket = {}  # release the old tables first
-        self._cells = dict(zip(keys.tolist(), map(list, zip(counts.tolist(), sums.tolist()))))
-        self._bucket = _window_buckets(PiecewiseDyadicFn(self._k, (keys, sums / counts)))
-
-    def _move_jump(self, pair: int, old: float, new: float) -> None:
-        """The jump across boundary `pair` moved from old to new: its window
-        bucket moves by new - old exactly, in units of 2^-1074.  Windows
-        beyond k are not kept, and a bucket that returns to 0 is dropped."""
-        if new == old:
-            return
-        m = _smallest_window(pair, self._k)
-        if m > self._k:
-            return
-        if old <= 2.0 * new and new <= 2.0 * old:  # Sterbenz: new - old is a double
-            delta = _units(new - old)
-        else:
-            delta = _units(new) - _units(old)
-        acc = self._bucket.get(m, 0) + delta
-        if acc:
-            self._bucket[m] = acc
-        else:
-            del self._bucket[m]
+        self._keys, self._counts, self._sums = keys, counts, sums
+        self._bucket = _window_buckets(self._histogram())
 
 
 def batch_tau_search(
@@ -509,12 +549,14 @@ def batch_tau_search(
 
 # -- checkpoint file format ---------------------------------------------------
 
-def checkpoint_to_dict(state: EstimatorState) -> dict:
+def checkpoint_to_dict(state: EstimatorState, fns: bool = False) -> dict:
+    """The checkpoint as JSON values; with fns=True the frozen estimates stay
+    `PiecewiseDyadicFn`s, which the CLI's writer writes from their arrays."""
     return {
         "budget": state.budget.to_dict(),
         "consumed": state.consumed,
         "tau": list(state.tau),
-        "frozen": [fn.to_dict() for fn in state.frozen],
+        "frozen": list(state.frozen) if fns else [fn.to_dict() for fn in state.frozen],
     }
 
 
@@ -522,7 +564,8 @@ def checkpoint_from_dict(d: dict) -> dict:
     """Parse a checkpoint into structured pieces (budget, tau, frozen fns,
     and `stalled_at` as written, None when absent); a non-integer count,
     stopping time, k or cell index raises ValueError, and so does a
-    non-finite cell value or default."""
+    non-finite cell value or default.  d may come from a `json.load` with
+    `PiecewiseDyadicFn.object_hook`, which parses each estimate as it is read."""
     return {
         "budget": VariationBudget.from_dict(d["budget"]),
         "consumed": _numbers([d["consumed"]], integer=True)[0],
@@ -543,13 +586,8 @@ def _frozen_checks(seq: SampleSequence, budget, tau: list[int], frozen: list) ->
             continue
         rebuilt = histogram_estimate(seq, k, t).fn
         results.append((f"frozen[{k}]-matches-recomputation", rebuilt == fn, f"tau_{k}={t}"))
-        results.append(
-            (
-                f"frozen[{k}]-variation-bound",
-                variation_check(rebuilt, budget),
-                f"tau_{k}={t}",
-            )
-        )
+        ok = variation_check(rebuilt, budget)
+        results.append((f"frozen[{k}]-variation-bound", ok, f"tau_{k}={t}"))
     return results
 
 
@@ -571,21 +609,11 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
     results: list[tuple[str, bool, str]] = []
     ok_mono = all(b > a for a, b in zip(tau, tau[1:])) and (not tau or tau[0] == 1)
     results.append(("tau-strictly-increasing-from-1", ok_mono, f"tau={tau[:8]}..."))
-    results.append(
-        (
-            "frozen-count-equals-tau-count",
-            len(frozen) == len(tau),
-            f"{len(frozen)} frozen, {len(tau)} tau",
-        )
-    )
+    detail = f"{len(frozen)} frozen, {len(tau)} tau"
+    results.append(("frozen-count-equals-tau-count", len(frozen) == len(tau), detail))
     last = max(tau, default=0)
-    results.append(
-        (
-            "consumed-within-sequence",
-            last <= consumed <= len(seq),
-            f"{last} <= consumed={consumed} <= {len(seq)}",
-        )
-    )
+    detail = f"{last} <= consumed={consumed} <= {len(seq)}"
+    results.append(("consumed-within-sequence", last <= consumed <= len(seq), detail))
     ok_stall = stalled is None or (type(stalled) is int and last < stalled == consumed)
     detail = f"stalled_at={stalled}, consumed={consumed}, last tau={last}"
     results.append(("stalled-at-equals-consumed", ok_stall, detail))
@@ -593,11 +621,6 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
     replay = EstimatorState(budget)
     n_replay = min(consumed, len(seq))
     replay.ingest_many(seq.x[:n_replay], seq.y[:n_replay])
-    results.append(
-        (
-            "streaming-replay-reproduces-tau",
-            replay.tau == tau,
-            f"replayed tau={replay.tau[:8]}...",
-        )
-    )
+    detail = f"replayed tau={replay.tau[:8]}..."
+    results.append(("streaming-replay-reproduces-tau", replay.tau == tau, detail))
     return results

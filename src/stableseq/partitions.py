@@ -191,9 +191,14 @@ class PiecewiseDyadicFn:
         return {"k": self.k, "default": self.default, "cells": [[j, v] for j, v in cells]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PiecewiseDyadicFn":
+    def from_dict(cls, d) -> "PiecewiseDyadicFn":
         """The inverse of `to_dict`; cells may come in any order, and a
-        repeated cell keeps its last value."""
+        repeated cell keeps its last value.  d may also be what `object_hook`
+        made of the dict: the function, or the exception to raise."""
+        if isinstance(d, Exception):
+            raise d
+        if isinstance(d, cls):
+            return d
         cells, k, default = d["cells"], d["k"], d["default"]
         _numbers([k] + [j for j, _ in cells], integer=True)
         _numbers([default] + [v for _, v in cells], finite=True)
@@ -202,6 +207,20 @@ class PiecewiseDyadicFn:
         js, last = np.unique(js, return_index=True)
         vals = np.array([v for _, v in reversed(cells)], dtype=float)[last]
         return cls(int(k), (js, vals), float(default))
+
+    @classmethod
+    def object_hook(cls, d: dict):
+        """`json.load`'s object_hook: an object with exactly the keys cells,
+        default and k becomes its function as soon as it is parsed, so a file
+        of many holds one function's lists at a time.  One that `from_dict`
+        rejects becomes the exception, without its traceback, for `from_dict`
+        to raise where the caller reads it, in the order a plain parse would."""
+        if d.keys() != {"cells", "default", "k"}:
+            return d
+        try:
+            return cls.from_dict(d)
+        except (ArithmeticError, LookupError, TypeError, ValueError) as e:
+            return e.with_traceback(None)
 
 
 def adjacent_jumps(f: PiecewiseDyadicFn) -> tuple[np.ndarray, np.ndarray]:

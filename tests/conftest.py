@@ -85,6 +85,32 @@ def brute_force_interval_sup(
     return max(best_pairs, best_halflines)
 
 
+def float_reprs(values) -> list[str]:
+    """Floats as reprs, so -0.0 and 0.0 differ."""
+    return [repr(float(v)) for v in values]
+
+
+def cells_view(k, keys, counts, sums) -> dict:
+    """Cells as comparable values; the key array's kind (int64, or Python ints
+    of dtype object) must be the one `_int_keys` gives."""
+    assert keys.dtype == (object if len(keys) and np.abs(keys).max() >= 2**62 else np.int64)
+    assert counts.dtype == np.int64 and sums.dtype == np.float64
+    return {"k": k, "keys": keys.tolist(), "counts": counts.tolist(), "sums": float_reprs(sums)}
+
+
+def state_view(state) -> dict:
+    """Every field of the state as comparable values: the prefix and the cell
+    arrays as lists (floats as reprs), the frozen estimates as their cells and
+    value reprs, and the window tables as they are."""
+    return {
+        "budget": state.budget, "tau": state.tau,
+        "xs": float_reprs(state.xs), "ys": float_reprs(state.ys),
+        "frozen": [(f.k, f.cells.tolist(), float_reprs(f.vals), f.default) for f in state.frozen],
+        "cells": cells_view(state._k, state._keys, state._counts, state._sums),
+        "_bucket": state._bucket, "_alpha4": state._alpha4, "_units4": state._units4,
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,7 +1,10 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,9 @@ import stableseq
 from stableseq import adversary as adv
 from stableseq import cli
 from stableseq.cli import main
+from stableseq.estimator import checkpoint_from_dict, histogram_estimate
 from stableseq.measures import read_sequence_csv
+from stableseq.partitions import PiecewiseDyadicFn, total_variation_window
 
 
 def write_json(path, obj):
@@ -218,6 +223,44 @@ class TestEstimate:
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 4
         chk = json.loads((tmp_path / "e" / "checkpoint.json").read_text())
         assert chk["stalled_at"] is not None and chk["tau"]  # partial output intact
+
+    @pytest.mark.parametrize(
+        "limit", [{"stall_patience": 256}, {"require_resolution": 30}], ids=["stall", "required"]
+    )
+    def test_exit4_names_the_binding_window(self, tmp_path, capsys, limit):
+        # the h4 target's variation 16 on (-1, 1] exceeds 4 * 2: the search sticks
+        h4_cells = [[j, float(1 - (j - 1) % 2)] for j in range(1, 17)]
+        gcfg = write_json(
+            tmp_path / "g.json",
+            {"kind": "deterministic", "n": 2000,
+             "regression": {"kind": "dyadic", "fn": {"k": 4, "default": 0.0, "cells": h4_cells}}},
+        )
+        main(["generate", "--config", gcfg, "--out", str(tmp_path / "g")])
+        seq_csv = str(tmp_path / "g" / "sequence.csv")
+        cfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": seq_csv, "alpha": {"kind": "affine", "slope": 2.0, "intercept": 0.5},
+             **limit},
+        )
+        capsys.readouterr()
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = re.fullmatch(
+            r"estimate stalled: search resolution (\d+) after (\d+) pairs, binding window "
+            r"i=(\d+): V_i=(\S+), 4\*alpha\(i\)=(\S+)\n",
+            captured.err,
+        )
+        k, n, i = int(line[1]), int(line[2]), int(line[3])
+        chk = json.loads((tmp_path / "e" / "checkpoint.json").read_text())
+        assert (k, n) == (len(chk["tau"]), chk["consumed"]) and 1 <= i <= k
+        fn = histogram_estimate(read_sequence_csv(seq_csv), k, n).fn
+        assert line[4] == repr(total_variation_window(fn, i))
+        assert line[5] == repr(4.0 * (2.0 * i + 0.5))
+        # the window that fails by the most, as exact sums order them
+        excess = [Fraction(total_variation_window(fn, w)) - Fraction(8.0 * w + 2.0)
+                  for w in range(1, k + 1)]
+        assert excess[i - 1] == max(excess) > 0 and excess.index(max(excess)) == i - 1
 
     def test_require_resolution_exit4(self, tmp_path):
         seq_csv = self._sequence(tmp_path, n=64)
@@ -630,6 +673,19 @@ class TestAdversary:
         # a constant external estimator can never approach the block target
         assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 5
 
+    @pytest.mark.parametrize("max_index", [0, -5])
+    def test_oracle_max_index_below_one_exit2(self, tmp_path, capsys, max_index):
+        # such an oracle tried no index, fit h_1 whatever the data, and wrote
+        # a consistency-violation witness (exit 5)
+        cfg = write_json(
+            tmp_path / "a.json",
+            {"phi": {"kind": "oracle", "max_index": max_index}, "n_blocks": 3,
+             "horizon": 4096, "block_budget": 1024},
+        )
+        assert main(["adversary", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert f"'phi.max_index' must be >= 1, got {max_index}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_oracle_max_index_is_named_and_rebuilt(self, tmp_path, capsys):
         # the report named every oracle "oracle", so verify rebuilt max_index 12
         cfg = write_json(
@@ -840,6 +896,52 @@ class TestVerify:
         assert self._verify(tmp_path, seq, write_json(tmp_path / "c.json", chk)) == 2
         assert "bad report" in capsys.readouterr().err
 
+    def test_checkpoint_read_per_function_equals_plain_parse(self, tmp_path):
+        _, chk = self._iid_checkpoint(tmp_path)
+        text = (tmp_path / "e" / "checkpoint.json").read_text()
+        plain = checkpoint_from_dict(json.loads(text))
+        hooked = json.loads(text, object_hook=PiecewiseDyadicFn.object_hook)
+        assert all(type(f) is PiecewiseDyadicFn for f in hooked["frozen"])
+        got = checkpoint_from_dict(hooked)
+        assert got.keys() == plain.keys() and len(got["frozen"]) == len(chk["tau"]) > 3
+        for key in ("budget", "consumed", "tau", "stalled_at"):
+            assert got[key] == plain[key]
+        for a, b in zip(got["frozen"], plain["frozen"]):
+            assert (a.k, repr(a.default), a.cells.dtype) == (b.k, repr(b.default), b.cells.dtype)
+            assert a.cells.tolist() == b.cells.tolist() and a.vals.tobytes() == b.vals.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda c: c["frozen"][2]["cells"][0].__setitem__(0, "3"),
+         lambda c: c["frozen"][1]["cells"][0].__setitem__(1, float("nan")),
+         lambda c: c["frozen"][1].update(k=1.5),
+         # the budget is read before the estimates, and the estimates in order
+         lambda c: (c["frozen"][1].update(k=1.5), c["budget"].update(c="x")),
+         lambda c: (c["frozen"][2].update(k=1.5), c["frozen"][1].update(default="z")),
+         lambda c: (c["frozen"][1].update(k=1.5), c["tau"].__setitem__(0, 1.0)),
+         lambda c: c["frozen"][1].update(default=10**400),
+         lambda c: c["frozen"][1].pop("cells"),
+         # a syntax error after a malformed estimate is what a plain parse reports
+         lambda c: c["frozen"][1].update(k=1.5) or "truncated"],
+        ids=["string-cell", "nan-value", "k-float", "k-float-bad-budget", "two-bad-estimates",
+             "k-float-bad-tau", "default-beyond-float", "cells-missing", "syntax-after-bad"],
+    )
+    def test_malformed_checkpoint_exits_as_a_plain_parse(self, tmp_path, capsys, edit):
+        seq, chk = self._iid_checkpoint(tmp_path)
+        truncated = edit(chk) == "truncated"
+        text = json.dumps(chk)[:-40] if truncated else json.dumps(chk)
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        try:
+            checkpoint_from_dict(json.loads(text))
+        except (LookupError, TypeError, ValueError) as e:
+            want = f"config error: bad report {str(path)!r}: {type(e).__name__}: {e}\n"
+        except OverflowError as e:
+            want = f"config error: {e}\n"
+        capsys.readouterr()
+        assert self._verify(tmp_path, seq, str(path)) == 2
+        assert capsys.readouterr().err == want
+
     def _verify(self, tmp_path, sequence, report):
         vcfg = write_json(tmp_path / "v.json", {"sequence": sequence, "report": report})
         return main(["verify", "--config", vcfg])
@@ -994,3 +1096,29 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert (tmp_path / "o" / "sequence.csv").exists()
+
+
+class TestMemory:
+    def test_estimate_and_verify_traced_peak(self, tmp_path):
+        # 2^14 van der Corput pairs: the traced peak of estimate then verify
+        # was 12.4 MB with per-cell Python objects (the cell table, the
+        # [j, v] lists of the checkpoint and their text, the parsed
+        # checkpoint), and is 5.5 MB with the state, writer and reader on arrays
+        ident = {"kind": "piecewise_linear", "xs": [0.0, 1.0], "vs": [0.0, 1.0]}
+        gcfg = write_json(tmp_path / "g.json", {"kind": "deterministic", "n": 1 << 14,
+                                                "regression": ident})
+        assert main(["generate", "--config", gcfg, "--out", str(tmp_path)]) == 0
+        seq = str(tmp_path / "sequence.csv")
+        ecfg = write_json(tmp_path / "e.json", {
+            "sequence": seq, "alpha": {"kind": "affine", "slope": 2.0, "intercept": 0.1},
+            "truth": {"distribution": UNIT_UNIFORM, "regression": ident}})
+        vcfg = write_json(tmp_path / "v.json",
+                          {"sequence": seq, "report": str(tmp_path / "checkpoint.json")})
+        tracemalloc.start()
+        try:
+            assert main(["estimate", "--config", ecfg, "--out", str(tmp_path)]) == 0
+            assert main(["verify", "--config", vcfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

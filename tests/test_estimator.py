@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 import sys
@@ -9,9 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import cells_view, float_reprs, state_view
 from stableseq.estimator import (
+    _CHUNK,
     EstimatorState,
     _accumulate_cells,
+    _running_cells,
     _window_buckets,
     batch_tau_search,
     checkpoint_from_dict,
@@ -101,21 +103,21 @@ class TestEstimatorState:
         state = EstimatorState(VariationBudget.const(2.0))
         xs = RandomSource(n_before).generator().random(n_before)
         state.ingest_many(xs, xs * 0.5)
-        before = copy.deepcopy(vars(state))
+        before = state_view(state)
         pair = (bad, 0.5) if bad_is_x else (0.5, bad)
         with pytest.raises(ValueError):
             state.ingest(*pair)
-        assert vars(state) == before
+        assert state_view(state) == before
 
     @pytest.mark.parametrize("n_before", [0, 1, 5, 40])
     def test_pair_too_large_to_locate_leaves_state_untouched(self, n_before):
         state = EstimatorState(VariationBudget.const(2.0))
         xs = RandomSource(n_before).generator().random(n_before)
         state.ingest_many(xs, xs * 0.5)
-        before = copy.deepcopy(vars(state))
+        before = state_view(state)
         with pytest.raises(OverflowError):
             state.ingest(1e300, 0.5)
-        assert vars(state) == before
+        assert state_view(state) == before
         state.ingest(0.3, 0.5)  # and the state still takes valid pairs
         assert state.consumed == n_before + 1
 
@@ -130,12 +132,12 @@ class TestEstimatorState:
         with pytest.raises(OverflowError):
             while True:
                 i += 1
-                before = {k: copy.copy(getattr(state, k)) for k in ("xs", "ys", "tau", "frozen")}
+                before = {k: state_view(state)[k] for k in ("xs", "ys", "tau", "frozen")}
                 state.ingest(0.5 / i, 0.5)
                 accepted.append((0.5 / i, 0.5))
         assert i == 24
         for key, value in before.items():
-            assert getattr(state, key) == value
+            assert state_view(state)[key] == value
         assert state.search_resolution == 23
         fresh = EstimatorState(budget)
         fresh.ingest_many(*zip(*accepted))
@@ -144,8 +146,7 @@ class TestEstimatorState:
                 fresh.ingest(x, y)
             with pytest.raises(OverflowError):
                 state.ingest(x, y)
-            for key in ("xs", "ys", "tau", "frozen", "search_resolution"):
-                assert getattr(state, key) == getattr(fresh, key)
+            assert state_view(state) == state_view(fresh)
 
     def test_slack_budget_sprints(self):
         # a budget that never binds freezes at the first admissible n each time
@@ -324,15 +325,8 @@ def checkpoint_to_dict_from_parsed(parsed: dict) -> dict:
 
 # -- the batched fast path --------------------------------------------------------
 
-def _cells_repr(state: dict):
-    """The vars of a state as reprs, so -0.0 and 0.0 differ."""
-    cells = sorted((j, c[0], repr(c[1])) for j, c in state["_cells"].items())
-    frozen = [(f.k, sorted((j, repr(v)) for j, v in f.values.items())) for f in state["frozen"]]
-    return cells, frozen
-
-
 def _reference(budget, xs, ys):
-    """From scratch: (the vars of the state after the pairs, exception type).
+    """From scratch: (the `state_view` of the state after the pairs, exception type).
 
     The pairs before the first non-finite one or |y| >= 2^512 are fed to
     `batch_tau_search`.  It raises OverflowError exactly where an x has no
@@ -364,16 +358,15 @@ def _reference(budget, xs, ys):
         n, err, found = lo, OverflowError, search(lo)
     tau, frozen = found
     k = len(tau)
-    cells, buckets = {}, {}
-    if n:
-        keys, counts, sums = _accumulate_cells(xs, ys, k, n)
-        cells = {j: [c, s] for j, c, s in zip(keys.tolist(), counts.tolist(), sums.tolist())}
-        buckets = _window_buckets(PiecewiseDyadicFn(k, (keys, sums / counts)))
+    keys, counts, sums = _accumulate_cells(xs, ys, k, n)
+    buckets = _window_buckets(PiecewiseDyadicFn(k, (keys, sums / counts))) if n else {}
     alpha4 = [4.0 * budget.alpha(i) for i in range(1, k + 1)]
     units4 = [int(Fraction(min(a, sys.float_info.max)) * 2**1074) for a in alpha4]
     state = {
-        "budget": budget, "xs": xs[:n], "ys": ys[:n], "tau": tau, "frozen": frozen, "_k": k,
-        "_cells": cells, "_bucket": buckets, "_alpha4": alpha4, "_units4": units4,
+        "budget": budget, "xs": float_reprs(xs[:n]), "ys": float_reprs(ys[:n]), "tau": tau,
+        "frozen": [(f.k, f.cells.tolist(), float_reprs(f.vals), f.default) for f in frozen],
+        "cells": cells_view(k, keys, counts, sums),
+        "_bucket": buckets, "_alpha4": alpha4, "_units4": units4,
     }
     return state, err
 
@@ -402,8 +395,7 @@ def _batched(budget, xs, ys, cuts=()):
 
 
 def _assert_state(state: EstimatorState, want: dict) -> None:
-    assert vars(state) == want
-    assert _cells_repr(vars(state)) == _cells_repr(want)
+    assert state_view(state) == want
 
 
 # x in a handful of cells with neighbours at every depth, plus fresh cells;
@@ -470,6 +462,49 @@ class TestIngestMany:
             fast, _ = _batched(budget, xs, ys, [700, 701, 2000])
             _assert_state(fast, _reference(budget, xs, ys)[0])
 
+    @pytest.mark.parametrize("case", ["one-cell", "new-cells", "cancelling"])
+    def test_streams_longer_than_a_chunk(self, case):
+        gen = RandomSource(5).generator()
+        n = _CHUNK + 400
+        budget = VariationBudget.const(0.45)
+        if case == "one-cell":  # 2v near 2 >= 4 * 0.45: the search stays at k = 1
+            xs, ys = np.full(n, 0.25), 0.8 + 0.4 * gen.random(n)
+        elif case == "new-cells":  # x = i lies in a cell of its own at every k >= 1
+            xs, ys, budget = np.arange(1.0, n + 1), gen.random(n), VariationBudget.const(2.0)
+        else:  # a +-3e12 pair cancels across the chunk boundary; the mean falls below 4 later
+            ys = np.array([4.2] * (_CHUNK - 2) + [3e12 + 13.3, -3e12] + [3.0] * 830)
+            xs, n, budget = np.full(len(ys), 0.25), len(ys), VariationBudget.const(2.0)
+        want, err = _reference(budget, xs, ys)
+        assert err is None and (case != "cancelling" or want["tau"][1] > _CHUNK)
+        for state, got_err in (_per_pair(budget, xs, ys), _batched(budget, xs, ys),
+                               _batched(budget, xs, ys, [_CHUNK - 1, _CHUNK + 1])):
+            assert got_err is None
+            _assert_state(state, want)
+
+    @pytest.mark.parametrize("t", [_CHUNK, _CHUNK + 1])
+    def test_decision_at_the_last_and_first_pair_of_a_chunk(self, t, monkeypatch):
+        # cell 1 holds 1.0s: window 1 sums 2 >= 4 * 0.4, a deficit of 0.4 that
+        # the slack terms alone take ~10^14 pairs to spend; pair t fills cell
+        # 2 with 1.0, its bound jumps by 2, and the windows pass.  The run at
+        # k = 1 starts at pair 1, so pair _CHUNK ends its first chunk and pair
+        # _CHUNK + 1 starts the second
+        xs = [0.25] * t + [0.75] + [0.25] * 50
+        ys = [1.0] * len(xs)
+        budget = VariationBudget.const(0.4)
+        decisions = []
+        check = EstimatorState._window_margin
+        monkeypatch.setattr(
+            EstimatorState, "_window_margin",
+            lambda self: decisions.append(self.consumed) or check(self),
+        )
+        state = EstimatorState(budget)
+        assert state.ingest_many(xs, ys) == [(0, 1), (1, t + 1)]
+        assert decisions == [1, 2, t + 1, t + 2]
+        want, _ = _reference(budget, xs, ys)
+        _assert_state(state, want)
+        for state, _ in (_per_pair(budget, xs, ys), _batched(budget, xs, ys, [t, t + 1])):
+            _assert_state(state, want)
+
     @pytest.mark.parametrize("at", [0, 1, 7, 300])
     @pytest.mark.parametrize(
         "bad",
@@ -526,6 +561,35 @@ class TestIngestMany:
                 (j, c, repr(s)) for j, (c, s) in sorted(want.items())
             ]
 
+    @example(table={0: (2, 1.0)}, pairs=[(0, 0.1)] * 70 + [(1, -0.0)] * 40 + [(2**70, 3.0)])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.dictionaries(st.integers(-3, 3), st.tuples(st.integers(1, 5), _Y), max_size=4),
+        st.lists(st.tuples(st.one_of(st.integers(-4, 4), st.just(2**70)), _Y), min_size=1,
+                 max_size=150),
+    )
+    def test_running_cells_equal_the_sequential_loop(self, table, pairs):
+        # a cell may take more than _RANKS pairs, past the vector steps
+        keys = sorted(table)
+        counts = np.array([table[j][0] for j in keys], dtype=np.int64)
+        sums = np.array([table[j][1] for j in keys], dtype=float)
+        js = np.array([j for j, _ in pairs], dtype=object)
+        js = js.astype(np.int64) if all(j < 2**62 for j, _ in pairs) else js
+        got = _running_cells(np.array(keys, dtype=np.int64), counts, sums, js,
+                             np.array([y for _, y in pairs]))
+        cells = {j: [c, s] for j, (c, s) in table.items()}
+        want = []
+        for j, y in pairs:
+            c = cells.get(j)
+            before = c[1] / c[0] if c else 0.0
+            if c:
+                c[0] += 1
+                c[1] += y
+            else:
+                c = cells[j] = [1, y]
+            want.append((c[0], repr(c[1]), repr(before), repr(c[1] / c[0])))
+        assert list(zip(got[0].tolist(), *map(float_reprs, got[1:]))) == want
+
     def test_no_table_keeps_a_zero_entry(self):
         # the second pair into cell 2 brings it level with cell 1: the jump
         # between them returns to 0, and no table of the state may keep a
@@ -534,9 +598,10 @@ class TestIngestMany:
         state = EstimatorState(VariationBudget.const(0.25))
         for x, y in [(0.25, 1.0), (0.75, 0.0), (0.75, 2.0)]:
             state.ingest(x, y)
-        assert state.tau == [1] and state._cells == {1: [1, 1.0], 2: [2, 2.0]}
-        tables = [t for name, t in vars(state).items() if name != "_cells" and isinstance(t, dict)]
-        assert tables and all(0 not in t.values() for t in tables)
+        assert state.tau == [1] and state_view(state)["cells"] == {
+            "k": 1, "keys": [1, 2], "counts": [1, 2], "sums": ["1.0", "2.0"]
+        }
+        assert state._bucket and 0 not in state._bucket.values()
         want, _ = _reference(VariationBudget.const(0.25), [0.25, 0.75, 0.75], [1.0, 0.0, 2.0])
         fast = EstimatorState(VariationBudget.const(0.25))
         fast.ingest_many([0.25, 0.75, 0.75], [1.0, 0.0, 2.0])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import state_view
 
 from stableseq.estimator import EstimatorState
 from stableseq.evaluation import (
@@ -222,4 +223,4 @@ class TestStreamCheckpoints:
                 got = stream_checkpoints(seq, budget, n_stop, checkpoints, patience, m, UNIFORM)
                 assert got[1:] == want[1:]
                 assert [repr(e) for *_, e in got[1]] == [repr(e) for *_, e in want[1]]
-                assert vars(got[0]) == vars(want[0])
+                assert state_view(got[0]) == state_view(want[0])
