@@ -7,8 +7,9 @@ form, and JSON keys are sorted.  Every JSON artifact is, byte for byte, the
 text of `json.dumps(obj, sort_keys=True, indent=2)` plus a newline;
 `_dump_json` writes that text straight to the file without json's
 pure-Python indent encoder, and a checkpoint's step functions straight
-from their cell and value arrays.  `verify` reads a checkpoint one step
-function at a time (`PiecewiseDyadicFn.object_hook`).
+from their cell and value arrays (`PiecewiseDyadicFn.write_json`).
+`verify` reads a checkpoint one step function at a time
+(`PiecewiseDyadicFn.object_hook`).
 
 Every config key is read through `_get`, which checks the value's JSON type
 and fixed range; a value that does not fit exits 2 with its key path, such
@@ -45,8 +46,6 @@ import math
 import sys
 import traceback
 from pathlib import Path
-
-import numpy as np
 
 from . import adversary as adv
 from .estimator import checkpoint_from_dict, checkpoint_to_dict, verify_checkpoint
@@ -93,7 +92,6 @@ class ConfigError(ValueError):
 _REQUIRED = dataclasses.MISSING  # the default of a key that must be given
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
 _KIND_NAMES[str, dict] = "a name or an object"
-_PIECE = 4096  # cells of a step function `_dump_json` formats at a time
 
 
 def _load_config(path: str) -> dict:
@@ -154,7 +152,7 @@ def _json_parts(obj, pad: str, write) -> None:
     holds a raw newline)."""
     inner = pad + "  "
     if isinstance(obj, PiecewiseDyadicFn):
-        _fn_parts(obj, pad, write)
+        obj.write_json(pad, write)
     elif isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
         sep = "{\n"
         for key in sorted(obj):
@@ -171,26 +169,6 @@ def _json_parts(obj, pad: str, write) -> None:
         write(f"\n{pad}]")
     else:
         write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad))
-
-
-def _fn_parts(fn: PiecewiseDyadicFn, pad: str, write) -> None:
-    """fn's `to_dict()` text, written from its arrays `_PIECE` cells at a
-    time: json writes an int as `int.__repr__`, a finite float as
-    `float.__repr__` and any other float as NaN or +-Infinity."""
-    inner, cell = pad + "  ", pad + "    "
-    write(f'{{\n{inner}"cells": ')
-    sep = "[\n"
-    for lo in range(0, len(fn.cells), _PIECE):
-        vs = fn.vals[lo:lo + _PIECE]
-        text = float.__repr__ if np.isfinite(vs).all() else json.dumps
-        write(sep + ",\n".join(
-            f"{cell}[\n{cell}  {j},\n{cell}  {text(v)}\n{cell}]"
-            for j, v in zip(fn.cells[lo:lo + _PIECE].tolist(), vs.tolist())
-        ))
-        sep = ",\n"
-    write(f"\n{inner}]" if len(fn.cells) else "[]")
-    write(f',\n{inner}"default": {json.dumps(fn.default)},')
-    write(f'\n{inner}"k": {json.dumps(fn.k)}\n{pad}}}')
 
 
 def _dump_json(obj: dict, path: Path) -> None:
@@ -300,7 +278,7 @@ def cmd_estimate(cfg: dict, out: Path) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     out.mkdir(parents=True, exist_ok=True)
-    chk = checkpoint_to_dict(state, fns=True)
+    chk = checkpoint_to_dict(state)
     chk["stalled_at"] = stalled_at
     _dump_json(chk, out / "checkpoint.json")
     if truth is not None:

@@ -64,9 +64,9 @@ difference is exact).  Both jumps together move by at most
 
 The cell sum and s/c need no term of their own: v and v' are the very
 doubles a decision at that pair sees, so their rounding is already in them.
-W, the largest |value| of a cell at a chunk's start or after one of its
-pairs, bounds every neighbour while the chunk arrives.  One array pass
-over the chunk takes
+W, the largest |value| of a cell where a run of pairs (one batch up to a
+freeze) first needs B, or after any pair of that run since, bounds every
+neighbour while the pairs arrive.  One array pass over a chunk takes
 
     a = 2|v' - v| + 2^-51 * (|v'| + |v| + 2W) + 2^-1020,
     B = (cumsum(a) + B_0) * (1 + 2^-40),
@@ -84,7 +84,12 @@ so a decision at any of those pairs would fail and freeze nothing.  The
 first pair where B exceeds it is the next decision point: the pairs up to
 it join the cells, the buckets are refreshed, and the windows checked.
 D <= 0 makes each pair a decision point, and so is the first pair after a
-freeze or at the start of a batch.
+freeze or at the start of a batch.  A run of pairs is located and summed
+in chunks that grow from its first pair: that pair alone, then `_FIRST` =
+64 pairs, doubling up to `_CHUNK`, so a freeze discards fewer pairs of its
+chunk than the run had before it plus 64.  The chunk's a serve every
+decision in it; after each, B is summed over 64 pairs, doubling until it
+exceeds the limit, fewer than twice the span plus 64.
 
 Single-writer: ingestion is strictly sequential.  Frozen estimates are
 immutable snapshots and may be read concurrently.
@@ -124,7 +129,8 @@ __all__ = [
 
 _Y_BOUND = 2.0**512  # |y| below it: no cell sum, jump or window sum overflows
 _ULP_SCALE = 1 << 1074  # every finite double is an integer multiple of 2^-1074
-_CHUNK = 4096  # pairs `ingest_many` locates and sums in one array pass
+_CHUNK = 4096  # most pairs `ingest_many` locates and sums in one array pass
+_FIRST = 64  # a run's second chunk; the pairs B is first summed over after a decision
 _RANKS = 32  # occurrences of a cell summed one vector step each; the rest accumulate
 # a refresh rebuilds all buckets once 8 * touched > cells + 320
 _REBUILD_SHARE = 8
@@ -385,23 +391,35 @@ class EstimatorState:
         """Ingest pairs lo, lo + 1, ... at the search resolution up to the
         first freeze or the end, and return the index after the last pair
         ingested; at the first pair `_check_pair` rejects, raise there.
-        Pair lo is a decision point."""
-        limit, bound = -1.0, 0.0
-        for start in range(lo, len(xs), _CHUNK):
-            xc, yc = xs[start:start + _CHUNK], ys[start:start + _CHUNK]
+        Pair lo is a decision point; chunks grow as "Certified spans" says."""
+        limit, bound, w = -1.0, 0.0, None
+        start, size = lo, 1
+        while start < len(xs):
+            xc, yc = xs[start:start + size], ys[start:start + size]
             scaled = _cell_indices(xc, self._k)
             fit = ~np.isnan(scaled) & (np.abs(yc) < _Y_BOUND)
             stop = len(fit) if fit.all() else int(fit.argmin())
+            p, a = 0, None
             if stop:
                 js = _int_keys(scaled[:stop])
                 cells = self._keys, self._counts, self._sums
                 count, total, v, v2 = _running_cells(*cells, js, yc[:stop])
-                w = max(np.abs(v2).max(), np.abs(self._sums / self._counts).max(initial=0.0))
-                a = 2.0 * np.abs(v2 - v) + _SLACK * (np.abs(v2) + np.abs(v) + 2.0 * w) + _TINY
-            p = 0
+                if w is not None:
+                    w = max(w, np.abs(v2).max())
             while p < stop:
-                b = (np.cumsum(a[p:]) + bound) * _ROUND_UP
-                t = p + int(np.searchsorted(b, limit, side="right"))  # B first exceeds
+                t = p  # the first pair where B exceeds the limit; pair p when D <= 0
+                if limit >= 0.0:
+                    if a is None:
+                        if w is None:  # the cells' largest |value|, or one after a pair since
+                            w = np.abs(self._sums / self._counts).max(initial=np.abs(v2).max())
+                        a = 2.0 * np.abs(v2 - v) + _SLACK * (np.abs(v2) + np.abs(v) + 2.0 * w) + _TINY
+                    m = _FIRST  # B over m pairs, m doubling until it exceeds the limit
+                    while True:
+                        b = (np.cumsum(a[p:p + m]) + bound) * _ROUND_UP
+                        t = p + int(np.searchsorted(b, limit, side="right"))
+                        if t < p + m or p + m >= stop:
+                            break
+                        m *= 2
                 q = min(t + 1, stop)
                 self._apply(js[p:q], count[p:q], total[p:q])
                 self._extend(xc[p:q], yc[p:q])
@@ -415,6 +433,7 @@ class EstimatorState:
                     return start + q
             if stop < len(fit):  # the pair the run cannot place
                 _check_pair(float(xc[stop]), float(yc[stop]), self._k)
+            start, size = start + stop, min(max(2 * size, _FIRST), _CHUNK)
         return len(xs)
 
     def _apply(self, js: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
@@ -549,14 +568,16 @@ def batch_tau_search(
 
 # -- checkpoint file format ---------------------------------------------------
 
-def checkpoint_to_dict(state: EstimatorState, fns: bool = False) -> dict:
-    """The checkpoint as JSON values; with fns=True the frozen estimates stay
-    `PiecewiseDyadicFn`s, which the CLI's writer writes from their arrays."""
+def checkpoint_to_dict(state: EstimatorState) -> dict:
+    """The checkpoint with its frozen estimates as `PiecewiseDyadicFn`s, each
+    standing for its `to_dict()`: the CLI's writer writes them from their
+    arrays, and `json.dumps(..., default=PiecewiseDyadicFn.to_dict)` gives
+    the same text."""
     return {
         "budget": state.budget.to_dict(),
         "consumed": state.consumed,
         "tau": list(state.tau),
-        "frozen": list(state.frozen) if fns else [fn.to_dict() for fn in state.frozen],
+        "frozen": list(state.frozen),
     }
 
 
@@ -586,8 +607,13 @@ def _frozen_checks(seq: SampleSequence, budget, tau: list[int], frozen: list) ->
             continue
         rebuilt = histogram_estimate(seq, k, t).fn
         results.append((f"frozen[{k}]-matches-recomputation", rebuilt == fn, f"tau_{k}={t}"))
-        ok = variation_check(rebuilt, budget)
-        results.append((f"frozen[{k}]-variation-bound", ok, f"tau_{k}={t}"))
+        results.append(
+            (
+                f"frozen[{k}]-variation-bound",
+                variation_check(rebuilt, budget),
+                f"tau_{k}={t}",
+            )
+        )
     return results
 
 
@@ -609,11 +635,21 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
     results: list[tuple[str, bool, str]] = []
     ok_mono = all(b > a for a, b in zip(tau, tau[1:])) and (not tau or tau[0] == 1)
     results.append(("tau-strictly-increasing-from-1", ok_mono, f"tau={tau[:8]}..."))
-    detail = f"{len(frozen)} frozen, {len(tau)} tau"
-    results.append(("frozen-count-equals-tau-count", len(frozen) == len(tau), detail))
+    results.append(
+        (
+            "frozen-count-equals-tau-count",
+            len(frozen) == len(tau),
+            f"{len(frozen)} frozen, {len(tau)} tau",
+        )
+    )
     last = max(tau, default=0)
-    detail = f"{last} <= consumed={consumed} <= {len(seq)}"
-    results.append(("consumed-within-sequence", last <= consumed <= len(seq), detail))
+    results.append(
+        (
+            "consumed-within-sequence",
+            last <= consumed <= len(seq),
+            f"{last} <= consumed={consumed} <= {len(seq)}",
+        )
+    )
     ok_stall = stalled is None or (type(stalled) is int and last < stalled == consumed)
     detail = f"stalled_at={stalled}, consumed={consumed}, last tau={last}"
     results.append(("stalled-at-equals-consumed", ok_stall, detail))
@@ -621,6 +657,11 @@ def verify_checkpoint(seq: SampleSequence, chk: dict) -> list[tuple[str, bool, s
     replay = EstimatorState(budget)
     n_replay = min(consumed, len(seq))
     replay.ingest_many(seq.x[:n_replay], seq.y[:n_replay])
-    detail = f"replayed tau={replay.tau[:8]}..."
-    results.append(("streaming-replay-reproduces-tau", replay.tau == tau, detail))
+    results.append(
+        (
+            "streaming-replay-reproduces-tau",
+            replay.tau == tau,
+            f"replayed tau={replay.tau[:8]}...",
+        )
+    )
     return results

@@ -27,6 +27,7 @@ variation sum reads it.
 """
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+
+_PIECE = 4096  # cells `PiecewiseDyadicFn.write_json` formats at a time
 
 
 def _numbers(values, integer: bool = False, finite: bool = False):
@@ -189,6 +192,26 @@ class PiecewiseDyadicFn:
     def to_dict(self) -> dict:
         cells = zip(self.cells.tolist(), self.vals.tolist())
         return {"k": self.k, "default": self.default, "cells": [[j, v] for j, v in cells]}
+
+    def write_json(self, pad: str, write) -> None:
+        """Write the text of `json.dumps(self.to_dict(), sort_keys=True,
+        indent=2)` at the indentation pad, from the arrays `_PIECE` cells at
+        a time: json writes an int as `int.__repr__`, a finite float as
+        `float.__repr__` and any other float as NaN or +-Infinity."""
+        inner, cell = pad + "  ", pad + "    "
+        write(f'{{\n{inner}"cells": ')
+        sep = "[\n"
+        for lo in range(0, len(self.cells), _PIECE):
+            vs = self.vals[lo:lo + _PIECE]
+            text = float.__repr__ if np.isfinite(vs).all() else json.dumps
+            write(sep + ",\n".join(
+                f"{cell}[\n{cell}  {j},\n{cell}  {text(v)}\n{cell}]"
+                for j, v in zip(self.cells[lo:lo + _PIECE].tolist(), vs.tolist())
+            ))
+            sep = ",\n"
+        write(f"\n{inner}]" if len(self.cells) else "[]")
+        write(f',\n{inner}"default": {json.dumps(self.default)},')
+        write(f'\n{inner}"k": {json.dumps(self.k)}\n{pad}}}')
 
     @classmethod
     def from_dict(cls, d) -> "PiecewiseDyadicFn":

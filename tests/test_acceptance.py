@@ -283,7 +283,8 @@ def test_criterion_8_reproducibility():
     for _ in range(2):
         st = EstimatorState(VariationBudget.const(1.0))
         st.ingest_many(a.x, a.y)
-        chks.append(json.dumps(checkpoint_to_dict(st), sort_keys=True))
+        chk = checkpoint_to_dict(st)
+        chks.append(json.dumps(chk, sort_keys=True, default=PiecewiseDyadicFn.to_dict))
     chk_same = chks[0] == chks[1]
 
     # pinned adversary run: byte-identical report JSON

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import cells_view, float_reprs, state_view
 from stableseq.estimator import (
     _CHUNK,
+    _FIRST,
     EstimatorState,
     _accumulate_cells,
     _running_cells,
@@ -284,7 +285,7 @@ class TestCheckpointFormat:
         st = EstimatorState(VariationBudget.affine(0.5, 0.2))
         st.ingest_many(seq.x, seq.y)
         d = checkpoint_to_dict(st)
-        blob = json.dumps(d, sort_keys=True)
+        blob = json.dumps(d, sort_keys=True, default=PiecewiseDyadicFn.to_dict)
         parsed = checkpoint_from_dict(json.loads(blob))
         assert parsed["tau"] == st.tau
         assert parsed["budget"] == st.budget
@@ -299,7 +300,8 @@ class TestCheckpointFormat:
         write_sequence_csv(gen_iid(UNIFORM, H1, "binary", 600, RandomSource(4)), path)
         seq = read_sequence_csv(path)
         state, _, _ = stream_checkpoints(seq, VariationBudget.const(1.0), len(seq), [16, 600], 300)
-        chk = checkpoint_from_dict(json.loads(json.dumps(checkpoint_to_dict(state))))
+        text = json.dumps(checkpoint_to_dict(state), default=PiecewiseDyadicFn.to_dict)
+        chk = checkpoint_from_dict(json.loads(text))
         assert len(state.tau) > 2 and all(ok for _, ok, _ in verify_checkpoint(seq, chk))
         assert "sorted_index" not in vars(seq) and "x_sorted" not in vars(seq)
 
@@ -307,7 +309,7 @@ class TestCheckpointFormat:
         seq = gen_iid(UNIFORM, H1, "binary", 300, RandomSource(4))
         st = EstimatorState(VariationBudget.const(1.0))
         st.ingest_many(seq.x, seq.y)
-        chk = checkpoint_to_dict(st)
+        chk = json.loads(json.dumps(checkpoint_to_dict(st), default=PiecewiseDyadicFn.to_dict))
         assert all(ok for _, ok, _ in verify_checkpoint(seq, checkpoint_from_dict(chk)))
         bad = json.loads(json.dumps(chk))
         bad["frozen"][-1]["cells"][0][1] += 0.125
@@ -471,7 +473,8 @@ class TestIngestMany:
             xs, ys = np.full(n, 0.25), 0.8 + 0.4 * gen.random(n)
         elif case == "new-cells":  # x = i lies in a cell of its own at every k >= 1
             xs, ys, budget = np.arange(1.0, n + 1), gen.random(n), VariationBudget.const(2.0)
-        else:  # a +-3e12 pair cancels across the chunk boundary; the mean falls below 4 later
+        else:  # +-3e12 cancel in one chunk, across a decision at the + pair; the mean
+            # falls below 4 later
             ys = np.array([4.2] * (_CHUNK - 2) + [3e12 + 13.3, -3e12] + [3.0] * 830)
             xs, n, budget = np.full(len(ys), 0.25), len(ys), VariationBudget.const(2.0)
         want, err = _reference(budget, xs, ys)
@@ -481,13 +484,39 @@ class TestIngestMany:
             assert got_err is None
             _assert_state(state, want)
 
-    @pytest.mark.parametrize("t", [_CHUNK, _CHUNK + 1])
-    def test_decision_at_the_last_and_first_pair_of_a_chunk(self, t, monkeypatch):
+    def test_neighbour_bound_counts_pairs_decided_one_at_a_time(self):
+        # k = 2.  Window 1 ties 4 alpha(1) = 2 (D = 0), so the pairs after it
+        # are decided one at a time; one of them puts H ~ 2^39 into cell 8,
+        # beside c0 = 2^-14 in cell 7: the jump fl(H - c0) is exactly halfway
+        # and rounds up to H.  Once window 1 passes, window 2 fails by 2^-30.
+        # Moving cell 7 by 2^-40 makes that jump round down by 2^-13, and
+        # window 2 passes; only the rounding slack 2^-51 * 2W with W >= H
+        # sees it coming, so W must take H's value although its pair had no
+        # bound of its own
+        c0, h = 2.0**-14, 2.0**39 + 1.0
+        pairs = [(0.1, 0.0), (0.1, 0.0), (0.6, 1.5), (-1.3, 2.0**-31)] + [(0.1, 0.0)] * 70
+        pairs += [(0.6, 0.5)] + [(0.1, 0.0)] * 140 + [(1.3, 0.5), (1.6, c0), (1.9, h)]
+        pairs += [(0.6, 1.0 - 3 * 2.0**-15), (1.6, c0 + 2.0**-39)] + [(0.1, 0.0)] * 5
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        budget = VariationBudget.from_table([0.5, 2.0**37 + 1.0 - 2.0**-15])
+        want, _ = _reference(budget, xs, ys)
+        assert want["tau"] == [1, 2, 220]
+        for state, _ in (_per_pair(budget, xs, ys), _batched(budget, xs, ys)):
+            _assert_state(state, want)
+
+    @pytest.mark.parametrize("side", ["last", "first"])
+    def test_decision_at_the_last_and_first_pair_of_a_chunk(self, side, monkeypatch):
         # cell 1 holds 1.0s: window 1 sums 2 >= 4 * 0.4, a deficit of 0.4 that
         # the slack terms alone take ~10^14 pairs to spend; pair t fills cell
         # 2 with 1.0, its bound jumps by 2, and the windows pass.  The run at
-        # k = 1 starts at pair 1, so pair _CHUNK ends its first chunk and pair
-        # _CHUNK + 1 starts the second
+        # k = 1 takes pair 1 alone, then chunks of _FIRST, 2 _FIRST, ... pairs:
+        # t is the last pair of the one that reaches _CHUNK, or the first of
+        # the next, a full _CHUNK
+        edge, size = 2, _FIRST
+        while edge < _CHUNK:
+            edge, size = edge + size, min(2 * size, _CHUNK)
+        assert size == _CHUNK
+        t = edge - 1 if side == "last" else edge
         xs = [0.25] * t + [0.75] + [0.25] * 50
         ys = [1.0] * len(xs)
         budget = VariationBudget.const(0.4)

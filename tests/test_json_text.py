@@ -1,7 +1,8 @@
 """The CLI's JSON writer reproduces `json.dumps(sort_keys=True, indent=2)`.
 
 `cli._json_parts` writes dicts, lists and step functions itself, a
-`PiecewiseDyadicFn` straight from its arrays as the text of its `to_dict()`;
+`PiecewiseDyadicFn` straight from its arrays (`write_json`) as the text of
+its `to_dict()`;
 the comparison is on the exact text, for any JSON value (cell-like pairs
 included) and for checkpoints, drawn or written by the estimator.
 """
@@ -13,9 +14,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stableseq.cli import _PIECE, _dump_json, _json_parts
+from stableseq.cli import _dump_json, _json_parts
 from stableseq.estimator import EstimatorState, checkpoint_to_dict
-from stableseq.partitions import PiecewiseDyadicFn, VariationBudget
+from stableseq.partitions import _PIECE, PiecewiseDyadicFn, VariationBudget
 
 FLOATS = st.one_of(
     st.floats(),
@@ -84,11 +85,11 @@ def step_functions(draw, values=VALUES):
 
 
 def _assert_checkpoint_text(path, state, stalled_at):
-    chk = checkpoint_to_dict(state, fns=True)
+    chk = checkpoint_to_dict(state)
     chk["stalled_at"] = stalled_at
     _dump_json(chk, path)
-    want = {**checkpoint_to_dict(state), "stalled_at": stalled_at}
-    assert path.read_bytes() == (json.dumps(want, sort_keys=True, indent=2) + "\n").encode()
+    want = json.dumps(chk, sort_keys=True, indent=2, default=PiecewiseDyadicFn.to_dict)
+    assert path.read_bytes() == (want + "\n").encode()
 
 
 @given(st.lists(step_functions(), max_size=4), st.one_of(st.none(), st.integers(1, 99)))
