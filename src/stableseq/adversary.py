@@ -843,7 +843,10 @@ def verify_adversary_report(
     skipped when the boundaries do not match the sequence.  Raises
     ValueError, before computing anything, when a k, n_k,
     min_length_required or total_length is not an integer, the blocks are
-    not numbered 1, 2, ... in order or the recorded plugin depth is > 22.
+    not numbered 1, 2, ... in order, `AdversaryConfig` rejects the recorded
+    config or its n_blocks is not the number of blocks, the two constants
+    the splice writes (`finite_prefix_witness` true, `oscillation_bound`
+    1/20) differ, or the recorded plugin depth is > 22.
     """
     blocks = report["blocks"]
     total = report.get("total_length")  # absent: the boundary check fails
@@ -852,6 +855,16 @@ def verify_adversary_report(
     for i, rec in enumerate(blocks, 1):
         if rec["k"] != i:
             raise ValueError(f"block {i} of the report has k = {rec['k']!r}, not {i}")
+    config = report["config"]
+    if config["n_blocks"] != len(blocks):  # first: the config check loops over n_blocks
+        raise ValueError(
+            f"config.n_blocks is {config['n_blocks']!r} but the report has {len(blocks)} blocks"
+        )
+    AdversaryConfig(**config)
+    if report["finite_prefix_witness"] is not True:
+        raise ValueError(f"finite_prefix_witness is {report['finite_prefix_witness']!r}, not true")
+    if report["oscillation_bound"] != _OSCILLATION_BOUND:
+        raise ValueError(f"oscillation_bound is {report['oscillation_bound']!r}, not 1/20")
     if phi is None:
         phi = _procedure_from_name(str(report.get("phi", "")))
     # every procedure rebuilt from a name is dyadic at depth <= 22, where
@@ -903,7 +916,8 @@ def verify_adversary_report(
                 (
                     f"block{k}-l2-certificate",
                     abs(l2.value - certs["l2_to_block_target"]) <= 1e-9
-                    and l2.value <= 1.0 / 40.0,
+                    and l2.value <= 1.0 / 40.0
+                    and certs["l2_converged"] is bool(l2.converged),
                     f"recomputed {l2.value:.6g}",
                 )
             )

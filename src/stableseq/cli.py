@@ -271,6 +271,10 @@ def cmd_estimate(cfg: dict, out: Path) -> int:
         mu = _parse(DistributionModel.from_dict, truth, "distribution", "truth.")
         m = _parse(RegressionModel.from_dict, truth, "regression", "truth.")
     checkpoints = _get(cfg, "checkpoints", [int], None, lo=1) or _default_checkpoints(n_max)
+    if max(checkpoints) > n_max:
+        raise ConfigError(
+            f"'checkpoints' must be <= {n_max} (the pairs read), got {max(checkpoints)}"
+        )
     try:
         state, rows, stalled_at = stream_checkpoints(
             seq, budget, n_max, checkpoints, patience, m, mu
@@ -410,7 +414,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         seq, mu, m, _ = build_generated_sequence({**gen_cfg, "seed": seed}, "experiment.generator.")
         try:
             curve = consistency_curve(seq, m, mu, budget, checkpoints, stall_patience=patience)
-        except ValueError as e:  # a checkpoint beyond the sequence, as in estimate
+        except ValueError as e:  # a checkpoint beyond the sequence
             raise ConfigError(str(e)) from e
         (out / f"curve_seed{seed}.csv").write_bytes(error_curve_csv_bytes(curve))
         n, kappa, err = curve.rows[-1] if curve.rows else (0, -1, math.nan)

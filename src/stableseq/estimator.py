@@ -18,34 +18,31 @@ frozen one affordable with n samples.
 Exactness discipline.  The strict inequality against 4 * alpha(i) is a
 contract: ties fail, and a re-run from scratch must reproduce the same tau
 sequence bit for bit.  Every finite double is an integer multiple of
-2^-1074, so the streaming state keeps each window bucket as the exact
-integer sum of its jumps in that unit; a refresh moves it by the exact sum
-of the new jumps beside the touched cells minus the old ones.  A window sum
-acc / 2^1074 is one correctly rounded int/int division, hence the same
-float as the `math.fsum` of the same jumps that `variation_check` compares
--- the public function a from-scratch audit calls -- so the streaming
-decision is `variation_check`'s bit for bit, with no snapshot and no
-re-check.  Both read the jumps of a histogram, a `PiecewiseDyadicFn` on
-sorted cell and value arrays, from the one enumerator
-`partitions.adjacent_jumps`.  Per-cell y-sums accumulate in arrival order
-both here and in `histogram_estimate`, so all three paths (streaming, batch
-reference, certificate replay) see identical cell values.  Ingest rejects
-|y| >= 2^512 (the paper assumes bounded y): below it no cell sum, jump or
-window sum can overflow.
+2^-1074, so each window bucket is the exact integer sum of its jumps in
+that unit.  The buckets are a function of the cells, binned from their
+jumps (`_window_buckets`) where a decision reads them and kept nowhere
+else.  A window sum acc / 2^1074 is one correctly rounded int/int
+division, hence the same float as the `math.fsum` of the same jumps that
+`variation_check` compares -- the public function a from-scratch audit
+calls -- so the streaming decision is `variation_check`'s bit for bit,
+with no snapshot and no re-check.  Both read the jumps of a histogram, a
+`PiecewiseDyadicFn` on sorted cell and value arrays, from the one
+enumerator `partitions.adjacent_jumps`.  Per-cell y-sums accumulate in
+arrival order both here and in `histogram_estimate`, so all three paths
+(streaming, batch reference, certificate replay) see identical cell
+values.  Ingest rejects |y| >= 2^512 (the paper assumes bounded y): below
+it no cell sum, jump or window sum can overflow.
 
 State.  The prefix lives in two float64 arrays that double when full, and
 the occupied cells in sorted keys (as `_int_keys` makes them), int64
 counts and float64 y-sums; the estimator keeps the whole prefix by design
 (correctness over space at desk scale).  A freshly unlocked resolution
 rebuilds the cells in one pass over the prefix (sums seeded with each
-cell's first y, then `np.add.at` in arrival order: the `+=` additions) and
-the buckets from the jumps `adjacent_jumps` finds, binned by exponent into
-exact integers (`_window_sums`).  Ingest adds a chunk of pairs to the cells
-in one array pass, one vector step per occurrence rank of a cell, so each
-running sum is the sequential `+=`; each bucket then moves by the
-`_window_sums` of the new jumps beside the touched cells minus the old
-ones, or all are rebuilt when many cells moved.  No jump is stored, and
-only buckets of windows up to k, none of them 0, so the state is a
+cell's first y, then `np.add.at` in arrival order: the `+=` additions).
+Ingest adds a chunk of pairs to the cells in one array pass, one vector
+step per occurrence rank of a cell, so each running sum is the sequential
+`+=`.  No jump or window sum is stored: each decision bins the jumps
+`adjacent_jumps` finds by exponent into exact integers, so the state is a
 function of the prefix alone, whichever path built it.
 
 Certified spans.  `batch_tau_search` decides at every pair; `ingest_many`
@@ -82,7 +79,7 @@ B is at least B_0 plus the exact sum of the e's.  While B stays at or
 below D / 2^1074 rounded down, acc_i for the i that gave D stays >= U_i,
 so a decision at any of those pairs would fail and freeze nothing.  The
 first pair where B exceeds it is the next decision point: the pairs up to
-it join the cells, the buckets are refreshed, and the windows checked.
+it join the cells, and the windows are checked.
 D <= 0 makes each pair a decision point, and so is the first pair after a
 freeze or at the start of a batch.  A run of pairs is located and summed
 in chunks that grow from its first pair: that pair alone, then `_FIRST` =
@@ -132,9 +129,6 @@ _ULP_SCALE = 1 << 1074  # every finite double is an integer multiple of 2^-1074
 _CHUNK = 4096  # most pairs `ingest_many` locates and sums in one array pass
 _FIRST = 64  # a run's second chunk; the pairs B is first summed over after a decision
 _RANKS = 32  # occurrences of a cell summed one vector step each; the rest accumulate
-# a refresh rebuilds all buckets once 8 * touched > cells + 320
-_REBUILD_SHARE = 8
-_REBUILD_MIN = 320
 # the certified-span bound's rounding terms, derived in the module docstring
 _SLACK = 2.0**-51
 _TINY = 2.0**-1020
@@ -171,12 +165,15 @@ def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, n
     return _int_keys(keys), counts, sums
 
 
-def _window_sums(m: np.ndarray, d: np.ndarray) -> dict[int, int]:
-    """Each window's exact sum of the doubles d >= 0, d[t] in window m[t], in
-    units of 2^-1074."""
+def _window_buckets(fn: PiecewiseDyadicFn) -> dict[int, int]:
+    """Each window's exact sum of fn's absolute jumps, in units of 2^-1074;
+    only windows up to fn.k, and no zero sums."""
+    b, d = adjacent_jumps(fn)
+    m = _smallest_window(b, fn.k)
+    keep = m <= fn.k
+    m, d = m[keep].astype(np.int64), np.abs(d[keep])
     if not len(d):
         return {}
-    m = m.astype(np.int64)
     # d * 2^1074 = mant * 2^shift, mant < 2^53; split it in 26-bit halves so
     # the int64 sums per (window, shift) bin hold for fewer than 2^36 jumps
     frac, expo = np.frexp(d)
@@ -194,15 +191,6 @@ def _window_sums(m: np.ndarray, d: np.ndarray) -> dict[int, int]:
         i, s = divmod(g, 2048)
         sums[i] = sums.get(i, 0) + (((h << 26) + lo) << s)
     return sums
-
-
-def _window_buckets(fn: PiecewiseDyadicFn) -> dict[int, int]:
-    """Each window's exact sum of fn's absolute jumps, in units of 2^-1074;
-    only windows up to fn.k, and no zero sums."""
-    b, d = adjacent_jumps(fn)
-    m = _smallest_window(b, fn.k)
-    keep = m <= fn.k
-    return _window_sums(m[keep], np.abs(d[keep]))
 
 
 def _find(keys: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +304,6 @@ class EstimatorState:
         self._keys = np.empty(0, dtype=np.int64)  # occupied cells, ascending
         self._counts = np.empty(0, dtype=np.int64)
         self._sums = np.empty(0)
-        self._bucket: dict[int, int] = {}  # smallest window -> sum of its jumps / 2^-1074
         self._alpha4: list[float] = []  # 4*alpha(i), i = 1.._k
         self._units4: list[int] = []  # the same in units of 2^-1074
 
@@ -357,9 +344,7 @@ class EstimatorState:
         """(i, V_i, 4 alpha(i)) for the window i on which the search histogram
         fails by the most, or comes closest to failing (the i of the exact
         margin D); V_i is its `total_variation_window`.  Needs k >= 1."""
-        i = self._window_margin()[1]
-        acc = sum(self._bucket.get(w, 0) for w in range(1, i + 1))
-        return i, acc / _ULP_SCALE, self._alpha4[i - 1]
+        return self._window_margin()[1]
 
     # -- ingestion ----------------------------------------------------------------
     def ingest(self, x: float, y: float) -> int | None:
@@ -437,17 +422,11 @@ class EstimatorState:
         return len(xs)
 
     def _apply(self, js: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
-        """Give each cell of js the count and sum after its last pair there,
-        and move the buckets by the jumps beside those cells (see "State")."""
+        """Give each cell of js the count and sum after its last pair there."""
         cells, last = np.unique(js[::-1], return_index=True)
         counts, sums = counts[::-1][last], sums[::-1][last]
-        keys, k = self._keys, self._k
+        keys = self._keys
         pos, hit = _find(keys, cells)
-        rebuild = _REBUILD_SHARE * len(cells) > len(keys) + len(cells) - hit.sum() + _REBUILD_MIN
-        b = np.unique(np.concatenate([cells - 1, cells]))
-        m = _smallest_window(b, k)
-        b, m = b[m <= k], m[m <= k]
-        old = None if rebuild else self._jumps(b)
         self._counts[pos[hit]], self._sums[pos[hit]] = counts[hit], sums[hit]
         if not hit.all():
             new = ~hit
@@ -456,23 +435,6 @@ class EstimatorState:
             self._keys = np.insert(keys, pos[new], cells[new])
             self._counts = np.insert(self._counts, pos[new], counts[new])
             self._sums = np.insert(self._sums, pos[new], sums[new])
-        if rebuild:
-            self._bucket = _window_buckets(self._histogram())
-            return
-        moved = _window_sums(np.concatenate([m, m + k]), np.concatenate([self._jumps(b), old]))
-        for i, units in moved.items():  # one binning: the old jumps in windows k + 1 .. 2k
-            i, units = (i, units) if i <= k else (i - k, -units)
-            acc = self._bucket.pop(i, 0) + units
-            if acc:
-                self._bucket[i] = acc
-
-    def _jumps(self, b: np.ndarray) -> np.ndarray:
-        """|f(A_{b+1}) - f(A_b)| of the search histogram f at the boundaries b."""
-        js = np.concatenate([b, b + 1])
-        pos, hit = _find(self._keys, js)
-        f = np.zeros(len(js))
-        f[hit] = self._sums[pos[hit]] / self._counts[pos[hit]]
-        return np.abs(f[len(b):] - f[:len(b)])
 
     def _histogram(self) -> PiecewiseDyadicFn:
         return PiecewiseDyadicFn(self._k, (self._keys, self._sums / self._counts), 0.0)
@@ -487,22 +449,25 @@ class EstimatorState:
         self._x[n:n + m], self._y[n:n + m] = x, y
         self._n = n + m
 
-    def _window_margin(self) -> tuple[float | None, int]:
-        """One walk over the windows; returns (margin, i).  The margin is
-        None when the current cells pass `variation_check`: each correctly
-        rounded window sum acc / 2^1074 is the fsum that function compares.
-        Otherwise it is D / 2^1074 rounded down, D = max_i (acc_i -
-        units(4 alpha(i))) the exact margin by which the cells fail, or -1.0
-        when D <= 0.  i is the first window that attains the max."""
-        acc, passed, worst, at = 0, True, None, 1
+    def _window_margin(self) -> tuple[float | None, tuple[int, float, float] | None]:
+        """One binning of the cells' jumps and one walk over the windows;
+        returns (margin, binding).  The margin is None when the current cells
+        pass `variation_check`: each correctly rounded window sum
+        acc / 2^1074 is the fsum that function compares.  Otherwise it is
+        D / 2^1074 rounded down, D = max_i (acc_i - units(4 alpha(i))) the
+        exact margin by which the cells fail, or -1.0 when D <= 0.  binding
+        is (i, acc_i / 2^1074, 4 alpha(i)) for the first window i that
+        attains the max, None at k = 0."""
+        bucket = _window_buckets(self._histogram())
+        acc, passed, worst, binding = 0, True, None, None
         for i, (lim, units) in enumerate(zip(self._alpha4, self._units4), 1):
-            acc += self._bucket.get(i, 0)
+            acc += bucket.get(i, 0)
             passed = passed and acc / _ULP_SCALE < lim
             if worst is None or acc - units > worst:
-                worst, at = acc - units, i
+                worst, binding = acc - units, (i, acc / _ULP_SCALE, lim)
         if passed:
-            return None, at
-        return (math.nextafter(worst / _ULP_SCALE, 0.0) if worst > 0 else -1.0), at
+            return None, binding
+        return (math.nextafter(worst / _ULP_SCALE, 0.0) if worst > 0 else -1.0), binding
 
     def _freeze(self) -> int:
         """Record tau = consumed with the search histogram, search one
@@ -516,7 +481,7 @@ class EstimatorState:
             cells = _accumulate_cells(self.xs, self.ys, k + 1, n)
         except OverflowError:
             self._n = n - 1
-            self._set_cells(*_accumulate_cells(self.xs, self.ys, k, n - 1))
+            self._keys, self._counts, self._sums = _accumulate_cells(self.xs, self.ys, k, n - 1)
             raise
         self.tau.append(n)
         self.frozen.append(fn)
@@ -524,12 +489,8 @@ class EstimatorState:
         self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, k + 2)]
         # an infinite 4 alpha(i) never binds: every window sum is below DBL_MAX
         self._units4 = [_units(min(a, sys.float_info.max)) for a in self._alpha4]
-        self._set_cells(*cells)
+        self._keys, self._counts, self._sums = cells
         return k
-
-    def _set_cells(self, keys: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
-        self._keys, self._counts, self._sums = keys, counts, sums
-        self._bucket = _window_buckets(self._histogram())
 
 
 def batch_tau_search(
@@ -601,8 +562,8 @@ def _frozen_checks(seq: SampleSequence, budget, tau: list[int], frozen: list) ->
     and the recomputed one against the variation budget."""
     results = []
     for k, (t, fn) in enumerate(zip(tau, frozen)):
-        if k == 0:  # the default of the one-cell function is not compared
-            same = fn == PiecewiseDyadicFn(0, {0: float(seq.y[0])}, fn.default)
+        if k == 0:
+            same = fn == PiecewiseDyadicFn(0, {0: float(seq.y[0])}, 0.0)
             results.append(("frozen[0]-is-first-y", same, f"tau_0={t}"))
             continue
         rebuilt = histogram_estimate(seq, k, t).fn

@@ -225,6 +225,22 @@ class TestEstimate:
         assert chk["stalled_at"] is not None and chk["tau"]  # partial output intact
 
     @pytest.mark.parametrize(
+        "limits", [{"checkpoints": [16, 1000]}, {"checkpoints": [16, 200], "horizon": 128}],
+        ids=["beyond-the-sequence", "beyond-the-horizon"],
+    )
+    def test_checkpoint_beyond_the_pairs_read_exit2(self, tmp_path, capsys, limits):
+        # it wrote one row for the 16 and dropped the other, with exit 0
+        seq_csv = self._sequence(tmp_path, n=256)
+        cfg = write_json(
+            tmp_path / "e.json",
+            {"sequence": seq_csv, "alpha": {"kind": "constant", "c": 2.0}, **limits,
+             "truth": {"distribution": UNIT_UNIFORM, "regression": H1_DYADIC}},
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        assert "'checkpoints' must be <=" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize(
         "limit", [{"stall_patience": 256}, {"require_resolution": 30}], ids=["stall", "required"]
     )
     def test_exit4_names_the_binding_window(self, tmp_path, capsys, limit):
@@ -570,6 +586,28 @@ class TestAdversary:
                       "oscillation_ok"):
             assert field in fails[0]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda r: r["config"].update(block_source="vdc_shiftx"), "block_source"),
+         (lambda r: r["config"].update(n_blocks=7), "config.n_blocks is 7"),
+         (lambda r: r.update(finite_prefix_witness=False), "finite_prefix_witness"),
+         (lambda r: r.update(oscillation_bound=0.5), "oscillation_bound")],
+        ids=["block-source", "n-blocks", "finite-prefix-witness", "oscillation-bound"],
+    )
+    def test_edited_config_or_constant_exit2(self, tmp_path, capsys, edit, message):
+        # verify never read these fields, and each edit verified with exit 0
+        assert self._verify_edited(tmp_path, edit) == 2
+        captured = capsys.readouterr()
+        assert "bad report" in captured.err and message in captured.err
+
+    def test_edited_l2_converged_fails(self, tmp_path, capsys):
+        def edit(report):
+            report["blocks"][0]["certificates"]["l2_converged"] = False
+
+        assert self._verify_edited(tmp_path, edit) == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1 and "block1-l2-certificate" in fails[0]
+
     def test_unedited_spans_pass(self, tmp_path, capsys):
         assert self._verify_edited(tmp_path, lambda report: None) == 0
         assert "PASS  span-envelopes  (2 spans recomputed" in capsys.readouterr().out
@@ -850,9 +888,11 @@ class TestVerify:
             # the run did not stall, and a stall is where the stream stopped
             (lambda c: c.update(stalled_at=7), "stalled-at-equals-consumed"),
             (lambda c: c.update(stalled_at=c["consumed"] + 0.5), "stalled-at-equals-consumed"),
+            # every writer writes the one-cell function with default 0
+            (lambda c: c["frozen"][0].update(default=0.001), "frozen[0]-is-first-y"),
         ],
         ids=["extra-frozen", "consumed-1e9", "consumed-negative", "stalled-at-7",
-             "stalled-at-not-an-int"],
+             "stalled-at-not-an-int", "frozen0-default"],
     )
     def test_checkpoint_structure_edit_fails(self, tmp_path, capsys, edit, check):
         seq, chk = self._iid_checkpoint(tmp_path)

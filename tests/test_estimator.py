@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stableseq.estimator as estimator
 from conftest import cells_view, float_reprs, state_view
 from stableseq.estimator import (
     _CHUNK,
@@ -15,7 +16,6 @@ from stableseq.estimator import (
     EstimatorState,
     _accumulate_cells,
     _running_cells,
-    _window_buckets,
     batch_tau_search,
     checkpoint_from_dict,
     checkpoint_to_dict,
@@ -29,7 +29,9 @@ from stableseq.evaluation import stream_checkpoints
 from stableseq.measures import (
     DistributionModel, SampleSequence, read_sequence_csv, write_sequence_csv
 )
-from stableseq.partitions import PiecewiseDyadicFn, VariationBudget
+from stableseq.partitions import (
+    PiecewiseDyadicFn, VariationBudget, adjacent_jumps, total_variation_window
+)
 from stableseq.regression import RegressionModel
 
 UNIFORM = DistributionModel.uniform(0.0, 1.0)
@@ -334,8 +336,8 @@ def _reference(budget, xs, ys):
     `batch_tau_search`.  It raises OverflowError exactly where an x has no
     cell index at the search resolution or a freeze cannot place a stored x
     one resolution deeper; the longest prefix it completes is the one the
-    state keeps.  Its cells and window buckets come from `_accumulate_cells`
-    and `_window_buckets` at the resolution after the last freeze.
+    state keeps.  Its cells come from `_accumulate_cells` at the resolution
+    after the last freeze.
     """
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
@@ -361,14 +363,13 @@ def _reference(budget, xs, ys):
     tau, frozen = found
     k = len(tau)
     keys, counts, sums = _accumulate_cells(xs, ys, k, n)
-    buckets = _window_buckets(PiecewiseDyadicFn(k, (keys, sums / counts))) if n else {}
     alpha4 = [4.0 * budget.alpha(i) for i in range(1, k + 1)]
     units4 = [int(Fraction(min(a, sys.float_info.max)) * 2**1074) for a in alpha4]
     state = {
         "budget": budget, "xs": float_reprs(xs[:n]), "ys": float_reprs(ys[:n]), "tau": tau,
         "frozen": [(f.k, f.cells.tolist(), float_reprs(f.vals), f.default) for f in frozen],
         "cells": cells_view(k, keys, counts, sums),
-        "_bucket": buckets, "_alpha4": alpha4, "_units4": units4,
+        "_alpha4": alpha4, "_units4": units4,
     }
     return state, err
 
@@ -456,7 +457,7 @@ class TestIngestMany:
 
     def test_sparse_touches_refresh_cell_by_cell(self):
         # 512 cells hold a few pairs each; later pairs revisit few of them,
-        # so spans end with a cell-by-cell refresh, not a table rebuild
+        # so each span updates a few cells in place among many
         gen = RandomSource(3).generator()
         xs = np.concatenate([np.arange(1, 513) / 512.0, gen.choice([0.1, 0.6, 0.9], 3000)])
         ys = np.concatenate([gen.random(512), gen.random(3000) * 8.0])
@@ -621,16 +622,14 @@ class TestIngestMany:
 
     def test_no_table_keeps_a_zero_entry(self):
         # the second pair into cell 2 brings it level with cell 1: the jump
-        # between them returns to 0, and no table of the state may keep a
-        # 0 for it (a jump or window sum of 0 is no entry at all), so the
-        # state depends on the cells alone, whichever path built it
+        # between them returns to 0, and the state depends on the cells
+        # alone, whichever path built it
         state = EstimatorState(VariationBudget.const(0.25))
         for x, y in [(0.25, 1.0), (0.75, 0.0), (0.75, 2.0)]:
             state.ingest(x, y)
         assert state.tau == [1] and state_view(state)["cells"] == {
             "k": 1, "keys": [1, 2], "counts": [1, 2], "sums": ["1.0", "2.0"]
         }
-        assert state._bucket and 0 not in state._bucket.values()
         want, _ = _reference(VariationBudget.const(0.25), [0.25, 0.75, 0.75], [1.0, 0.0, 2.0])
         fast = EstimatorState(VariationBudget.const(0.25))
         fast.ingest_many([0.25, 0.75, 0.75], [1.0, 0.0, 2.0])
@@ -652,3 +651,71 @@ class TestIngestMany:
         state.ingest_many(seq.x, seq.y)
         assert len(state.tau) >= 3
         assert len(calls) < n / 50
+
+    def test_windows_are_binned_only_at_decisions(self, monkeypatch):
+        # the window sums are a function of the cells, binned where a
+        # decision reads them: no binning between decisions or at a freeze
+        binned, decided = [], []
+        binning = estimator._window_buckets
+        monkeypatch.setattr(
+            estimator, "_window_buckets", lambda fn: binned.append(1) or binning(fn)
+        )
+        check = EstimatorState._window_margin
+        monkeypatch.setattr(
+            EstimatorState, "_window_margin", lambda self: decided.append(1) or check(self)
+        )
+        seq = gen_deterministic(RegressionModel.identity_on_unit(), 1 << 14)
+        state = EstimatorState(VariationBudget.affine(2.0, 0.1))
+        state.ingest_many(seq.x, seq.y)
+        assert len(state.tau) >= 12 and len(decided) > len(state.tau)
+        assert len(binned) == len(decided)
+
+
+def _binding_reference(state: EstimatorState) -> tuple[int, float, float]:
+    """(i, V_i, 4 alpha(i)) from scratch: the histogram of the consumed pairs
+    at the search resolution, i the first window with the largest exact
+    excess of its jump sum over 4 alpha(i), V_i its `total_variation_window`."""
+    k = state.search_resolution
+    seq = SampleSequence(np.array(state.xs), np.array(state.ys))
+    h = histogram_estimate(seq, k, state.consumed).fn
+    b, d = adjacent_jumps(h)
+    excess = []
+    for i in range(1, k + 1):
+        inside = [Fraction(abs(v)) for j, v in zip(b.tolist(), d.tolist()) if abs(j) < i << k]
+        excess.append(sum(inside, Fraction(0)) - Fraction(4.0 * state.budget.alpha(i)))
+    i = excess.index(max(excess)) + 1
+    return i, total_variation_window(h, i), 4.0 * state.budget.alpha(i)
+
+
+class TestBindingWindow:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(_X, _Y), min_size=1, max_size=120),
+        st.lists(st.integers(0, 120), max_size=3),
+        st.sampled_from(
+            [VariationBudget.const(c) for c in (0.25, 0.5, 2.0, 3e12)]
+            + [VariationBudget.affine(2.0, 0.1), VariationBudget.from_table([0.3, 1.0, 2.5])]
+        ),
+    )
+    def test_equals_the_recomputed_window(self, pairs, cuts, budget):
+        xs = [x for x, _ in pairs]
+        ys = [-0.0 if x == -0.3 else y for x, y in pairs]
+        state, _ = _batched(budget, xs, ys, cuts)
+        if state.consumed:
+            assert state.binding_window() == _binding_reference(state)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_recomputed_window_after_pairs_without_a_decision(self, seed, monkeypatch):
+        # a stalled noisy stream: its last pairs join the cells with no decision
+        decisions = []
+        check = EstimatorState._window_margin
+        monkeypatch.setattr(
+            EstimatorState, "_window_margin",
+            lambda self: decisions.append(self.consumed) or check(self),
+        )
+        ramp = RegressionModel.piecewise_linear([0.0, 1.0], [0.2, 0.8])
+        seq = gen_iid(UNIFORM, ramp, "uniform", 3000, RandomSource(seed), delta=0.2)
+        state = EstimatorState(VariationBudget.const(0.5))
+        state.ingest_many(seq.x, seq.y)
+        assert state.search_resolution >= 1 and decisions[-1] < state.consumed
+        assert state.binding_window() == _binding_reference(state)
