@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import stableseq.estimator as estimator
 from conftest import cells_view, float_reprs, state_view
+import stableseq.estimator as estimator
 from stableseq.estimator import (
     _CHUNK,
     _FIRST,
@@ -701,8 +701,7 @@ class TestBindingWindow:
         xs = [x for x, _ in pairs]
         ys = [-0.0 if x == -0.3 else y for x, y in pairs]
         state, _ = _batched(budget, xs, ys, cuts)
-        if state.consumed:
-            assert state.binding_window() == _binding_reference(state)
+        assert state.binding_window() == _binding_reference(state)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_the_recomputed_window_after_pairs_without_a_decision(self, seed, monkeypatch):
