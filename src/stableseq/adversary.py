@@ -702,6 +702,17 @@ def _oscillation(fitted: list, quad_cells: int) -> dict:
     }
 
 
+def _check_lengths(cfg: AdversaryConfig):
+    """The block lengths at which the splice checks a block: first_check,
+    doubling, up to the cap min(block_budget, horizon), which comes last (a
+    block holds horizon pairs)."""
+    cap, length = min(cfg.block_budget, cfg.horizon), cfg.first_check
+    while length < cap:
+        yield length
+        length *= 2
+    yield cap
+
+
 def splice_next_block(
     state: SpliceState, phi, k: int, streams: BlockStreams
 ) -> SpliceState:
@@ -721,10 +732,8 @@ def splice_next_block(
     block_x = streams.xs(k)
     block_y = streams.ys(k)
     theta = 1.0 / (k + 1)
-    offset = cfg.first_check
     trajectory: list[tuple[int, float]] = []
-    while True:
-        take = min(offset, cfg.block_budget, len(block_x))
+    for take in _check_lengths(cfg):
         state.xs = np.concatenate([prefix_x, block_x[:take]])
         state.ys = np.concatenate([prefix_y, block_y[:take]])
         n = state.n
@@ -748,14 +757,12 @@ def splice_next_block(
                 },
             })
             return state
-        if take >= cfg.block_budget:
-            raise ConsistencyViolationWitness(k, state, trajectory)
-        if take >= len(block_x):
-            raise HorizonExhausted(
-                f"block {k} ran out after {take} pairs (the horizon) before "
-                f"its boundary conditions held"
-            )
-        offset *= 2
+    if take >= cfg.block_budget:
+        raise ConsistencyViolationWitness(k, state, trajectory)
+    raise HorizonExhausted(
+        f"block {k} ran out after {take} pairs (the horizon) before "
+        f"its boundary conditions held"
+    )
 
 
 def _span_scan(weighted: Callable[[int], float], k: int, lo: int, hi: int) -> dict:
@@ -860,7 +867,7 @@ def verify_adversary_report(
         raise ValueError(
             f"config.n_blocks is {config['n_blocks']!r} but the report has {len(blocks)} blocks"
         )
-    AdversaryConfig(**config)
+    cfg = AdversaryConfig(**config)
     if report["finite_prefix_witness"] is not True:
         raise ValueError(f"finite_prefix_witness is {report['finite_prefix_witness']!r}, not true")
     if report["oscillation_bound"] != _OSCILLATION_BOUND:
@@ -882,6 +889,18 @@ def verify_adversary_report(
             f"n_k={bounds}, total_length={total}, sequence of {len(seq)}",
         )
     ]
+    if bounds_ok:
+        lengths = [b - a for a, b in zip([0, *bounds], bounds)]
+        schedule = list(_check_lengths(cfg))
+        results.append((
+            "block-lengths-on-check-schedule",
+            all(n in schedule for n in lengths),
+            f"block lengths {lengths}; checks at {schedule[0]}, doubling, up to {schedule[-1]}",
+        ))
+    else:
+        results.append(
+            ("block-lengths-on-check-schedule", None, "the boundaries do not match the sequence")
+        )
     fitted = []
     for k, (rec, n_k) in enumerate(zip(blocks, bounds), 1):
         certs = rec["certificates"]

@@ -17,17 +17,13 @@ frozen one affordable with n samples.
 
 Exactness discipline.  The strict inequality against 4 * alpha(i) is a
 contract: ties fail, and a re-run from scratch must reproduce the same tau
-sequence bit for bit.  Every finite double is an integer multiple of
-2^-1074, so each window bucket is the exact integer sum of its jumps in
-that unit.  The buckets are a function of the cells, binned from their
-jumps (`_window_buckets`) where a decision reads them and kept nowhere
-else.  A window sum acc / 2^1074 is one correctly rounded int/int
-division, hence the same float as the `math.fsum` of the same jumps that
-`variation_check` compares -- the public function a from-scratch audit
-calls -- so the streaming decision is `variation_check`'s bit for bit,
-with no snapshot and no re-check.  Both read the jumps of a histogram, a
-`PiecewiseDyadicFn` on sorted cell and value arrays, from the one
-enumerator `partitions.adjacent_jumps`.  Per-cell y-sums accumulate in
+sequence bit for bit.  V_i is the correctly rounded `math.fsum` of the
+absolute jumps inside window i.  One walk over the windows, `_windows`,
+serves `variation_check` -- the public function a from-scratch audit
+calls -- and the streaming decision, so both compare the same V_i with
+the same 4 alpha(i).  The walk reads a histogram's jumps, a
+`PiecewiseDyadicFn` on sorted arrays, from the one enumerator
+`partitions.adjacent_jumps`.  Per-cell y-sums accumulate in
 arrival order both here and in `histogram_estimate`, so all three paths
 (streaming, batch reference, certificate replay) see identical cell
 values.  Ingest rejects |y| >= 2^512 (the paper assumes bounded y): below
@@ -41,18 +37,20 @@ rebuilds the cells in one pass over the prefix (sums seeded with each
 cell's first y, then `np.add.at` in arrival order: the `+=` additions).
 Ingest adds a chunk of pairs to the cells in one array pass, one vector
 step per occurrence rank of a cell, so each running sum is the sequential
-`+=`.  No jump or window sum is stored: each decision bins the jumps
-`adjacent_jumps` finds by exponent into exact integers, so the state is a
-function of the prefix alone, whichever path built it.
+`+=`.  No jump or window sum is stored: each decision walks the windows
+of the jumps `adjacent_jumps` finds, so the state is a function of the
+prefix alone, whichever path built it.
 
 Certified spans.  `batch_tau_search` decides at every pair; `ingest_many`
 decides only where a decision could pass, so it freezes at the same pairs.
-Write U_i = units(4 alpha(i)).  Rounding is monotone and 4 alpha(i) is a
-double, so acc_i >= U_i makes window i fail.  At a decision that fails, the
-exact integer D = max_i (acc_i - U_i) is taken.  A later pair changes one
-cell's value from v to v' -- the doubles fl(s/c) of the cell before and
-after it, v = 0 for an empty cell -- and with it the two jumps beside the
-cell, each d = fl|v - w| against a neighbour value w.  Reverse triangle
+Write E_i = S_i - 4 alpha(i) for the exact excess of window i, where S_i
+is the exact sum of its absolute jumps and V_i is S_i rounded.  Rounding
+is monotone and 4 alpha(i) is a double, so E_i >= 0 makes window i fail.
+At a decision that fails, D = max_i E_i is taken as fl(D), the largest
+fsum of a window's jumps and -4 alpha(i).  A later pair changes one cell's
+value from v to v' -- the doubles fl(s/c) of the cell before and after
+it, v = 0 for an empty cell -- and with it the two jumps beside the cell,
+each d = fl|v - w| against a neighbour value w.  Reverse triangle
 inequality: each moves by at most |v' - v| plus the rounding of its two
 subtractions, u(|v' - w| + |v - w|) with u = 2^-53 (a subnormal
 difference is exact).  Both jumps together move by at most
@@ -76,10 +74,10 @@ S, and 2^-1020 the at most 2^-1075 that 2^-51 * S may lose to underflow.
 The t <= `_CHUNK` = 4096 partial sums of cumsum, the addition of B_0 and
 the product lose a factor 1 - u each, and (1 - u)^4100 (1 + 2^-40) >= 1:
 B is at least B_0 plus the exact sum of the e's.  While B stays at or
-below D / 2^1074 rounded down, acc_i for the i that gave D stays >= U_i,
-so a decision at any of those pairs would fail and freeze nothing.  The
-first pair where B exceeds it is the next decision point: the pairs up to
-it join the cells, and the windows are checked.
+below the double below fl(D), so below D, E_i for the i that gave D stays
+>= 0, so a decision at any of those pairs would fail and freeze nothing.
+The first pair where B exceeds it is the next decision point: the pairs up
+to it join the cells, and the windows are checked.
 D <= 0 makes each pair a decision point, and so is the first pair after a
 freeze or at the start of a batch.  A run of pairs is located and summed
 in chunks that grow from its first pair: that pair alone, then `_FIRST` =
@@ -94,9 +92,9 @@ immutable snapshots and may be read concurrently.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,7 +105,6 @@ from .partitions import (
     _cell_indices,
     _int_keys,
     _numbers,
-    _smallest_window,
     adjacent_jumps,
     cell_of,
 )
@@ -125,7 +122,6 @@ __all__ = [
 ]
 
 _Y_BOUND = 2.0**512  # |y| below it: no cell sum, jump or window sum overflows
-_ULP_SCALE = 1 << 1074  # every finite double is an integer multiple of 2^-1074
 _CHUNK = 4096  # most pairs `ingest_many` locates and sums in one array pass
 _FIRST = 64  # a run's second chunk; the pairs B is first summed over after a decision
 _RANKS = 32  # occurrences of a cell summed one vector step each; the rest accumulate
@@ -165,32 +161,28 @@ def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, n
     return _int_keys(keys), counts, sums
 
 
-def _window_buckets(fn: PiecewiseDyadicFn) -> dict[int, int]:
-    """Each window's exact sum of fn's absolute jumps, in units of 2^-1074;
-    only windows up to fn.k, and no zero sums."""
+@lru_cache(maxsize=None)
+def _edges(k: int) -> np.ndarray:
+    """Window i = 1..k of resolution k holds the jump boundaries
+    1 - i*2^k <= b < i*2^k: the k starts, then the k ends, as int64 or,
+    beyond it, Python ints; read-only, as every caller shares it."""
+    spans = [i << k for i in range(1, k + 1)]
+    edges = np.array([1 - s for s in spans] + spans)
+    edges.flags.writeable = False
+    return edges
+
+
+def _windows(fn: PiecewiseDyadicFn):
+    """Yield (i, the |jumps| inside window i, a list) for window 1 and each
+    later window up to fn.k that adds a jump: one that adds none, as alpha
+    does not decrease, neither fails where the one before passes nor exceeds it."""
     b, d = adjacent_jumps(fn)
-    m = _smallest_window(b, fn.k)
-    keep = m <= fn.k
-    m, d = m[keep].astype(np.int64), np.abs(d[keep])
-    if not len(d):
-        return {}
-    # d * 2^1074 = mant * 2^shift, mant < 2^53; split it in 26-bit halves so
-    # the int64 sums per (window, shift) bin hold for fewer than 2^36 jumps
-    frac, expo = np.frexp(d)
-    shift = expo + 1021
-    mant = np.ldexp(frac, 53 + np.minimum(shift, 0)).astype(np.int64)
-    key = m * 2048 + np.maximum(shift, 0)
-    del m, frac, expo, shift  # the temporaries go as soon as they are used
-    order = np.argsort(key, kind="stable")
-    key, mant = key[order], mant[order]
-    starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-    high = np.add.reduceat(mant >> 26, starts).tolist()
-    low = np.add.reduceat(mant & 0x3FFFFFF, starts).tolist()
-    sums: dict[int, int] = {}
-    for g, h, lo in zip(key[starts].tolist(), high, low):
-        i, s = divmod(g, 2048)
-        sums[i] = sums.get(i, 0) + (((h << 26) + lo) << s)
-    return sums
+    at = np.searchsorted(b, _edges(fn.k)).tolist()
+    terms, seen = np.abs(d).tolist(), None
+    for i, inside in enumerate(zip(at, at[fn.k:]), 1):
+        if inside != seen:
+            yield i, terms[inside[0]:inside[1]]
+            seen = inside
 
 
 def _find(keys: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,28 +236,9 @@ def variation_check(fn: PiecewiseDyadicFn, budget: VariationBudget) -> bool:
 
     Ties (exact equality with 4*alpha(i)) fail.  Window i's variation is
     the fsum of the jumps at -i*2^k < b < i*2^k, as in `total_variation_window`;
-    fsum is correctly rounded, so it is also the streaming estimator's exact
-    integer bucket sum (`_window_buckets`) divided by 2^1074.  A window that
-    adds no jump keeps the sum, and alpha does not decrease: it passes too.
+    the windows `_windows` skips pass whenever the ones before them do.
     """
-    k = fn.k
-    b, d = adjacent_jumps(fn)
-    b, terms = b.tolist(), np.abs(d).tolist()
-    checked = (0, 0)
-    for i in range(1, k + 1):
-        span = i << k
-        inside = bisect_right(b, -span), bisect_left(b, span)
-        if inside != checked:
-            if not math.fsum(terms[inside[0]:inside[1]]) < 4.0 * budget.alpha(i):
-                return False
-            checked = inside
-    return True
-
-
-def _units(d: float) -> int:
-    """d as an exact integer count of 2^-1074 (every finite double is one)."""
-    num, den = d.as_integer_ratio()
-    return num << (1075 - den.bit_length())
+    return all(math.fsum(terms) < 4.0 * budget.alpha(i) for i, terms in _windows(fn))
 
 
 def _check_pair(x: float, y: float, k: int) -> None:
@@ -305,7 +278,6 @@ class EstimatorState:
         self._counts = np.empty(0, dtype=np.int64)
         self._sums = np.empty(0)
         self._alpha4: list[float] = []  # 4*alpha(i), i = 1.._k
-        self._units4: list[int] = []  # the same in units of 2^-1074
 
     # -- public views -----------------------------------------------------------
     @property
@@ -340,11 +312,19 @@ class EstimatorState:
             return 0
         return self.consumed - self.tau[-1]
 
-    def binding_window(self) -> tuple[int, float, float]:
-        """(i, V_i, 4 alpha(i)) for the window i on which the search histogram
-        fails by the most, or comes closest to failing (the i of the exact
-        margin D); V_i is its `total_variation_window`.  Needs k >= 1."""
-        return self._window_margin()[1]
+    def binding_window(self) -> tuple[int, float, float] | None:
+        """(i, V_i, 4 alpha(i)) for the first window i of largest exact excess
+        S_i - 4 alpha(i) ("Certified spans"), where the search histogram fails
+        by the most or comes closest to failing; None at k = 0.  Window j
+        beats the best i so far when the fsum of j's jumps, i's jumps negated,
+        4 alpha(i) and -4 alpha(j) is positive, an exact sign.  An infinite
+        4 alpha counts as the largest double."""
+        best = None
+        for j, terms in _windows(self._histogram()):
+            lim = min(self._alpha4[j - 1], np.finfo(float).max)
+            if best is None or math.fsum([*terms, *(-t for t in best[1]), best[2], -lim]) > 0:
+                best = j, terms, lim
+        return best and (best[0], math.fsum(best[1]), self._alpha4[best[0] - 1])
 
     # -- ingestion ----------------------------------------------------------------
     def ingest(self, x: float, y: float) -> int | None:
@@ -412,7 +392,7 @@ class EstimatorState:
                     bound = float(b[-1])
                     break
                 p = q
-                limit, bound = self._window_margin()[0], 0.0
+                limit, bound = self._window_margin(), 0.0
                 if limit is None:
                     events.append((self._freeze(), self.tau[-1]))
                     return start + q
@@ -449,25 +429,19 @@ class EstimatorState:
         self._x[n:n + m], self._y[n:n + m] = x, y
         self._n = n + m
 
-    def _window_margin(self) -> tuple[float | None, tuple[int, float, float] | None]:
-        """One binning of the cells' jumps and one walk over the windows;
-        returns (margin, binding).  The margin is None when the current cells
-        pass `variation_check`: each correctly rounded window sum
-        acc / 2^1074 is the fsum that function compares.  Otherwise it is
-        D / 2^1074 rounded down, D = max_i (acc_i - units(4 alpha(i))) the
-        exact margin by which the cells fail, or -1.0 when D <= 0.  binding
-        is (i, acc_i / 2^1074, 4 alpha(i)) for the first window i that
-        attains the max, None at k = 0."""
-        bucket = _window_buckets(self._histogram())
-        acc, passed, worst, binding = 0, True, None, None
-        for i, (lim, units) in enumerate(zip(self._alpha4, self._units4), 1):
-            acc += bucket.get(i, 0)
-            passed = passed and acc / _ULP_SCALE < lim
-            if worst is None or acc - units > worst:
-                worst, binding = acc - units, (i, acc / _ULP_SCALE, lim)
+    def _window_margin(self) -> float | None:
+        """None when the cells pass `variation_check`, by the same walk and
+        comparisons.  Otherwise the limit of the certified span: the double
+        below fl(D), or -1.0 when D <= 0.  Only a failing window's jumps are
+        summed with -4 alpha(i): a window with E_i > 0 fails."""
+        passed, worst = True, -math.inf
+        for i, terms in _windows(self._histogram()):
+            lim = self._alpha4[i - 1]
+            if not math.fsum(terms) < lim:
+                passed, worst = False, max(worst, math.fsum([*terms, -lim]))
         if passed:
-            return None, binding
-        return (math.nextafter(worst / _ULP_SCALE, 0.0) if worst > 0 else -1.0), binding
+            return None
+        return math.nextafter(worst, 0.0) if worst > 0 else -1.0
 
     def _freeze(self) -> int:
         """Record tau = consumed with the search histogram, search one
@@ -487,8 +461,6 @@ class EstimatorState:
         self.frozen.append(fn)
         self._k = k + 1
         self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, k + 2)]
-        # an infinite 4 alpha(i) never binds: every window sum is below DBL_MAX
-        self._units4 = [_units(min(a, sys.float_info.max)) for a in self._alpha4]
         self._keys, self._counts, self._sums = cells
         return k
 

@@ -268,12 +268,6 @@ def adjacent_jumps(f: PiecewiseDyadicFn) -> tuple[np.ndarray, np.ndarray]:
     return b[jump], d[jump]
 
 
-def _smallest_window(b, k: int):
-    """Smallest i >= 1 with boundary b inside (-i, i), i.e. -i*2^k < b < i*2^k:
-    ceil((|b| + 1) / 2^k); b is an integer or an array of them."""
-    return -((-1 - abs(b)) >> k)
-
-
 def _variation_inside(f: PiecewiseDyadicFn, lo, hi) -> float:
     """The fsum of the jumps' absolute values at the boundaries lo < b < hi."""
     b, d = adjacent_jumps(f)

@@ -107,7 +107,7 @@ def state_view(state) -> dict:
         "xs": float_reprs(state.xs), "ys": float_reprs(state.ys),
         "frozen": [(f.k, f.cells.tolist(), float_reprs(f.vals), f.default) for f in state.frozen],
         "cells": cells_view(state._k, state._keys, state._counts, state._sums),
-        "_alpha4": state._alpha4, "_units4": state._units4,
+        "_alpha4": state._alpha4,
     }
 
 

@@ -612,6 +612,22 @@ class TestAdversary:
         assert self._verify_edited(tmp_path, lambda report: None) == 0
         assert "PASS  span-envelopes  (2 spans recomputed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("phi", ["plugin", "oracle"])
+    def test_unedited_block_lengths_pass(self, tmp_path, capsys, phi):
+        assert self._verify_edited(tmp_path, lambda report: None, phi=phi) == 0
+        assert "PASS  block-lengths-on-check-schedule  (block lengths [" in capsys.readouterr().out
+
+    def test_block_lengths_off_the_check_schedule_fail(self, tmp_path, capsys):
+        # the oracle's blocks take 16, 16 and 64 pairs; a splice whose first
+        # check is at 32 pairs never ends a block after 16
+        def edit(report):
+            assert [rec["n_k"] for rec in report["blocks"]] == [16, 32, 96]
+            report["config"]["first_check"] = 32
+
+        assert self._verify_edited(tmp_path, edit, phi="oracle") == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1 and "block-lengths-on-check-schedule" in fails[0]
+
     @pytest.mark.parametrize(
         "edit",
         [lambda r: r["blocks"][0].update(k=40),  # block 1 checked against nu_40

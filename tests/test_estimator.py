@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -364,12 +363,11 @@ def _reference(budget, xs, ys):
     k = len(tau)
     keys, counts, sums = _accumulate_cells(xs, ys, k, n)
     alpha4 = [4.0 * budget.alpha(i) for i in range(1, k + 1)]
-    units4 = [int(Fraction(min(a, sys.float_info.max)) * 2**1074) for a in alpha4]
     state = {
         "budget": budget, "xs": float_reprs(xs[:n]), "ys": float_reprs(ys[:n]), "tau": tau,
         "frozen": [(f.k, f.cells.tolist(), float_reprs(f.vals), f.default) for f in frozen],
         "cells": cells_view(k, keys, counts, sums),
-        "_alpha4": alpha4, "_units4": units4,
+        "_alpha4": alpha4,
     }
     return state, err
 
@@ -653,13 +651,11 @@ class TestIngestMany:
         assert len(calls) < n / 50
 
     def test_windows_are_binned_only_at_decisions(self, monkeypatch):
-        # the window sums are a function of the cells, binned where a
-        # decision reads them: no binning between decisions or at a freeze
-        binned, decided = [], []
-        binning = estimator._window_buckets
-        monkeypatch.setattr(
-            estimator, "_window_buckets", lambda fn: binned.append(1) or binning(fn)
-        )
+        # the window sums are a function of the cells, walked where a
+        # decision reads them: no walk between decisions or at a freeze
+        walked, decided = [], []
+        walk = estimator._windows
+        monkeypatch.setattr(estimator, "_windows", lambda fn: walked.append(1) or walk(fn))
         check = EstimatorState._window_margin
         monkeypatch.setattr(
             EstimatorState, "_window_margin", lambda self: decided.append(1) or check(self)
@@ -668,26 +664,61 @@ class TestIngestMany:
         state = EstimatorState(VariationBudget.affine(2.0, 0.1))
         state.ingest_many(seq.x, seq.y)
         assert len(state.tau) >= 12 and len(decided) > len(state.tau)
-        assert len(binned) == len(decided)
+        assert len(walked) == len(decided)
+
+
+def _exact_excesses(h: PiecewiseDyadicFn, budget) -> list:
+    """S_i - 4 alpha(i), i = 1..h.k, as Fractions: S_i the exact sum of the
+    absolute jumps inside window i; None where 4 alpha(i) is infinite."""
+    b, d = adjacent_jumps(h)
+    out = []
+    for i in range(1, h.k + 1):
+        lim = 4.0 * budget.alpha(i)
+        inside = [Fraction(abs(v)) for j, v in zip(b.tolist(), d.tolist()) if abs(j) < i << h.k]
+        out.append(sum(inside, Fraction(0)) - Fraction(lim) if math.isfinite(lim) else None)
+    return out
 
 
 def _binding_reference(state: EstimatorState) -> tuple[int, float, float]:
     """(i, V_i, 4 alpha(i)) from scratch: the histogram of the consumed pairs
     at the search resolution, i the first window with the largest exact
     excess of its jump sum over 4 alpha(i), V_i its `total_variation_window`."""
-    k = state.search_resolution
     seq = SampleSequence(np.array(state.xs), np.array(state.ys))
-    h = histogram_estimate(seq, k, state.consumed).fn
-    b, d = adjacent_jumps(h)
-    excess = []
-    for i in range(1, k + 1):
-        inside = [Fraction(abs(v)) for j, v in zip(b.tolist(), d.tolist()) if abs(j) < i << k]
-        excess.append(sum(inside, Fraction(0)) - Fraction(4.0 * state.budget.alpha(i)))
+    h = histogram_estimate(seq, state.search_resolution, state.consumed).fn
+    excess = _exact_excesses(h, state.budget)
     i = excess.index(max(excess)) + 1
     return i, total_variation_window(h, i), 4.0 * state.budget.alpha(i)
 
 
+class TestWindowMargin:
+    # a tie, V_1 = 4 alpha(1) = 1: the decision fails with D = 0
+    @example(pairs=[(0.25, 0.5), (0.25, 0.5)], cuts=[], budget=VariationBudget.const(0.25))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(_X, _Y), min_size=1, max_size=120),
+        st.lists(st.integers(0, 120), max_size=3),
+        st.one_of(_BUDGETS, st.just(VariationBudget.from_table([0.3, math.inf]))),
+    )
+    def test_equals_the_exact_limit(self, pairs, cuts, budget):
+        # None iff the cells pass variation_check; otherwise the double below
+        # D rounded, D = max_i (S_i - 4 alpha(i)) in exact arithmetic, or -1.0
+        # when D <= 0; an infinite 4 alpha(i) leaves window i out of D
+        state, _ = _batched(budget, [x for x, _ in pairs], [y for _, y in pairs], cuts)
+        limit = state._window_margin()
+        h = state._histogram()
+        assert (limit is None) == variation_check(h, budget)
+        if limit is None:
+            return
+        worst = max(e for e in _exact_excesses(h, budget) if e is not None)
+        assert limit == (math.nextafter(float(worst), 0.0) if worst > 0 else -1.0)
+
+
 class TestBindingWindow:
+    # near tie: with alpha(1) = alpha(2), window 2 adds 2 * 2^-60 to an excess
+    # of 1, below half an ulp: the rounded excesses tie, and only the exact
+    # comparison picks window 2, as the Fraction reference does
+    @example(pairs=[(0.25, 0.0), (0.25, 0.0), (0.6, 1.0), (1.1, 2.0**-60)], cuts=[],
+             budget=VariationBudget.from_table([0.25, 0.25]))
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.tuples(_X, _Y), min_size=1, max_size=120),

@@ -1,8 +1,9 @@
 """The windowed-variation paths agree bit for bit with two references.
 
 `adjacent_jumps` is the one jump enumerator: `total_variation_window`, the
-dyadic `RegressionModel.variation_window`, `variation_check`, the
-estimator's `_window_buckets` and the dyadic `_is_monotone` all read it.
+dyadic `RegressionModel.variation_window`, the estimator's window walk
+`_windows` (which `variation_check` reads) and the dyadic `_is_monotone`
+all read it.
 Two references here share none of it.  `dense_variation` visits every
 adjacent cell pair of the window, mapped or not, and takes the fsum.
 `walk_adjacent_jumps` and `walk_variation_check` are the earlier dict walks
@@ -13,14 +14,13 @@ depths the walk stands in for the dense reference.  Comparisons are `==`
 on floats or exact integers, never approx.
 """
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stableseq.estimator import _window_buckets, variation_check
+from stableseq.estimator import _windows, variation_check
 from stableseq.partitions import (
     PiecewiseDyadicFn,
     VariationBudget,
@@ -152,13 +152,15 @@ def test_enumerator_and_its_readers_equal_the_walk(fn, i):
     ref = walk_variation(fn, i) if fn.k else 0.0
     assert total_variation_window(fn, i) == ref
     assert model.variation_window(i) == ref
-    # each window's exact integer sum of the walk's jumps, in units of 2^-1074
-    buckets: dict[int, int] = {}
-    for b, d in walk_adjacent_jumps(fn):
-        w = walk_smallest_window(b, fn.k)
-        if w <= fn.k:
-            buckets[w] = buckets.get(w, 0) + int(Fraction(d) * 2**1074)
-    assert _window_buckets(fn) == {w: s for w, s in buckets.items() if s}
+    # each window the walk yields sums to its variation; each one it skips
+    # adds no jump to the window before it
+    windows = dict(_windows(fn))
+    added = {walk_smallest_window(b, fn.k) for b, _ in walk_adjacent_jumps(fn)}
+    for w in range(1, fn.k + 1):
+        if w in windows:
+            assert math.fsum(windows[w]) == walk_variation(fn, w)
+        else:
+            assert w > 1 and w not in added
 
 
 @given(step_functions(), st.integers(1, 4))
