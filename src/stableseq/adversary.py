@@ -839,7 +839,9 @@ def verify_adversary_report(
     """Re-validate a run report against its stored sequence.
 
     Checks that the boundaries n_k strictly increase and that the last one
-    equals `total_length` and the sequence length.  Recomputes boundary
+    equals `total_length` and the sequence length, and then that each block
+    length n_k - n_(k-1) is one at which the splice checks (`_check_lengths`
+    of the recorded config).  Recomputes boundary
     discrepancies and, when the procedure is available (a built-in one
     rebuilt from its recorded name, or an explicit object), the boundary L2
     certificates and the oscillation fields (the pairwise distances and
