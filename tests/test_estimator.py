@@ -693,6 +693,8 @@ def _binding_reference(state: EstimatorState) -> tuple[int, float, float]:
 class TestWindowMargin:
     # a tie, V_1 = 4 alpha(1) = 1: the decision fails with D = 0
     @example(pairs=[(0.25, 0.5), (0.25, 0.5)], cuts=[], budget=VariationBudget.const(0.25))
+    # S_1 = 1 + 2^-60 rounds to 4 alpha(1) = 1: D = 2^-60, which V_1 - 4 alpha(1) loses
+    @example(pairs=[(-0.25, 0.5), (0.75, 2.0**-60)], cuts=[], budget=VariationBudget.const(0.25))
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.tuples(_X, _Y), min_size=1, max_size=120),

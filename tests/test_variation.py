@@ -3,15 +3,15 @@
 `adjacent_jumps` is the one jump enumerator: `total_variation_window`, the
 dyadic `RegressionModel.variation_window`, the estimator's window walk
 `_windows` (which `variation_check` reads) and the dyadic `_is_monotone`
-all read it.
-Two references here share none of it.  `dense_variation` visits every
-adjacent cell pair of the window, mapped or not, and takes the fsum.
+all read it.  Two references here share none of it.  `dense_variation`
+visits every adjacent cell pair of the window, mapped or not, and takes
+the fsum.
 `walk_adjacent_jumps` and `walk_variation_check` are the earlier dict walks
 over the mapped cells, kept here as copies.  Functions reach beyond 320
 cells, carry a nonzero default, hold -0.0, sit at k = 0, and hold cells
 beyond 2^62, outside every window or, at k >= 60, inside them; at those
 depths the walk stands in for the dense reference.  Comparisons are `==`
-on floats or exact integers, never approx.
+on floats and integers, never approx.
 """
 import math
 
