@@ -161,7 +161,7 @@ def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, n
     return _int_keys(keys), counts, sums
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # bounded: the edges of resolution k are 2k ints of k bits
 def _edges(k: int) -> np.ndarray:
     """Window i = 1..k of resolution k holds the jump boundaries
     1 - i*2^k <= b < i*2^k: the k starts, then the k ends, as int64 or,
