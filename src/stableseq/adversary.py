@@ -549,11 +549,13 @@ class BlockStreams:
 
     Block k's raw stream is the van der Corput sequence shifted by k times
     an irrational constant, mod 1, injective over the reals (the i.i.d.
-    source substitutes seeded uniforms).  Float collisions, within or across blocks, are removed in
-    block order: the raw stream is sorted once, by a stable argsort, and a
-    value equal to its sorted predecessor, or found by binary search in an
-    earlier block's sorted values, is dropped.  The kept part of that one
-    sort is the block's sorted view, so no block is sorted twice.
+    source substitutes seeded uniforms).  Float collisions, within or
+    across blocks, are removed in block order: the raw stream is sorted
+    once, by a stable argsort, and a value equal to its sorted predecessor,
+    or to a value of an earlier block, is dropped.  The values shared with
+    an earlier block are the adjacent equal ones of one merge of its sorted
+    values with the stream's sorted distinct values.  The kept part of the
+    one argsort is the block's sorted view, so no block is sorted twice.
 
     Kept: each made block's sorted values, once, and the two most recently
     made blocks whole, as SampleSequences.  An older block asked for again
@@ -583,10 +585,17 @@ class BlockStreams:
         fresh = np.empty(len(s), dtype=bool)
         fresh[:1] = True
         np.not_equal(s[1:], s[:-1], out=fresh[1:])
+        firsts = s[fresh]  # each value of the stream once
         for prev in self._sorted[:k - 1]:
-            fresh &= prev[np.minimum(np.searchsorted(prev, s), len(prev) - 1)] != s
+            # one merge of two sorted runs of distinct values (the stable
+            # sort is timsort): a value met twice in a row is in both
+            both = np.concatenate((prev, firsts))
+            both.sort(kind="stable")
+            shared = both[1:][both[1:] == both[:-1]]
+            del both
+            fresh[np.searchsorted(s, shared)] = False  # its first copy in s
         kept = order[fresh]  # raw indices of the kept values, ascending by value
-        del s, order, fresh
+        del s, order, fresh, firsts
         keep = np.zeros(len(raw), dtype=bool)
         keep[kept] = True
         xs = raw[keep][:horizon]

@@ -373,9 +373,9 @@ class SampleSequence:
             raise ValueError(f"prefix length {m} out of range")
         if 16 * m < len(self):
             return SampleSequence(self.x[:m], self.y[:m])
-        keep = self.sorted_index < m
+        keep = np.flatnonzero(self.sorted_index < m)  # one mask, two gathers
         return SampleSequence._presorted(
-            self.x[:m], self.y[:m], self.sorted_index[keep], self.x_sorted[keep]
+            self.x[:m], self.y[:m], self.sorted_index.take(keep), self.x_sorted.take(keep)
         )
 
     # -- counting -------------------------------------------------------------

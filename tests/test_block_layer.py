@@ -5,10 +5,16 @@ verbatim as oracles: the bit-matrix van der Corput, the per-prefix
 discrepancies that sort every prefix, the threshold search built on them,
 and collision filtering by np.unique plus np.isin against the concatenated
 earlier blocks.  The rewritten paths must agree with them bit for bit.
+The library drops a block's collisions with an earlier block by merging
+the two sorted runs, so the planted cases put shared values at the ends
+of the merged run, meet 0.0 with -0.0, and repeat within a block a value
+that only the block two back holds.
 The weighted reference scans nu_k at its whole grid j / 2^k, as the
 replaced code did (`conftest.grid_breakpoints`); the library's scan no
-longer asks for it.
+longer asks for it.  The threshold scans' evaluations on blocks 1-5 are
+pinned by digest, since a scan can change a value without changing l_k.
 """
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -174,12 +180,10 @@ def _tied_block(seed, n, k):
     return SampleSequence(x, rademacher_eval(k, x))
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_block_thresholds_on_tied_input_equal_reference(seed, k, monkeypatch):
+def _record_scans(monkeypatch):
+    """The list every later certified_prefix_scan appends its evaluations to."""
     import stableseq.adversary as adv
 
-    blk = _tied_block(seed, 300, k)
     seen = []
     real_scan = adv.certified_prefix_scan
 
@@ -189,10 +193,43 @@ def test_block_thresholds_on_tied_input_equal_reference(seed, k, monkeypatch):
         return out
 
     monkeypatch.setattr(adv, "certified_prefix_scan", recording_scan)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_thresholds_on_tied_input_equal_reference(seed, k, monkeypatch):
+    blk = _tied_block(seed, 300, k)
+    seen = _record_scans(monkeypatch)
     want, want_evals = ref_block_thresholds(k, blk, 300)
     assert compute_block_thresholds(k, blk, 300) == want
     assert seen == want_evals  # same evaluation points, same values
     assert len(want_evals) > 10
+
+
+# (source, horizon) -> (l_k, l~_k) for blocks 1-5, and the sha256 of every
+# evaluation "m repr(d)" of both scans of each block, in scan order
+_SCAN_PINS = {
+    ("vdc_shift", 1 << 14): (
+        [(4, 1), (7, 4), (7, 12), (11, 24), (15, 49)],
+        "e8599965ace26126466e7ee0d6b0fb0c51cb4b03529e18ca4d0aaaf55ef53a4e",
+    ),
+    ("iid", 1 << 12): (
+        [(4, 4), (10, 6), (32, 13), (39, 25), (69, 24)],
+        "bed2e236afe52fd8800dd9e8113fc54c263ea74560cde04849665eb1aa2daaf0",
+    ),
+}
+
+
+@pytest.mark.parametrize("source, horizon", list(_SCAN_PINS))
+def test_block_threshold_scans_are_pinned(source, horizon, monkeypatch):
+    seen = _record_scans(monkeypatch)
+    streams = BlockStreams(AdversaryConfig(n_blocks=5, horizon=horizon, block_source=source))
+    got = [compute_block_thresholds(k, streams.block(k), horizon) for k in range(1, 6)]
+    digest = hashlib.sha256("".join(f"{m} {d!r}\n" for m, d in seen).encode()).hexdigest()
+    assert (got, digest) == _SCAN_PINS[source, horizon]
+    # both prefix views are walked: sorted on their own, and masked from the block
+    assert min(m for m, _ in seen) * 16 < horizon <= max(m for m, _ in seen) * 16
 
 
 # -- collision filtering ------------------------------------------------------------------
@@ -231,6 +268,51 @@ def test_collision_filtering_equals_unique_isin_reference():
         assert np.array_equal(bits(blk.y_cumsum_sorted), bits(plain.y_cumsum_sorted))
 
 
+def _edge_case_raws(source, case, horizon):
+    """Five raw streams of `source` with one kind of cross-block collision planted."""
+    count = horizon + 64
+    base = BlockStreams(AdversaryConfig(n_blocks=5, horizon=horizon, block_source=source))
+    raws = [base._raw(k, count) for k in range(1, 6)]
+    if case == "run-ends":
+        # block 1's smallest and largest kept values, repeated by blocks 3
+        # and 5, sit at both ends of every merged run they enter
+        lo, hi = 2.0**-1000, np.nextafter(1.0, 0.0)
+        raws[0][[0, 1]] = lo, hi
+        raws[2][[4, count - 1]] = hi, lo
+        raws[4][[9, 10]] = lo, hi
+    elif case == "signed-zero":
+        raws[0][2] = 0.0  # kept by block 1
+        raws[2][6] = -0.0  # equal to it, so dropped from block 3
+        raws[4][[3, 30]] = -0.0, 0.0
+    else:  # "skip-a-block": repeated in block k, kept by k - 2, absent from k - 1
+        for k in (4, 5):
+            earlier = ref_materialize(raws[:k - 1], horizon)
+            v = earlier[k - 3][17]
+            assert not np.isin(v, earlier[k - 2])
+            raws[k - 1][[8, 30]] = v
+    return raws
+
+
+@pytest.mark.parametrize("source", ["vdc_shift", "iid"])
+@pytest.mark.parametrize("case", ["run-ends", "signed-zero", "skip-a-block"])
+def test_collision_filtering_edge_cases(source, case):
+    horizon = 256
+    raws = _edge_case_raws(source, case, horizon)
+    want = ref_materialize(raws, horizon)
+    streams = PlantedStreams(AdversaryConfig(n_blocks=5, horizon=horizon), raws)
+    for k in range(1, 6):
+        blk = streams.block(k)
+        plain = SampleSequence(want[k - 1], rademacher_eval(k, want[k - 1]))
+        assert np.array_equal(bits(blk.x), bits(plain.x))
+        assert np.array_equal(bits(blk.y), bits(plain.y))
+        assert np.array_equal(blk.sorted_index, plain.sorted_index)
+        assert np.array_equal(bits(blk.x_sorted), bits(plain.x_sorted))
+    # the planted values reach the filter: block 1 keeps them, block 3 drops them
+    planted = {"run-ends": raws[0][:2], "signed-zero": raws[0][2:3]}.get(case)
+    if planted is not None:
+        assert np.isin(planted, want[0]).all() and not np.isin(planted, want[2]).any()
+
+
 def test_collision_filtering_slack_check_kept():
     raw = np.full(300, 0.25)  # one distinct value cannot fill a block
     streams = PlantedStreams(AdversaryConfig(n_blocks=2, horizon=100), [raw, raw])
@@ -261,3 +343,12 @@ def test_block_materialization_peak_memory():
         BlockStreams(AdversaryConfig(n_blocks=2, horizon=1 << 16)).xs(2)
 
     assert _peak_bytes(two_blocks) < 10 * 2**20
+
+
+def test_five_block_materialization_peak_memory():
+    # block 5 merges its sorted values with each of the four before it; the
+    # two kept blocks and five sorted views peak at about 7 MB at 2^16
+    def five_blocks():
+        BlockStreams(AdversaryConfig(n_blocks=5, horizon=1 << 16)).xs(5)
+
+    assert _peak_bytes(five_blocks) < 10 * 2**20
