@@ -30,7 +30,7 @@ under 1/(k+2) *for every* prefix length up to the horizon.  The "for
 every" is checked rigorously without evaluating every length: adding one
 point moves any interval's empirical mass by at most (1 - d)/(m+1), so
 sup over m..m+s of the discrepancy is at most (m*d + s)/(m + s); ranges
-where this certified bound stays under the threshold are skipped.
+where this bound stays under the threshold (in exact arithmetic) are skipped.
 
 If the fitted estimate never approaches h_k within the block budget, that
 is not a failure of the construction but a witness: a concrete stable
@@ -43,10 +43,11 @@ truncated at the configured horizon) and reports label it as such.
 The splice and `verify_adversary_report` share one certificate routine per
 block and one for the oscillation fields, so a report is re-checked by the
 code that produced it.  Every prefix discrepancy, of a block or of the
-spliced sequence, is the scan of `measures` over one `SampleSequence`: a
-block's `prefix`, the spliced prefix at a check, or `prefix(n_k)` of the
-stored sequence in `verify`.  Both discrepancies of a prefix read its one
-sorted view, built on first use, so no prefix is sorted twice.
+spliced sequence, is `uniform_prefix_discrepancy` or
+`weighted_prefix_discrepancy` over one `SampleSequence`: a block's
+`prefix`, the spliced prefix at a check, or `prefix(n_k)` of the stored
+sequence in `verify`.  Both read its one sorted view, built on first use,
+so no prefix is sorted twice; one `RademacherFn(k)` is h_k and nu_k.
 """
 from __future__ import annotations
 
@@ -72,7 +73,6 @@ __all__ = [
     "rademacher_cumulative",
     "rademacher_integral",
     "RademacherFn",
-    "RademacherMeasure",
     "l2_unit_distance",
     "compute_block_thresholds",
     "certified_prefix_scan",
@@ -127,7 +127,7 @@ def rademacher_cumulative(k: int, t) -> np.ndarray | float:
 
     The float returned is N_k(t) rounded once to nearest (see below), so
     it is non-decreasing in t as N_k is: clipping t to [0, 1] and rounding
-    are both monotone.  `RademacherMeasure` relies on this to give the
+    are both monotone.  `RademacherFn` relies on this to give the
     scans no grid points.
     """
     scalar = np.ndim(t) == 0
@@ -166,8 +166,9 @@ def rademacher_integral(k: int, A: IntervalA) -> float:
 
 @dataclass(frozen=True)
 class RademacherFn:
-    """Callable marker for an exact h_k; carries its dyadic profile for
-    closed-form L2 distances."""
+    """The exact h_k: callable, with its dyadic profile for closed-form L2
+    distances, and nu_k (cumulative, breakpoints, no atoms) as a
+    weighted-measure target for the discrepancy scans."""
 
     k: int
 
@@ -178,18 +179,10 @@ class RademacherFn:
     def dyadic_resolution(self) -> int:
         return max(self.k, 1)
 
-
-class RademacherMeasure:
-    """nu_k as a weighted-measure target for the discrepancy scanner."""
-
-    def __init__(self, k: int):
-        self.k = k
-
     def cumulative(self, t):
         return rademacher_cumulative(self.k, t)
 
-    def cumulative_left(self, t):
-        return rademacher_cumulative(self.k, t)  # continuous
+    cumulative_left = cumulative  # continuous
 
     def breakpoints(self) -> np.ndarray:  # N_k is monotone in floats: the ends suffice
         return np.array([0.0, 1.0])
@@ -234,38 +227,27 @@ def l2_unit_distance(f, g, quad_cells: int = 1 << 16) -> QuadratureResult:
 
 # -- exact prefix discrepancies ---------------------------------------------------
 
-# These two helpers stay beside the measures scans, which give the same values
+# These two scans stay beside the measures scans, which give the same values
 # at a higher cost (adversary stage at horizon 2^20 alone, three runs each):
 # `sup_weighted_discrepancy` evaluates the continuous target twice, 176.6-176.8
 # MB peak RSS against 168.8 MB, and the uniform model's cdf and cdf_left in
 # place of the clipped values cost 191.6-191.8 MB and 3.2-3.7 s against 3.0-3.2 s.
 
-def _uniform_sorted(xs: np.ndarray) -> float:
-    """uniform_prefix_discrepancy of points already sorted by value."""
+def uniform_prefix_discrepancy(seq: SampleSequence) -> float:
+    """sup over intervals of |empirical mass - uniform[0,1] mass| of seq,
+    exact, read from its sorted view."""
+    xs = seq.x_sorted
     f = np.clip(xs, 0.0, 1.0)  # the uniform CDF at xs
     return _interval_sup(xs, np.arange(len(xs) + 1, dtype=float), f, f, _UNIT)
 
 
-def _weighted_sorted(seq: SampleSequence, target) -> float:
-    """weighted_prefix_discrepancy of seq, read from its sorted view and its
-    prefix sums of y, with one target.cumulative call (the target is
-    continuous)."""
+def weighted_prefix_discrepancy(seq: SampleSequence, target) -> float:
+    """sup over intervals of |y-weighted empirical mass - target| of seq,
+    exact, read from its sorted view and prefix sums of y; `target` is
+    continuous (no atoms), so cumulative == cumulative_left."""
     xs = seq.x_sorted
     t_xs = np.asarray(target.cumulative(xs), dtype=float)
     return _interval_sup(xs, seq.y_cumsum_sorted, t_xs, t_xs, target)
-
-
-def uniform_prefix_discrepancy(x: np.ndarray) -> float:
-    """sup over intervals of |empirical mass - uniform[0,1] mass|, exact."""
-    return _uniform_sorted(np.sort(np.asarray(x, dtype=float)))
-
-
-def weighted_prefix_discrepancy(x: np.ndarray, y: np.ndarray, target) -> float:
-    """sup over intervals of |y-weighted empirical mass - target|, exact.
-
-    `target` is continuous (no atoms): cumulative == cumulative_left.
-    """
-    return _weighted_sorted(SampleSequence(x, y), target)
 
 
 # -- certified scans over all prefix lengths --------------------------------------
@@ -283,15 +265,20 @@ def certified_prefix_scan(
     """Certify sup over m in [lo, hi] of disc_m against the threshold.
 
     Returns (last_violation, max_observed, evaluations).  Every skipped
-    range is rigorously covered: the statistics here satisfy
+    range is covered: the statistics here satisfy
     disc_{m+1} <= (m * disc_m + 1)/(m + 1), hence
-    sup_{t <= s} disc_{m+t} <= (m * disc_m + s)/(m + s), and a range is
-    only skipped when that bound stays at or under the threshold, so no
-    violation can hide inside it.  Thresholds >= 1 are vacuous (the
-    statistics are differences of [0,1]-bounded set functions).
+    sup_{t <= s} disc_{m+t} <= (m * disc_m + s)/(m + s), and the skip s is
+    the largest that keeps this bound at or under the threshold, in exact
+    arithmetic on the given doubles.  What is certified is the computed
+    disc_m, a float rounded from the exact discrepancy.  Thresholds >= 1
+    are vacuous (the statistics are differences of [0,1]-bounded set
+    functions).
     """
     if threshold >= 1.0:
         return 0, 0.0, []
+    # theta = a / b and d = c / e exactly, so the skip is an integer floor
+    # (Python ints, not fractions, whose import costs each process 0.3 MB)
+    a, b = threshold.as_integer_ratio()
     evals: list[tuple[int, float]] = []
     last_viol = 0
     max_obs = 0.0
@@ -304,8 +291,8 @@ def certified_prefix_scan(
             last_viol = m
             m += 1
         else:
-            s = int(m * (threshold - d) / (1.0 - threshold))
-            m += s + 1
+            c, e = d.as_integer_ratio()
+            m += m * (a * e - c * b) // (e * (b - a)) + 1
     return last_viol, max_obs, evals
 
 
@@ -326,12 +313,12 @@ def compute_block_thresholds(
             f"block has {len(block)} pairs; need at least horizon = {horizon}"
         )
     theta = 1.0 / (k + 1)
-    nu_k = RademacherMeasure(k)
+    nu_k = RademacherFn(k)
     lv_plain, _, _ = certified_prefix_scan(
-        lambda m: _uniform_sorted(block.prefix(m).x_sorted), 1, horizon, theta
+        lambda m: uniform_prefix_discrepancy(block.prefix(m)), 1, horizon, theta
     )
     lv_wt, _, _ = certified_prefix_scan(
-        lambda m: _weighted_sorted(block.prefix(m), nu_k), 1, horizon, theta
+        lambda m: weighted_prefix_discrepancy(block.prefix(m), nu_k), 1, horizon, theta
     )
     if lv_plain >= horizon or lv_wt >= horizon:
         raise HorizonExhausted(
@@ -679,11 +666,12 @@ def _block_certificates(phi, seq: SampleSequence, k: int, quad_cells: int):
     L2 distance to h_k (both None without a procedure), and the interval
     and weighted prefix discrepancies against uniform and nu_k, both read
     from seq's one sorted view."""
+    h_k = RademacherFn(k)
     est = l2 = None
     if phi is not None:
         est = phi.fit(seq.x, seq.y)
-        l2 = l2_unit_distance(est, RademacherFn(k), quad_cells)
-    return est, l2, _uniform_sorted(seq.x_sorted), _weighted_sorted(seq, RademacherMeasure(k))
+        l2 = l2_unit_distance(est, h_k, quad_cells)
+    return est, l2, uniform_prefix_discrepancy(seq), weighted_prefix_discrepancy(seq, h_k)
 
 
 _OSCILLATION_BOUND = 1.0 / 20.0
@@ -802,7 +790,7 @@ def _spans(seq: SampleSequence, bounds: list[int]) -> list[dict]:
     """The report's spans: span k over (n_k, n_{k+1}] of seq, for each pair
     of consecutive boundaries."""
     def weighted(m: int) -> float:
-        return _weighted_sorted(seq.prefix(m), RademacherMeasure(0))
+        return weighted_prefix_discrepancy(seq.prefix(m), RademacherFn(0))
 
     pairs = zip(bounds, bounds[1:])
     return [_span_scan(weighted, k, lo, hi) for k, (lo, hi) in enumerate(pairs, 1)]
@@ -885,9 +873,6 @@ def verify_adversary_report(
         raise ValueError(f"oscillation_bound is {report['oscillation_bound']!r}, not 1/20")
     if phi is None:
         phi = _procedure_from_name(str(report.get("phi", "")))
-    # every procedure rebuilt from a name is dyadic at depth <= 22, where
-    # l2_unit_distance is exact and the quadrature size is not used
-    quad_cells = AdversaryConfig.quad_cells
     bounds = [rec["n_k"] for rec in blocks]
     bounds_ok = (
         all(a < b for a, b in zip(bounds, bounds[1:]))
@@ -918,7 +903,7 @@ def verify_adversary_report(
         theta = 1.0 / (k + 1)
         # the pairs of seq.x[:n_k]: a boundary off the sequence fails its own check only
         pre = seq.prefix(len(seq.x[:n_k]))
-        est, l2, d_int, d_wt = _block_certificates(phi, pre, k, quad_cells)
+        est, l2, d_int, d_wt = _block_certificates(phi, pre, k, cfg.quad_cells)
         results.append(
             (
                 f"block{k}-interval-discrepancy",
@@ -956,17 +941,14 @@ def verify_adversary_report(
         results.append(("block-l2-certificates", None, why))
         results.append(("pairwise-distances", None, why))
     elif len(fitted) >= 2:
-        osc = _oscillation(fitted, quad_cells)
-        dist, recorded = osc["pairwise_sq_distances"], report["pairwise_sq_distances"]
-        worst = ""
-        for i in range(len(fitted)):
-            for j in range(i + 1, len(fitted)):
-                if abs(dist[i][j] - recorded[i][j]) > 1e-9 or dist[i][j] < _OSCILLATION_BOUND:
-                    worst = f"pair ({i+1},{j+1}) recomputed {dist[i][j]:.6g}"
+        osc = _oscillation(fitted, cfg.quad_cells)
         wrong = [key for key, value in osc.items() if report.get(key) != value]
-        if wrong and not worst:
-            worst = f"recorded {', '.join(wrong)} differ from the recomputed"
-        results.append(("pairwise-distances", not worst, worst or "all >= 1/20"))
+        detail = (
+            f"recorded {', '.join(wrong)} differ from the recomputed" if wrong
+            else "all >= 1/20" if osc["oscillation_ok"]
+            else f"least recomputed {osc['min_pairwise_sq_distance']:.6g} < 1/20"
+        )
+        results.append(("pairwise-distances", not wrong and osc["oscillation_ok"], detail))
     if bounds_ok:
         spans = _spans(seq, bounds)
         certified = all(s["certified"] for s in spans)

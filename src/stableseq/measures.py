@@ -430,7 +430,7 @@ def _interval_sup(
     Precondition: the computed target.cumulative is monotone between any
     two consecutive candidates; then so is D, whose counted weight is
     constant there, and its extremes sit at the candidates.  A target that
-    is non-decreasing in floats everywhere (`adversary.RademacherMeasure`)
+    is non-decreasing in floats everywhere (`adversary.RademacherFn`)
     may list only its support ends, which set the anchor: between two
     samples D is non-increasing, so no point there beats the sample before
     it (for the max) or the left limit at the sample after it (for the min).

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stableseq.adversary import RademacherMeasure
+from stableseq.adversary import RademacherFn
 from stableseq.measures import DistributionModel, SampleSequence
 
 
@@ -20,7 +20,7 @@ def grid_breakpoints(target) -> np.ndarray:
     """The target's breakpoints for a reference scan.  nu_k's are its whole
     grid j / 2^k, j = 0..2^k, built here: the library's scan asks nu_k for
     its support ends only, and the references check that nothing is lost."""
-    if isinstance(target, RademacherMeasure):
+    if isinstance(target, RademacherFn):
         return np.arange((1 << target.k) + 1, dtype=float) / (1 << target.k)
     return np.asarray(target.breakpoints(), dtype=float)
 

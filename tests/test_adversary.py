@@ -17,7 +17,6 @@ from stableseq.adversary import (
     OracleProcedure,
     PluginHistogramProcedure,
     RademacherFn,
-    RademacherMeasure,
     build_adversarial_sequence,
     certified_prefix_scan,
     compute_block_thresholds,
@@ -95,14 +94,14 @@ class TestPrefixDiscrepancies:
             n = int(rng.integers(1, 60))
             x = rng.uniform(0, 1, size=n)
             seq = SampleSequence(x, np.zeros(n))
-            assert uniform_prefix_discrepancy(x) == pytest.approx(
+            assert uniform_prefix_discrepancy(seq) == pytest.approx(
                 sup_interval_discrepancy(seq, DistributionModel.uniform(0, 1)), abs=1e-12
             )
             k = int(rng.integers(0, 5))
             y = rademacher_eval(k, x)
             seq2 = SampleSequence(x, y)
-            assert weighted_prefix_discrepancy(x, y, RademacherMeasure(k)) == pytest.approx(
-                sup_weighted_discrepancy(seq2, RademacherMeasure(k)), abs=1e-12
+            assert weighted_prefix_discrepancy(seq2, RademacherFn(k)) == pytest.approx(
+                sup_weighted_discrepancy(seq2, RademacherFn(k)), abs=1e-12
             )
 
 
@@ -112,10 +111,11 @@ class TestCertifiedScan:
         # discrepancy climbs back up late, and the certified skips must not
         # jump past the exact last crossing
         x = np.concatenate([van_der_corput(800), np.full(1200, 0.0009765625)])
+        seq = SampleSequence(x, np.zeros(len(x)))
         theta = 0.3
 
         def d(m):
-            return uniform_prefix_discrepancy(x[:m])
+            return uniform_prefix_discrepancy(seq.prefix(m))
 
         last, _, evals = certified_prefix_scan(d, 1, 2000, theta)
         true_last = max((m for m in range(1, 2001) if d(m) > theta), default=0)
@@ -125,18 +125,35 @@ class TestCertifiedScan:
 
     def test_skips_are_sound_on_real_data(self):
         x = van_der_corput(4096)
+        seq = SampleSequence(x, np.zeros(len(x)))
         theta = 0.25
-        last, _, evals = certified_prefix_scan(
-            lambda m: uniform_prefix_discrepancy(x[:m]), 1, 4096, theta
-        )
+
+        def d(m):
+            return uniform_prefix_discrepancy(seq.prefix(m))
+
+        last, _, evals = certified_prefix_scan(d, 1, 4096, theta)
         # exhaustive reference
-        true_last = max((m for m in range(1, 4097) if uniform_prefix_discrepancy(x[:m]) > theta), default=0)
+        true_last = max((m for m in range(1, 4097) if d(m) > theta), default=0)
         assert last == true_last
         assert len(evals) < 4096  # the certification actually skipped work
 
     def test_vacuous_threshold(self):
         last, mx, evals = certified_prefix_scan(lambda m: 1 / m, 1, 100, 1.0)
         assert last == 0 and evals == []
+
+    def test_skip_is_the_exact_floor(self):
+        # m (theta - d)/(1 - theta) is just below 263577, and its float
+        # rounds up onto it; at m + 263577 the one-step bound exceeds theta
+        # by about 1.1e-17, so that length must be evaluated, not skipped
+        theta, m, d = 0.5, 626223, 0.28955020815268684
+        assert int(m * (theta - d) / (1 - theta)) == 263577
+
+        def bound(s):
+            return (m * Fraction(d) + s) / (m + s)
+
+        assert bound(263576) <= theta < bound(263577)
+        _, _, evals = certified_prefix_scan(lambda j: d if j == m else 0.0, m, m + 263578, theta)
+        assert [j for j, _ in evals] == [m, m + 263577]
 
 
 class TestBlockThresholds:
@@ -289,6 +306,24 @@ class TestSplice:
         }
         assert not all(ok for _, ok, _ in verify_adversary_report(bad, seq))
 
+    def test_verify_reads_the_recorded_quad_cells(self):
+        # a fit off the dyadic grid takes the quadrature, at the config's
+        # quad_cells in the splice; verify took the default 2^16 and failed
+        # every L2 certificate of the report the splice had just written
+        class ShiftedOracle:
+            name = "shifted-oracle"
+
+            def fit(self, xs, ys):
+                k = OracleProcedure().fit(xs, ys).k
+                return lambda x: rademacher_eval(k, x + 1e-3)
+
+        phi = ShiftedOracle()
+        cfg = AdversaryConfig(n_blocks=2, horizon=1 << 10, block_budget=64, quad_cells=1 << 10)
+        state, report = build_adversarial_sequence(phi, 2, cfg)
+        results = verify_adversary_report(report, state.sequence(), phi)
+        assert [name for name, ok, _ in results if ok is not True] == []
+        assert "block2-l2-certificate" in [name for name, _, _ in results]
+
     def test_spliced_sequence_is_stable_toward_half_level(self):
         cfg = AdversaryConfig(n_blocks=3, horizon=1 << 14, block_budget=1 << 15)
         state, report = build_adversarial_sequence(PluginHistogramProcedure(), 3, cfg)
@@ -408,10 +443,11 @@ class TestLadderAtLargeIndex:
     @pytest.mark.parametrize("k", [40, 64, 1075])
     def test_weighted_scans_need_no_grid(self, k):
         # a 2^k + 1 point grid would ask for 8 TiB at k = 40
-        assert RademacherMeasure(k).breakpoints().tolist() == [0.0, 1.0]
+        assert RademacherFn(k).breakpoints().tolist() == [0.0, 1.0]
         x = BlockStreams(AdversaryConfig(n_blocks=2, horizon=1 << 12)).xs(1)
         for m in (1, 100, 1 << 12):
-            d = weighted_prefix_discrepancy(x[:m], rademacher_eval(k, x[:m]), RademacherMeasure(k))
+            seq = SampleSequence(x[:m], rademacher_eval(k, x[:m]))
+            d = weighted_prefix_discrepancy(seq, RademacherFn(k))
             assert math.isfinite(d) and 0.0 <= d <= 1.0
 
     def test_oracle_index_beyond_ladder_top(self, tmp_path):

@@ -27,9 +27,7 @@ from stableseq.adversary import (
     AdversaryConfig,
     BlockStreams,
     HorizonExhausted,
-    RademacherMeasure,
-    _uniform_sorted,
-    _weighted_sorted,
+    RademacherFn,
     certified_prefix_scan,
     compute_block_thresholds,
     rademacher_eval,
@@ -85,7 +83,7 @@ def ref_weighted(x, y, target):
 
 def ref_block_thresholds(k, block, horizon):
     theta = 1.0 / (k + 1)
-    x, y, target = block.x, block.y, RademacherMeasure(k)
+    x, y, target = block.x, block.y, RademacherFn(k)
     lv_plain, _, ev_plain = certified_prefix_scan(lambda m: ref_uniform(x[:m]), 1, horizon, theta)
     lv_wt, _, ev_wt = certified_prefix_scan(
         lambda m: ref_weighted(x[:m], y[:m], target), 1, horizon, theta
@@ -155,22 +153,21 @@ def test_scan_values_equal_per_prefix_functions(xs, k, data):
         data.draw(st.lists(st.integers(-2, 2), min_size=len(xs), max_size=len(xs))),
         dtype=float,
     )
-    target = RademacherMeasure(k)
+    target = RademacherFn(k)
     seq = SampleSequence(x, y)
     for m in range(1, len(x) + 1):
-        u = _uniform_sorted(seq.prefix(m).x_sorted)
-        assert u == ref_uniform(x[:m]) == uniform_prefix_discrepancy(x[:m])
-        w = _weighted_sorted(seq.prefix(m), target)
-        assert w == ref_weighted(x[:m], y[:m], target)
-        assert w == weighted_prefix_discrepancy(x[:m], y[:m], target)
+        assert uniform_prefix_discrepancy(seq.prefix(m)) == ref_uniform(x[:m])
+        assert weighted_prefix_discrepancy(seq.prefix(m), target) == ref_weighted(x[:m], y[:m], target)
 
 
 def test_scan_values_equal_on_a_real_block():
     blk = BlockStreams(AdversaryConfig(n_blocks=2, horizon=1 << 12)).block(2)
-    target = RademacherMeasure(2)
+    target = RademacherFn(2)
     for m in [1, 2, 3, 17, 100, 1000, 4095, 4096]:
-        assert _uniform_sorted(blk.prefix(m).x_sorted) == ref_uniform(blk.x[:m])
-        assert _weighted_sorted(blk.prefix(m), target) == ref_weighted(blk.x[:m], blk.y[:m], target)
+        assert uniform_prefix_discrepancy(blk.prefix(m)) == ref_uniform(blk.x[:m])
+        assert weighted_prefix_discrepancy(blk.prefix(m), target) == ref_weighted(
+            blk.x[:m], blk.y[:m], target
+        )
 
 
 def _tied_block(seed, n, k):

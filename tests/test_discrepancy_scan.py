@@ -4,10 +4,11 @@ The reference functions below are the earlier implementations, kept here
 verbatim as oracles: the stability diagnostic's plain and y-weighted scans
 (`measures.sup_interval_discrepancy` and `sup_weighted_discrepancy` with
 their shared extrema rule) and the adversary's sorted-array scans
-(`_uniform_sorted` and `_weighted_sorted`).  Every path that now runs
-`measures._interval_sup` must return the same float as its reference.
+(`uniform_prefix_discrepancy` and `weighted_prefix_discrepancy`).  Every
+path that now runs `measures._interval_sup` must return the same float as
+its reference.
 The one departure from the replaced code: the references scan nu_k
-(`RademacherMeasure`) at its whole grid j / 2^k, which the library no
+(`RademacherFn`) at its whole grid j / 2^k, which the library no
 longer asks for (`conftest.grid_breakpoints`).
 """
 import math
@@ -19,9 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import grid_breakpoints, random_mixture_model
 from stableseq.adversary import (
-    RademacherMeasure,
-    _uniform_sorted,
-    _weighted_sorted,
+    RademacherFn,
     uniform_prefix_discrepancy,
     weighted_prefix_discrepancy,
 )
@@ -159,7 +158,7 @@ def test_sup_weighted_equals_reference(seed, n, tied):
     x = points(rng, model, n, tied)
     y = rng.integers(-2, 3, size=n).astype(float)
     seq = SampleSequence(x, y)
-    for target in (signed_target(rng, model), RademacherMeasure(int(rng.integers(0, 5)))):
+    for target in (signed_target(rng, model), RademacherFn(int(rng.integers(0, 5)))):
         assert sup_weighted_discrepancy(seq, target) == ref_sup_weighted(seq, target)
 
 
@@ -179,7 +178,7 @@ def test_total_mass_off_one_by_rounding(n, tied):
 def continuous_targets(rng):
     """Targets without atoms, as the adversary's weighted scan requires."""
     base = DistributionModel(segments=((-1.0, 0.5, 0.4), (0.5, 1.5, 0.4)))
-    return [RademacherMeasure(int(rng.integers(0, 5))), signed_target(rng, base)]
+    return [RademacherFn(int(rng.integers(0, 5))), signed_target(rng, base)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,13 +199,10 @@ def test_prefix_scans_equal_reference(seed, n, tied):
         for m in range(1, n + 1):
             sel = np.flatnonzero(block.sorted_index < m)
             xs = block.x_sorted[sel]
-            want_u = ref_uniform_sorted(xs)
-            assert uniform_prefix_discrepancy(x[:m]) == want_u
-            assert _uniform_sorted(block.prefix(m).x_sorted) == want_u
+            assert uniform_prefix_discrepancy(block.prefix(m)) == ref_uniform_sorted(xs)
             ys = y[block.sorted_index][sel]
             want_w = ref_weighted_sorted(xs, ys, t_sorted[sel], target, False)
-            assert weighted_prefix_discrepancy(x[:m], y[:m], target) == want_w
-            assert _weighted_sorted(block.prefix(m), target) == want_w
+            assert weighted_prefix_discrepancy(block.prefix(m), target) == want_w
             assert want_w == ref_weighted_sorted(xs, ys, t_sorted[sel], target, distinct)
 
 
@@ -227,7 +223,7 @@ def test_grid_free_scans_equal_grid_scans(seed, n, k, binary):
     spread = rng.random(n) < 0.3
     x[spread] = rng.uniform(-0.2, 1.2, size=int(spread.sum()))
     y = (rng.integers(0, 2, size=n) if binary else rng.integers(-2, 3, size=n)).astype(float)
-    target = RademacherMeasure(k)
+    target = RademacherFn(k)
     seq = SampleSequence(x, y)
     assert sup_weighted_discrepancy(seq, target) == ref_sup_weighted(seq, target)
     ys = y[seq.sorted_index]
@@ -235,8 +231,7 @@ def test_grid_free_scans_equal_grid_scans(seed, n, k, binary):
     for m in range(1, n + 1):
         sel = np.flatnonzero(seq.sorted_index < m)
         want = ref_weighted_sorted(seq.x_sorted[sel], ys[sel], t_sorted[sel], target, False)
-        assert weighted_prefix_discrepancy(x[:m], y[:m], target) == want
-        assert _weighted_sorted(seq.prefix(m), target) == want
+        assert weighted_prefix_discrepancy(seq.prefix(m), target) == want
 
 
 @pytest.mark.parametrize("at", [0, 2, 4])
@@ -247,15 +242,15 @@ def test_nan_point_matches_reference(at):
     x[at] = math.nan
     y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     seq = SampleSequence(x, y)
-    target = RademacherMeasure(2)
+    target = RademacherFn(2)
     xs = np.sort(x)
     ys = y[seq.sorted_index]
     got_want = [
         (sup_interval_discrepancy(seq, OFF_BY_ROUNDING), ref_sup_interval(seq, OFF_BY_ROUNDING)),
         (sup_weighted_discrepancy(seq, target), ref_sup_weighted(seq, target)),
-        (uniform_prefix_discrepancy(x), ref_uniform_sorted(xs)),
+        (uniform_prefix_discrepancy(seq), ref_uniform_sorted(xs)),
         (
-            weighted_prefix_discrepancy(x, y, target),
+            weighted_prefix_discrepancy(seq, target),
             ref_weighted_sorted(xs, ys, target.cumulative(xs), target, False),
         ),
     ]
@@ -264,12 +259,12 @@ def test_nan_point_matches_reference(at):
 
 
 def test_empty_input_rejected():
-    with pytest.raises(ValueError):
-        uniform_prefix_discrepancy(np.zeros(0))
-    with pytest.raises(ValueError):
-        weighted_prefix_discrepancy(np.zeros(0), np.zeros(0), RademacherMeasure(1))
     empty = SampleSequence(np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError):
+        uniform_prefix_discrepancy(empty)
+    with pytest.raises(ValueError):
+        weighted_prefix_discrepancy(empty, RademacherFn(1))
     with pytest.raises(ValueError):
         sup_interval_discrepancy(empty, OFF_BY_ROUNDING)
     with pytest.raises(ValueError):
-        sup_weighted_discrepancy(empty, RademacherMeasure(1))
+        sup_weighted_discrepancy(empty, RademacherFn(1))

@@ -64,3 +64,36 @@ def test_reported_names_are_traced():
         # install() wraps a module's public functions defined in that module
         assert inspect.isfunction(obj), name
         assert not attr.startswith("_") and obj.__module__ == f"stableseq.{short}", name
+
+
+def test_traced_scans_are_the_scans(monkeypatch):
+    # the tracer rebinds module globals, as monkeypatch does here; a scan
+    # that went around these names would read 0 calls in the benchmark
+    adv = importlib.import_module("stableseq.adversary")
+    calls = {"uniform_prefix_discrepancy": 0, "weighted_prefix_discrepancy": 0}
+    evals = []
+
+    def counting(name):
+        real = getattr(adv, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    real_scan = adv.certified_prefix_scan
+
+    def scan(*args):
+        out = real_scan(*args)
+        evals.append(len(out[2]))
+        return out
+
+    for name in calls:
+        monkeypatch.setattr(adv, name, counting(name))
+    monkeypatch.setattr(adv, "certified_prefix_scan", scan)
+    horizon = 1 << 10
+    block = adv.BlockStreams(adv.AdversaryConfig(n_blocks=2, horizon=horizon)).block(2)
+    adv.compute_block_thresholds(2, block, horizon)
+    assert len(evals) == 2 and min(evals) > 1
+    assert list(calls.values()) == evals
