@@ -28,9 +28,11 @@ where l_{k+1}, l~_{k+1} are the next block's own uniform-ization
 thresholds: the smallest L past which its running prefix discrepancies stay
 under 1/(k+2) *for every* prefix length up to the horizon.  The "for
 every" is checked rigorously without evaluating every length: adding one
-point moves any interval's empirical mass by at most (1 - d)/(m+1), so
-sup over m..m+s of the discrepancy is at most (m*d + s)/(m + s); ranges
-where this bound stays under the threshold (in exact arithmetic) are skipped.
+point moves U_m = m * (discrepancy at m) by at most 1, so from d at M the
+discrepancy at m is at most (M*d + |m - M|)/m, above M and below it.  Each
+evaluation at or under the threshold certifies the lengths on both sides
+where this bound stays under it (in exact arithmetic), and only the lengths
+no evaluation covers are evaluated (`certified_prefix_scan`).
 
 If the fitted estimate never approaches h_k within the block budget, that
 is not a failure of the construction but a witness: a concrete stable
@@ -261,39 +263,73 @@ def certified_prefix_scan(
     lo: int,
     hi: int,
     threshold: float,
+    *,
+    both_ends: bool = False,
 ) -> tuple[int, float, list[tuple[int, float]]]:
     """Certify sup over m in [lo, hi] of disc_m against the threshold.
 
-    Returns (last_violation, max_observed, evaluations).  Every skipped
-    range is covered: the statistics here satisfy
-    disc_{m+1} <= (m * disc_m + 1)/(m + 1), hence
-    sup_{t <= s} disc_{m+t} <= (m * disc_m + s)/(m + s), and the skip s is
-    the largest that keeps this bound at or under the threshold, in exact
-    arithmetic on the given doubles.  What is certified is the computed
-    disc_m, a float rounded from the exact discrepancy.  Thresholds >= 1
-    are vacuous (the statistics are differences of [0,1]-bounded set
-    functions).
+    Returns (last_violation, max_observed, evaluations), the evaluations in
+    the order they were made.  The statistics here are U_m / m, where
+    U_m = m * disc_m moves by at most 1 when a point is added
+    (|U_{m+1} - U_m| <= 1), so an evaluation d = disc_M <= theta covers:
+
+    - forward, every m in [M, M + s] with s = floor(M (theta - d)/(1 - theta)),
+      from U_m <= U_M + (m - M);
+    - backward (with `both_ends`), every m in [ceil(M (1 + d)/(1 + theta)), M],
+      from U_m <= U_M + (M - m).
+
+    Both ends are taken in exact arithmetic on the given doubles.  Without
+    `both_ends` the scan evaluates the first length no cover reaches.
+    With it, after an evaluation at or under the threshold it evaluates the
+    highest M whose backward cover would reach down to the covered lengths
+    if disc_M equalled the last d, but no higher than the lowest M whose
+    forward cover would then reach the top of the range being scanned (hi,
+    or the top of a gap); a backward cover that falls short
+    leaves a gap, scanned later unless a violation above it is found (no
+    length below a violation needs a certificate).  max_observed is over
+    the evaluated lengths only.  What is certified is the computed disc_m,
+    a float rounded from the exact discrepancy.  Thresholds >= 1 are
+    vacuous (the statistics are differences of [0,1]-bounded set functions).
     """
     if threshold >= 1.0:
         return 0, 0.0, []
-    # theta = a / b and d = c / e exactly, so the skip is an integer floor
-    # (Python ints, not fractions, whose import costs each process 0.3 MB)
+    # theta = a / b and d = c / e exactly, so every cover end is an integer
+    # floor or ceiling (Python ints, not fractions, whose import costs each
+    # process 0.3 MB)
     a, b = threshold.as_integer_ratio()
     evals: list[tuple[int, float]] = []
     last_viol = 0
     max_obs = 0.0
-    m = lo
-    while m <= hi:
+    gaps: list[tuple[int, int]] = []  # (covered, top) of each gap, highest last
+    covered, top = lo - 1, hi  # every length in (covered, top] is still open
+    c = e = None  # the last d = c / e; None while it exceeds the threshold
+    while True:
+        if covered >= top:
+            if not gaps:
+                return last_viol, max_obs, evals
+            covered, top = gaps.pop()
+        m = covered + 1
+        if both_ends and c is not None:
+            # if disc_M <= the last d: the highest M whose backward cover
+            # reaches m, and the lowest whose forward cover reaches top
+            m = max(m, min(
+                (covered + 1) * (b + a) * e // (b * (e + c)),
+                -(-top * (b - a) * e // (b * (e - c))),
+                top,
+            ))
         d = eval_at(m)
         evals.append((m, d))
         max_obs = max(max_obs, d)
         if d > threshold:
-            last_viol = m
-            m += 1
-        else:
-            c, e = d.as_integer_ratio()
-            m += m * (a * e - c * b) // (e * (b - a)) + 1
-    return last_viol, max_obs, evals
+            last_viol, covered, c = m, m, None
+            gaps.clear()
+            continue
+        c, e = d.as_integer_ratio()
+        if both_ends:
+            low = -(-m * (e + c) * b // (e * (b + a)))
+            if low > covered + 1:
+                gaps.append((covered, low - 1))
+        covered = m + m * (a * e - c * b) // (e * (b - a))
 
 
 def compute_block_thresholds(
@@ -315,10 +351,12 @@ def compute_block_thresholds(
     theta = 1.0 / (k + 1)
     nu_k = RademacherFn(k)
     lv_plain, _, _ = certified_prefix_scan(
-        lambda m: uniform_prefix_discrepancy(block.prefix(m)), 1, horizon, theta
+        lambda m: uniform_prefix_discrepancy(block.prefix(m)), 1, horizon, theta,
+        both_ends=True,
     )
     lv_wt, _, _ = certified_prefix_scan(
-        lambda m: weighted_prefix_discrepancy(block.prefix(m), nu_k), 1, horizon, theta
+        lambda m: weighted_prefix_discrepancy(block.prefix(m), nu_k), 1, horizon, theta,
+        both_ends=True,
     )
     if lv_plain >= horizon or lv_wt >= horizon:
         raise HorizonExhausted(
@@ -842,7 +880,9 @@ def verify_adversary_report(
     discrepancies and, when the procedure is available (a built-in one
     rebuilt from its recorded name, or an explicit object), the boundary L2
     certificates and the oscillation fields (the pairwise distances and
-    what derives from them).  Without it those two checks come back as
+    what derives from them).  A recomputed certificate must equal the
+    recorded one: the splice's code on the same prefix gives the same float.
+    Without the procedure those two checks come back as
     skipped: ok is None, not a verdict.
     The span envelopes are scanned again, by the code that wrote them, and
     must equal `spans`, be certified and agree with `spans_ok`; they are
@@ -907,14 +947,14 @@ def verify_adversary_report(
         results.append(
             (
                 f"block{k}-interval-discrepancy",
-                abs(d_int - certs["interval_discrepancy"]) <= 1e-12 and d_int <= theta,
+                d_int == certs["interval_discrepancy"] and d_int <= theta,
                 f"recomputed {d_int:.6g}",
             )
         )
         results.append(
             (
                 f"block{k}-weighted-discrepancy",
-                abs(d_wt - certs["weighted_discrepancy"]) <= 1e-12 and d_wt <= theta,
+                d_wt == certs["weighted_discrepancy"] and d_wt <= theta,
                 f"recomputed {d_wt:.6g}",
             )
         )
@@ -930,7 +970,7 @@ def verify_adversary_report(
             results.append(
                 (
                     f"block{k}-l2-certificate",
-                    abs(l2.value - certs["l2_to_block_target"]) <= 1e-9
+                    l2.value == certs["l2_to_block_target"]
                     and l2.value <= 1.0 / 40.0
                     and certs["l2_converged"] is bool(l2.converged),
                     f"recomputed {l2.value:.6g}",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -17,6 +18,7 @@ from stableseq.adversary import (
     OracleProcedure,
     PluginHistogramProcedure,
     RademacherFn,
+    _span_scan,
     build_adversarial_sequence,
     certified_prefix_scan,
     compute_block_thresholds,
@@ -154,6 +156,25 @@ class TestCertifiedScan:
         assert bound(263576) <= theta < bound(263577)
         _, _, evals = certified_prefix_scan(lambda j: d if j == m else 0.0, m, m + 263578, theta)
         assert [j for j, _ in evals] == [m, m + 263577]
+
+
+    @pytest.mark.parametrize(
+        "k, lo, hi, digest",
+        [(7, 0, 1 << 20, "2b8843a1d451808a5c22e2db0aa7d58d40518494b2ff9ef4deeaf3db48c344d6"),
+         (12, 3, 5000, "91369e8b3556ad08e2b761a73b3fc9fbc0d823a83c72360e20e89cb6ee2bbe7b")],
+    )
+    def test_span_scans_keep_the_forward_rule(self, k, lo, hi, digest):
+        # span scans write their evaluations into report.json, so they keep
+        # the forward rule; the digests were taken before the threshold
+        # scans went two-sided
+        def weighted(m):
+            return min(1.0, (2.0 + abs(math.sin(m)) * math.sqrt(m)) / m)
+
+        evals = _span_scan(weighted, k, lo, hi)["evaluations"]
+        ms = [m for m, _ in evals]
+        assert ms == sorted(ms) and 6.0 / k < 1.0
+        text = "".join(f"{m} {d!r}\n" for m, d in evals)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestBlockThresholds:

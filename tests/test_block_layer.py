@@ -13,9 +13,16 @@ The weighted reference scans nu_k at its whole grid j / 2^k, as the
 replaced code did (`conftest.grid_breakpoints`); the library's scan no
 longer asks for it.  The threshold scans' evaluations on blocks 1-5 are
 pinned by digest, since a scan can change a value without changing l_k.
+The two-sided scans are checked against a scan of every length, on
+synthetic walks and on small blocks, with covers derived on their own in
+Fractions.
 """
+import gc
 import hashlib
+import math
 import tracemalloc
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,9 +91,11 @@ def ref_weighted(x, y, target):
 def ref_block_thresholds(k, block, horizon):
     theta = 1.0 / (k + 1)
     x, y, target = block.x, block.y, RademacherFn(k)
-    lv_plain, _, ev_plain = certified_prefix_scan(lambda m: ref_uniform(x[:m]), 1, horizon, theta)
+    lv_plain, _, ev_plain = certified_prefix_scan(
+        lambda m: ref_uniform(x[:m]), 1, horizon, theta, both_ends=True
+    )
     lv_wt, _, ev_wt = certified_prefix_scan(
-        lambda m: ref_weighted(x[:m], y[:m], target), 1, horizon, theta
+        lambda m: ref_weighted(x[:m], y[:m], target), 1, horizon, theta, both_ends=True
     )
     if lv_plain >= horizon or lv_wt >= horizon:
         raise HorizonExhausted("reference")
@@ -184,8 +193,8 @@ def _record_scans(monkeypatch):
     seen = []
     real_scan = adv.certified_prefix_scan
 
-    def recording_scan(eval_at, lo, hi, threshold):
-        out = real_scan(eval_at, lo, hi, threshold)
+    def recording_scan(*args, **kwargs):
+        out = real_scan(*args, **kwargs)
         seen.extend(out[2])
         return out
 
@@ -205,15 +214,16 @@ def test_block_thresholds_on_tied_input_equal_reference(seed, k, monkeypatch):
 
 
 # (source, horizon) -> (l_k, l~_k) for blocks 1-5, and the sha256 of every
-# evaluation "m repr(d)" of both scans of each block, in scan order
+# evaluation "m repr(d)" of both two-sided scans of each block, in the order
+# each scan made them
 _SCAN_PINS = {
     ("vdc_shift", 1 << 14): (
         [(4, 1), (7, 4), (7, 12), (11, 24), (15, 49)],
-        "e8599965ace26126466e7ee0d6b0fb0c51cb4b03529e18ca4d0aaaf55ef53a4e",
+        "7999017edd29d7e93205a469d47b21d54a19699411639c601c172365c8de0f74",
     ),
     ("iid", 1 << 12): (
         [(4, 4), (10, 6), (32, 13), (39, 25), (69, 24)],
-        "bed2e236afe52fd8800dd9e8113fc54c263ea74560cde04849665eb1aa2daaf0",
+        "985dff5369272f56a8586d431a257c99e9c4af09d838bb316fcd0894da917ec7",
     ),
 }
 
@@ -227,6 +237,125 @@ def test_block_threshold_scans_are_pinned(source, horizon, monkeypatch):
     assert (got, digest) == _SCAN_PINS[source, horizon]
     # both prefix views are walked: sorted on their own, and masked from the block
     assert min(m for m, _ in seen) * 16 < horizon <= max(m for m, _ in seen) * 16
+
+
+# -- two-sided scans against every length ---------------------------------------------------
+
+def _two_sided_scan_equals_dense(ds, lo, hi, theta):
+    """Scan ds[lo..hi] from both ends and check it against every length: the
+    same last violation, max_observed over the evaluated lengths, and every
+    length above the last violation evaluated or covered by an evaluation
+    d <= theta.  The covers are derived here on their own, with Fractions:
+    from |U_{j+1} - U_j| <= 1, U = m * d, length j is covered by (m, d)
+    when (m d + |j - m|) / j <= theta.  Returns the last violation and the
+    evaluations."""
+    last, max_obs, evals = certified_prefix_scan(ds.__getitem__, lo, hi, theta, both_ends=True)
+    assert last == max((m for m in range(lo, hi + 1) if ds[m] > theta), default=0)
+    assert max_obs == max(d for _, d in evals)
+    t = Fraction(theta)
+    open_ = np.zeros(hi + 1, dtype=bool)
+    open_[max(last + 1, lo):] = True
+    for m, d in evals:
+        open_[m] = False
+        d = Fraction(d)
+        if d <= t:
+            # (m d + j - m)/j <= t above m, (m d + m - j)/j <= t below it
+            open_[math.ceil(m * (1 + d) / (1 + t)):math.floor(m * (1 - d) / (1 - t)) + 1] = False
+    assert not open_.any(), np.flatnonzero(open_)[:10]
+    return last, evals
+
+
+_GRID = 1 << 30
+
+
+def _walk(segments):
+    """[0.0, d_1, d_2, ...]: d_m = U_m / m with U_0 = 0 and each step
+    U_m - U_{m-1} the segment's step (clipped so U >= 0), with d_m rounded
+    onto the grid 2^-30 toward U_{m-1} / m, so that |U_m - U_{m-1}| <= 1
+    holds exactly for the doubles themselves."""
+    ds, u = [0.0], Fraction(0)
+    for length, step in segments:
+        for _ in range(length):
+            m = len(ds)
+            scaled = max(u + step, Fraction(0)) * _GRID / m
+            if step < 0:
+                q = -(-scaled.numerator // scaled.denominator)
+            else:
+                q = scaled.numerator // scaled.denominator
+            u = m * Fraction(q, _GRID)
+            ds.append(q / _GRID)
+    return ds
+
+
+_STEPS = [Fraction(s) for s in ("-1", "-1/2", "0", "1/3", "1/2", "1")]
+_THETAS = st.one_of(st.integers(1, 9).map(lambda k: 1.0 / (k + 1)), st.floats(0.05, 0.95))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 300), st.sampled_from(_STEPS)), min_size=1, max_size=6),
+    _THETAS,
+    st.data(),
+)
+def test_two_sided_scan_on_walks_equals_dense_scan(segments, theta, data):
+    ds = _walk(segments)
+    hi = len(ds) - 1
+    lo = data.draw(st.integers(1, hi))
+    _two_sided_scan_equals_dense(ds, lo, hi, theta)
+
+
+def test_two_sided_scan_finds_a_violation_inside_a_gap():
+    # U rests at 0, climbs by 1 a step to 79 at m = 225 and rests there, so
+    # the last violation of 1/3 is 236 (79/237 = 1/3).  The scan passes it by
+    # going up, and finds it in the gap the backward cover of 255 leaves.
+    ds = _walk([(146, Fraction(0)), (79, Fraction(1)), (170, Fraction(0))])
+    _, evals = _two_sided_scan_equals_dense(ds, 1, len(ds) - 1, 1 / 3)
+    ms = [m for m, _ in evals]
+    drop = next(i for i in range(1, len(ms)) if ms[i] < ms[i - 1])
+    assert ms[drop - 1] > 236 > ms[drop] and 236 in ms[drop:]
+    assert len(evals) < 60
+
+
+def test_two_sided_scan_drops_a_gap_below_a_later_violation():
+    # the same walk climbs again, to 179 at m = 495: the last violation is
+    # 536 (179/537 = 1/3), and the gap holding 236 is never scanned
+    ds = _walk([(146, Fraction(0)), (79, Fraction(1)), (170, Fraction(0)),
+                (100, Fraction(1)), (300, Fraction(0))])
+    last, evals = _two_sided_scan_equals_dense(ds, 1, len(ds) - 1, 1 / 3)
+    ms = [m for m, _ in evals]
+    assert last == 536 and ms == sorted(ms) and not any(220 <= m <= 250 for m in ms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["vdc_shift", "iid"]), st.integers(1, 5), st.integers(6, 10), st.integers(0, 3))
+def test_block_thresholds_equal_dense_scans(source, k, log_horizon, seed):
+    horizon = 1 << log_horizon
+    cfg = AdversaryConfig(n_blocks=5, horizon=horizon, block_source=source, seed=seed)
+    _block_thresholds_equal_dense_scans(k, BlockStreams(cfg).block(k), horizon)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5), st.integers(20, 400))
+def test_block_thresholds_on_tied_input_equal_dense_scans(seed, k, n):
+    _block_thresholds_equal_dense_scans(k, _tied_block(seed, n, k), n)
+
+
+def _block_thresholds_equal_dense_scans(k, blk, horizon):
+    """Both scans of compute_block_thresholds against every prefix length."""
+    theta, target = 1.0 / (k + 1), RademacherFn(k)
+    plain, wt = [0.0], [0.0]
+    for m in range(1, horizon + 1):
+        p = blk.prefix(m)
+        plain.append(uniform_prefix_discrepancy(p))
+        wt.append(weighted_prefix_discrepancy(p, target))
+    (last_plain, _), (last_wt, _) = (
+        _two_sided_scan_equals_dense(ds, 1, horizon, theta) for ds in (plain, wt)
+    )
+    if max(last_plain, last_wt) >= horizon:
+        with pytest.raises(HorizonExhausted):
+            compute_block_thresholds(k, blk, horizon)
+    else:
+        assert compute_block_thresholds(k, blk, horizon) == (last_plain + 1, last_wt + 1)
 
 
 # -- collision filtering ------------------------------------------------------------------
@@ -349,3 +478,20 @@ def test_five_block_materialization_peak_memory():
         BlockStreams(AdversaryConfig(n_blocks=5, horizon=1 << 16)).xs(5)
 
     assert _peak_bytes(five_blocks) < 10 * 2**20
+
+
+def test_block_is_freed_once_its_thresholds_are_computed():
+    # nothing the scans leave behind refers to the block: a reference cycle
+    # through it (a scan closure that calls itself, say) would keep each
+    # block's arrays, 16 MiB at 2^20, alive until the collector ran
+    blk = BlockStreams(AdversaryConfig(n_blocks=2, horizon=1 << 12)).block(2)
+    ref = weakref.ref(blk)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        compute_block_thresholds(2, blk, 1 << 12)
+        del blk
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -600,6 +600,25 @@ class TestAdversary:
         captured = capsys.readouterr()
         assert "bad report" in captured.err and message in captured.err
 
+    @pytest.mark.parametrize(
+        "field, value, check",
+        [("interval_discrepancy", 0.09375000000050022, "block1-interval-discrepancy"),
+         ("weighted_discrepancy", 0.09375000000050022, "block1-weighted-discrepancy"),
+         ("l2_to_block_target", 5e-10, "block1-l2-certificate")],
+    )
+    def test_certificate_off_by_a_hair_fails(self, tmp_path, capsys, field, value, check):
+        # verify recomputes each certificate with the splice's code on the
+        # same prefix, so the float must be equal; these edits sat within the
+        # 1e-12 (1e-9 for L2) that verify used to allow, and exited 0
+        def edit(report):
+            certs = report["blocks"][0]["certificates"]
+            assert certs[field] == (0.0 if check.endswith("l2-certificate") else 0.09375000000000022)
+            certs[field] = value
+
+        assert self._verify_edited(tmp_path, edit, phi="oracle") == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1 and check in fails[0]
+
     def test_edited_l2_converged_fails(self, tmp_path, capsys):
         def edit(report):
             report["blocks"][0]["certificates"]["l2_converged"] = False

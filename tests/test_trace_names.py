@@ -84,8 +84,8 @@ def test_traced_scans_are_the_scans(monkeypatch):
 
     real_scan = adv.certified_prefix_scan
 
-    def scan(*args):
-        out = real_scan(*args)
+    def scan(*args, **kwargs):
+        out = real_scan(*args, **kwargs)
         evals.append(len(out[2]))
         return out
 
