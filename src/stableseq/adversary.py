@@ -435,12 +435,8 @@ class OracleProcedure:
         best_k, best_run = 1, -1
         # h_k repeats from _LADDER_TOP on, and only a strictly longer run wins
         for k in range(1, min(self.max_index, _LADDER_TOP) + 1):
-            match = yt == rademacher_eval(k, xt)
-            run = 0
-            for good in match[::-1]:
-                if not good:
-                    break
-                run += 1
+            miss = np.flatnonzero(yt[::-1] != rademacher_eval(k, xt)[::-1])
+            run = int(miss[0]) if len(miss) else t
             if run > best_run:
                 best_k, best_run = k, run
         return RademacherFn(best_k)
@@ -886,8 +882,10 @@ def verify_adversary_report(
     skipped: ok is None, not a verdict.
     The span envelopes are scanned again, by the code that wrote them, and
     must equal `spans`, be certified and agree with `spans_ok`; they are
-    skipped when the boundaries do not match the sequence.  Raises
-    ValueError, before computing anything, when a k, n_k,
+    skipped when the boundaries do not match the sequence.  Block k's
+    min_length_required must be k * max(l_k, l_tilde_k) of block k + 1, as
+    the splice sets it, for every block but the last.  Raises
+    ValueError, before computing anything, when a k, n_k, l_k, l_tilde_k,
     min_length_required or total_length is not an integer, the blocks are
     not numbered 1, 2, ... in order, `AdversaryConfig` rejects the recorded
     config or its n_blocks is not the number of blocks, the two constants
@@ -897,6 +895,7 @@ def verify_adversary_report(
     blocks = report["blocks"]
     total = report.get("total_length")  # absent: the boundary check fails
     ints = [(rec["k"], rec["n_k"], rec["certificates"]["min_length_required"]) for rec in blocks]
+    ints += [(rec["l_k"], rec["l_tilde_k"]) for rec in blocks]
     _numbers([v for row in ints for v in row] + ([] if total is None else [total]), integer=True)
     for i, rec in enumerate(blocks, 1):
         if rec["k"] != i:
@@ -958,12 +957,11 @@ def verify_adversary_report(
                 f"recomputed {d_wt:.6g}",
             )
         )
+        need = certs["min_length_required"]
+        # the splice asks k times the next block's larger threshold
+        tied = k == len(blocks) or need == k * max(blocks[k]["l_k"], blocks[k]["l_tilde_k"])
         results.append(
-            (
-                f"block{k}-length-requirement",
-                n_k >= certs["min_length_required"],
-                f"n_k={n_k} >= {certs['min_length_required']}",
-            )
+            (f"block{k}-length-requirement", tied and n_k >= need, f"n_k={n_k} >= {need}")
         )
         if phi is not None:
             fitted.append(est)

@@ -13,8 +13,10 @@ from their cell and value arrays (`PiecewiseDyadicFn.write_json`).
 
 Every config key is read through `_get`, which checks the value's JSON type
 and fixed range; a value that does not fit exits 2 with its key path, such
-as 'experiment.generator.n'.  `--seed` and `--horizon` replace the config's
-`seed` and `horizon` before it is read.
+as 'experiment.generator.n'.  `--seed` (generate, adversary) and
+`--horizon` (estimate, adversary) replace the config's `seed` and `horizon`
+before it is read; the other subcommands read neither key and take neither
+flag.
 
 Exit codes separate theory-meaningful outcomes from operational errors:
 
@@ -424,6 +426,10 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
+# the config keys a flag of the same name replaces, for the subcommands that read them
+_OVERRIDES = {"generate": ("seed",), "estimate": ("horizon",), "adversary": ("seed", "horizon")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stableseq",
@@ -434,14 +440,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--horizon", type=int, default=None, help="override config horizon"
-        )
+        for key in _OVERRIDES.get(name, ()):
+            p.add_argument(f"--{key}", type=int, help=f"override config {key}")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        overrides = {"seed": args.seed, "horizon": args.horizon}
+        overrides = {key: getattr(args, key) for key in _OVERRIDES.get(args.command, ())}
         cfg.update((k, v) for k, v in overrides.items() if v is not None)
         if args.command == "verify":
             return cmd_verify(cfg)

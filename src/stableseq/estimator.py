@@ -83,8 +83,8 @@ freeze or at the start of a batch.  A run of pairs is located and summed
 in chunks that grow from its first pair: that pair alone, then `_FIRST` =
 64 pairs, doubling up to `_CHUNK`, so a freeze discards fewer pairs of its
 chunk than the run had before it plus 64.  The chunk's a serve every
-decision in it; after each, B is summed over 64 pairs, doubling until it
-exceeds the limit, fewer than twice the span plus 64.
+decision in it; after each, one cumsum sums B over the rest of the chunk,
+and one `searchsorted` finds the first pair where it exceeds the limit.
 
 Single-writer: ingestion is strictly sequential.  Frozen estimates are
 immutable snapshots and may be read concurrently.
@@ -123,7 +123,7 @@ __all__ = [
 
 _Y_BOUND = 2.0**512  # |y| below it: no cell sum, jump or window sum overflows
 _CHUNK = 4096  # most pairs `ingest_many` locates and sums in one array pass
-_FIRST = 64  # a run's second chunk; the pairs B is first summed over after a decision
+_FIRST = 64  # the size of a run's second chunk
 _RANKS = 32  # occurrences of a cell summed one vector step each; the rest accumulate
 # the certified-span bound's rounding terms, derived in the module docstring
 _SLACK = 2.0**-51
@@ -378,13 +378,8 @@ class EstimatorState:
                         if w is None:  # the cells' largest |value|, or one after a pair since
                             w = np.abs(self._sums / self._counts).max(initial=np.abs(v2).max())
                         a = 2.0 * np.abs(v2 - v) + _SLACK * (np.abs(v2) + np.abs(v) + 2.0 * w) + _TINY
-                    m = _FIRST  # B over m pairs, m doubling until it exceeds the limit
-                    while True:
-                        b = (np.cumsum(a[p:p + m]) + bound) * _ROUND_UP
-                        t = p + int(np.searchsorted(b, limit, side="right"))
-                        if t < p + m or p + m >= stop:
-                            break
-                        m *= 2
+                    b = (np.cumsum(a[p:stop]) + bound) * _ROUND_UP
+                    t = p + int(np.searchsorted(b, limit, side="right"))
                 q = min(t + 1, stop)
                 self._apply(js[p:q], count[p:q], total[p:q])
                 self._extend(xc[p:q], yc[p:q])

@@ -46,10 +46,8 @@ __all__ = [
 def _segment_cuts(
     a: float, b: float, est: PiecewiseDyadicFn, m: RegressionModel
 ) -> np.ndarray:
-    cuts = {a, b}
-    cuts.update(RegressionModel.from_dyadic(est).breakpoints_in(a, b).tolist())
-    cuts.update(float(t) for t in m.breakpoints_in(a, b))
-    return np.array(sorted(cuts), dtype=float)
+    grid = RegressionModel.from_dyadic(est).breakpoints_in(a, b)
+    return np.unique(np.concatenate([[a, b], grid, m.breakpoints_in(a, b)]))
 
 
 def l2_error_exact(

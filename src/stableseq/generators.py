@@ -27,6 +27,7 @@ Mechanisms:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,28 +137,22 @@ def gen_iid(
     return SampleSequence(np.asarray(x, dtype=float), y)
 
 
-def _chain_period(adj: list[list[int]]) -> int:
-    """Period of a strongly connected digraph via BFS level differences."""
-    import math as _math
-    from collections import deque
-
-    depth = {0: 0}
-    dq = deque([0])
-    g = 0
-    while dq:
-        u = dq.popleft()
+def _depths(adj: list[list[int]]) -> dict[int, int]:
+    """The BFS depth from state 0 of each state it reaches along adj."""
+    depth, order = {0: 0}, [0]
+    for u in order:  # the list grows while it is walked: a FIFO queue
         for v in adj[u]:
             if v not in depth:
                 depth[v] = depth[u] + 1
-                dq.append(v)
-            else:
-                g = _math.gcd(g, depth[u] + 1 - depth[v])
-    return abs(g) if g else 0
+                order.append(v)
+    return depth
 
 
 def _transition_matrix(transition) -> np.ndarray:
     """The transition matrix as floats, checked to be a stochastic matrix of
-    an irreducible, aperiodic chain."""
+    an irreducible, aperiodic chain.  Irreducible: a BFS from state 0 reaches
+    every state along the edges and along the reversed edges.  The period is
+    the gcd of depth(u) + 1 - depth(v) over every edge u -> v."""
     try:
         t = np.asarray(transition, dtype=float)
     except ValueError as e:  # rows of unequal length
@@ -169,36 +164,28 @@ def _transition_matrix(transition) -> np.ndarray:
     if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
         raise GeneratorError("transition rows must sum to 1 within 1e-12")
     s = t.shape[0]
-    adj = [list(np.nonzero(t[i] > 0)[0]) for i in range(s)]
-    radj = [list(np.nonzero(t[:, i] > 0)[0]) for i in range(s)]
-
-    def reach(a):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in a[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    if len(reach(adj)) != s or len(reach(radj)) != s:
+    adj, radj = ([np.flatnonzero(row > 0).tolist() for row in a] for a in (t, t.T))
+    depth = _depths(adj)
+    if len(depth) != s or len(_depths(radj)) != s:
         raise GeneratorError("transition matrix is reducible")
-    if _chain_period(adj) != 1:
+    if math.gcd(*(depth[u] + 1 - depth[v] for u in range(s) for v in adj[u])) != 1:
         raise GeneratorError("transition matrix is periodic")
     return t
 
 
-def markov_stationary_model(states, transition) -> DistributionModel:
-    """Stationary law of the chain as an atomic distribution model."""
-    t = _transition_matrix(transition)
+def _stationary(t: np.ndarray) -> np.ndarray:
+    """The stationary law of the chain t, in state order."""
     s = t.shape[0]
     a = np.vstack([t.T - np.eye(s), np.ones((1, s))])
     b = np.concatenate([np.zeros(s), [1.0]])
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     pi = np.maximum(pi, 0.0)
-    pi = pi / pi.sum()
+    return pi / pi.sum()
+
+
+def markov_stationary_model(states, transition) -> DistributionModel:
+    """Stationary law of the chain as an atomic distribution model."""
+    pi = _stationary(_transition_matrix(transition))
     return DistributionModel.atomic(
         [(float(v), float(p)) for v, p in zip(states, pi)]
     )
@@ -221,15 +208,11 @@ def gen_markov(
         raise GeneratorError("need one state value per transition row")
     if len(set(values.tolist())) != len(values):
         raise GeneratorError("state values must be distinct")
-    stat = markov_stationary_model(states, transition)
-    pi = np.array([mass for _, mass in stat.atoms], dtype=float)
-    # stat sorts atoms by location; realign to the given state order
-    order = np.argsort(values, kind="stable")
-    pi_by_state = np.empty(len(values))
-    pi_by_state[order] = pi
+    pi = _stationary(t)
+    DistributionModel.atomic(zip(values, pi))  # its mass checks reject a degenerate pi
     u = src.generator(stream, sub=0).random(n + 1)
     cum_rows = np.cumsum(t, axis=1)
-    cum_pi = np.cumsum(pi_by_state)
+    cum_pi = np.cumsum(pi)
     path = np.empty(n, dtype=np.int64)
     state = int(np.searchsorted(cum_pi, u[0], side="right"))
     state = min(state, len(values) - 1)

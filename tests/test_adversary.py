@@ -248,6 +248,35 @@ class TestSplice:
         assert report["oscillation_ok"]
         assert report["blocks"][0]["certificates"]["l2_to_block_target"] == 0.0
 
+    @pytest.mark.parametrize("n", [40, 64, 100])
+    def test_oracle_run_of_every_trailing_label(self, n):
+        # h_5 explains all of the last min(64, n) labels, and h_3 all but the
+        # first of them, so only a run of the full length picks h_5
+        pool = np.random.default_rng(n).random(4096)
+        same = rademacher_eval(3, pool) == rademacher_eval(5, pool)
+        agree = min(64, n) - 1
+        xs = np.concatenate([pool[~same][:n - agree], pool[same][:agree]])
+        ys = rademacher_eval(5, xs)
+        assert OracleProcedure().fit(xs, ys).k == 5
+
+    def test_oracle_run_of_no_trailing_label(self):
+        # h_k is 0 or 1, so no index matches a label of 0.5: every run is 0,
+        # and the first index wins
+        xs = np.random.default_rng(3).random(100)
+        assert OracleProcedure().fit(xs, np.full(100, 0.5)).k == 1
+        ys = rademacher_eval(4, xs)
+        ys[-1] = 0.5
+        assert OracleProcedure().fit(xs, ys).k == 1
+
+    def test_oracle_picks_the_longest_trailing_run(self):
+        # h_6 explains exactly the last 30 labels, h_2 the ones before
+        xs = np.random.default_rng(4).random(100)
+        ys = rademacher_eval(2, xs)
+        ys[-30:] = rademacher_eval(6, xs[-30:])
+        ys[-31] = 0.5
+        fits = {k: OracleProcedure(k).fit(xs, ys).k for k in (1, 5, 6, 12)}
+        assert fits == {1: 1, 5: fits[5], 6: 6, 12: 6} and fits[5] < 6
+
     def test_plugin_three_blocks(self):
         cfg = AdversaryConfig(n_blocks=3, horizon=1 << 14, block_budget=1 << 15)
         state, report = build_adversarial_sequence(PluginHistogramProcedure(), 3, cfg)

@@ -619,6 +619,26 @@ class TestAdversary:
         fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
         assert len(fails) == 1 and check in fails[0]
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda blocks: blocks[0]["certificates"].update(min_length_required=1),
+         lambda blocks: blocks[1].update(l_k=8)],
+        ids=["requirement-7-to-1", "next-l_k-7-to-8"],
+    )
+    def test_length_requirement_tied_to_next_thresholds(self, tmp_path, capsys, edit):
+        # block 1's requirement is 1 * max(l_k, l_tilde_k) of block 2; each
+        # edit exited 0, since only n_k >= min_length_required was checked
+        def edit_report(report):
+            blocks = report["blocks"]
+            recorded = [(b["l_k"], b["l_tilde_k"], b["certificates"]["min_length_required"])
+                        for b in blocks]
+            assert recorded == [(4, 1, 7), (7, 4, 24), (7, 12, 72)]
+            edit(blocks)
+
+        assert self._verify_edited(tmp_path, edit_report, phi="oracle") == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1 and "block1-length-requirement" in fails[0]
+
     def test_edited_l2_converged_fails(self, tmp_path, capsys):
         def edit(report):
             report["blocks"][0]["certificates"]["l2_converged"] = False
@@ -663,8 +683,11 @@ class TestAdversary:
          lambda r: r["blocks"][0].update(n_k=16.5),
          lambda r: r["blocks"][0].update(n_k=float(r["blocks"][0]["n_k"])),
          lambda r: r["blocks"][0].update(k=1.0),
-         lambda r: r.update(total_length=float(r["total_length"]))],
-        ids=["min-length-7.9", "n_k-16.5", "n_k-float", "k-float", "total-length-float"],
+         lambda r: r.update(total_length=float(r["total_length"])),
+         lambda r: r["blocks"][0].update(l_k=2.5),
+         lambda r: r["blocks"][1].update(l_tilde_k=4.0)],
+        ids=["min-length-7.9", "n_k-16.5", "n_k-float", "k-float", "total-length-float",
+             "l_k-2.5", "l_tilde_k-float"],
     )
     def test_non_integer_report_field_exit2(self, tmp_path, capsys, edit):
         # each was truncated by int() and verified with exit 0
@@ -1153,6 +1176,32 @@ class TestInternalError:
         assert main(["estimate", "--config", cfg]) == cli.EXIT_INTERNAL == 70
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--seed", "3"], ["sweep", "--seed", "3"], ["generate", "--horizon", "9"],
+         ["estimate", "--seed", "3"], ["verify", "--horizon", "9"], ["sweep", "--horizon", "9"]],
+    )
+    def test_flag_of_a_key_the_subcommand_never_reads_exit2(self, tmp_path, capsys, argv):
+        # each was accepted, set a config key nothing read and exited 0
+        cfg = write_json(tmp_path / "c.json", {})
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--config", cfg])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("generate", ["--seed"]), ("estimate", ["--horizon"]),
+         ("adversary", ["--seed", "--horizon"]), ("verify", []), ("sweep", [])],
+    )
+    def test_each_subcommand_lists_the_keys_it_reads(self, capsys, command, flags):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = re.findall(r"--(?:seed|horizon)\b", capsys.readouterr().out)
+        assert sorted(set(listed)) == sorted(flags)
 
 
 class TestConsoleScript:

@@ -7,6 +7,7 @@ from conftest import state_view
 from stableseq.estimator import EstimatorState
 from stableseq.evaluation import (
     ErrorCurve,
+    _segment_cuts,
     consistency_curve,
     error_curve_csv_bytes,
     l2_error_exact,
@@ -82,6 +83,18 @@ class TestL2Exact:
                 terms.append(d * val)
         terms += [mass * (est(u) - m.eval(u)) * (est(u) - m.eval(u)) for u, mass in mu.atoms]
         assert l2_error_exact(est, m, mu) == math.fsum(terms)
+
+    @pytest.mark.parametrize("a, b", [(-0.0, 1.0), (-0.5, 0.0), (-0.5, 0.5), (0.25, 0.75)])
+    def test_segment_cuts_equal_the_sorted_set(self, a, b):
+        # m's nodes repeat the estimate's grid points and the segment ends,
+        # and -0.0 sits beside the grid's 0.0: both count as one cut
+        est = PiecewiseDyadicFn(3, {-3: 1.0, 0: 0.5, 2: -1.0, 5: 2.0}, 0.0)
+        m = RegressionModel.piecewise_linear(
+            [-0.5, -0.0, 0.25, 0.375, 0.75, 1.0], [0.1, -0.3, 0.2, 0.9, 0.0, 0.4]
+        )
+        grid = RegressionModel.from_dyadic(est).breakpoints_in(a, b)
+        expected = sorted({a, b, *grid.tolist(), *m.breakpoints_in(a, b).tolist()})
+        assert _segment_cuts(a, b, est, m).tolist() == expected
 
     def test_overflow_raises(self):
         huge = RegressionModel.piecewise_linear([0.0, 1.0], [1e308, 0.8])

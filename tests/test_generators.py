@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stableseq.estimator import EstimatorState
 from stableseq.evaluation import l2_error_exact
@@ -112,6 +116,66 @@ class TestGenMarkov:
     def test_rows_must_be_stochastic(self):
         with pytest.raises(GeneratorError):
             gen_markov([0.25, 0.75], [[0.6, 0.3], [0.3, 0.7]], H1, 10, RandomSource(1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda s: st.lists(st.lists(st.integers(0, 3), min_size=s, max_size=s),
+                           min_size=s, max_size=s)
+    ))
+    def test_chain_checks_equal_matrix_powers(self, weights):
+        # a row of zero weights gets its self-loop; the verdict is the one
+        # the 0/1 matrix A of positive entries gives: irreducible iff
+        # (I + A)^(s-1) > 0, and then aperiodic iff A^((s-1)^2 + 1) > 0
+        w = np.array(weights, dtype=float)
+        s = len(w)
+        zero = np.flatnonzero(w.sum(axis=1) == 0)
+        w[zero, zero] = 1.0
+        t = w / w.sum(axis=1, keepdims=True)
+        adj = (t > 0).astype(np.int64)
+
+        def power(m, e):
+            out = np.eye(s, dtype=np.int64)
+            for _ in range(e):
+                out = np.minimum(out @ m, 1)
+            return out
+
+        expected = (
+            "transition matrix is reducible" if not power(np.eye(s, dtype=int) + adj, s - 1).all()
+            else "transition matrix is periodic" if not power(adj, (s - 1) ** 2 + 1).all()
+            else None
+        )
+        states = [(i + 0.5) / s for i in range(s)]
+        try:
+            gen_markov(states, t.tolist(), H1, 8, RandomSource(0))
+            got = None
+        except GeneratorError as e:
+            got = str(e)
+        assert got == expected
+
+    def test_outputs_and_rejections_are_pinned(self):
+        # 300 seeded chains of 1 to 7 states, some periodic, some with a
+        # repeated or an extra state value: their outputs and rejections
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for i in range(300):
+            s = int(rng.integers(1, 8))
+            t = rng.random((s, s)) * (rng.random((s, s)) < rng.uniform(0.15, 0.9))
+            if i % 10 == 0:
+                t = np.roll(np.eye(s), 1, axis=1)
+            t[t.sum(axis=1) == 0, 0] = 1.0
+            t /= t.sum(axis=1, keepdims=True)
+            states = (rng.permutation(s) / s + rng.uniform(0.0, 0.1)).tolist()
+            if i % 23 == 0 and s > 1:
+                states[1] = states[0]
+            if i % 29 == 0:
+                states.append(0.99)
+            try:
+                seq = gen_markov(states, t.tolist(), RegressionModel.identity_on_unit(), 40,
+                                 RandomSource(i), noise="uniform", delta=0.25)
+                digest.update(seq.x.tobytes() + seq.y.tobytes())
+            except GeneratorError as e:
+                digest.update(str(e).encode())
+        assert digest.hexdigest() == "eabf9e325b1589128937016c8d9ce0154dbf37cb10b230ac864b44e3240f429e"
 
 
 class TestHarmonicApproach:
