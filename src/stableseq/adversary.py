@@ -64,8 +64,8 @@ import numpy as np
 
 from .evaluation import QuadratureResult, l2_error_quadrature
 from .measures import (
-    DistributionModel, IntervalA, SampleSequence, _interval_sup, _number_literal,
-    sequence_csv_bytes,
+    DistributionModel, IntervalA, SampleSequence, _interval_measure, _interval_sup,
+    _number_literal, sequence_csv_bytes,
 )
 from .partitions import PiecewiseDyadicFn, _cell_indices, _numbers
 from .generators import RandomSource, van_der_corput
@@ -161,9 +161,7 @@ def rademacher_cumulative(k: int, t) -> np.ndarray | float:
 
 def rademacher_integral(k: int, A: IntervalA) -> float:
     """nu_k(A): exact integral of h_k over A intersected with [0, 1]."""
-    hi = rademacher_cumulative(k, A.b)
-    lo = 0.0 if A.left_unbounded_kind else rademacher_cumulative(k, A.a)
-    return float(hi - lo)
+    return float(_interval_measure(lambda t: rademacher_cumulative(k, t), A))
 
 
 @dataclass(frozen=True)
@@ -195,33 +193,24 @@ class RademacherFn:
 
 # -- L2 distances on [0, 1] -----------------------------------------------------
 
-def _dyadic_profile(f) -> int | None:
-    if isinstance(f, PiecewiseDyadicFn):
-        return max(f.k, 1)
-    if isinstance(f, RademacherFn):
-        return f.dyadic_resolution
-    return None
-
-
 _UNIT = DistributionModel.uniform(0.0, 1.0)
 
 
 def l2_unit_distance(f, g, quad_cells: int = 1 << 16) -> QuadratureResult:
     """Squared L2 distance of f and g over uniform [0, 1].
 
-    Exact by midpoint evaluation on the common dyadic refinement whenever
-    both functions are piecewise constant on dyadic grids (step functions
-    are constant on cell interiors, and midpoints are interior); otherwise
-    composite midpoint quadrature with a doubled-resolution check.
+    f and g are called on arrays.  Exact by midpoint evaluation on the
+    common dyadic refinement whenever both declare a `dyadic_resolution`
+    (as `PiecewiseDyadicFn` and `RademacherFn` do: constant on the cell
+    interiors of that grid, and midpoints are interior) of at most 22;
+    otherwise composite midpoint quadrature with a doubled-resolution check.
     """
-    rf, rg = _dyadic_profile(f), _dyadic_profile(g)
+    rf, rg = (getattr(h, "dyadic_resolution", None) for h in (f, g))
     if rf is not None and rg is not None and max(rf, rg) <= 22:
         r = max(rf, rg)
         w = math.ldexp(1.0, -r)
         mids = (np.arange(1 << r, dtype=float) + 0.5) * w
-        vf = f.eval_many(mids) if isinstance(f, PiecewiseDyadicFn) else f(mids)
-        vg = g.eval_many(mids) if isinstance(g, PiecewiseDyadicFn) else g(mids)
-        diff = np.asarray(vf, dtype=float) - np.asarray(vg, dtype=float)
+        diff = np.asarray(f(mids), dtype=float) - np.asarray(g(mids), dtype=float)
         val = math.fsum((diff * diff).tolist()) * w
         return QuadratureResult(value=val, converged=True, coarse=val, fine=val)
     return l2_error_quadrature(f, g, _UNIT, cells=quad_cells)
@@ -886,7 +875,8 @@ def verify_adversary_report(
     min_length_required must be k * max(l_k, l_tilde_k) of block k + 1, as
     the splice sets it, for every block but the last.  Raises
     ValueError, before computing anything, when a k, n_k, l_k, l_tilde_k,
-    min_length_required or total_length is not an integer, the blocks are
+    min_length_required, total_length or a field of the recorded config
+    that `AdversaryConfig` declares int is not an integer, the blocks are
     not numbered 1, 2, ... in order, `AdversaryConfig` rejects the recorded
     config or its n_blocks is not the number of blocks, the two constants
     the splice writes (`finite_prefix_witness` true, `oscillation_bound`
@@ -901,6 +891,8 @@ def verify_adversary_report(
         if rec["k"] != i:
             raise ValueError(f"block {i} of the report has k = {rec['k']!r}, not {i}")
     config = report["config"]
+    fields = dataclasses.fields(AdversaryConfig)
+    _numbers([config[f.name] for f in fields if f.type == "int" and f.name in config], integer=True)
     if config["n_blocks"] != len(blocks):  # first: the config check loops over n_blocks
         raise ValueError(
             f"config.n_blocks is {config['n_blocks']!r} but the report has {len(blocks)} blocks"

@@ -93,7 +93,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -110,7 +109,6 @@ from .partitions import (
 )
 
 __all__ = [
-    "HistogramEstimate",
     "histogram_estimate",
     "variation_check",
     "EstimatorState",
@@ -129,15 +127,6 @@ _RANKS = 32  # occurrences of a cell summed one vector step each; the rest accum
 _SLACK = 2.0**-51
 _TINY = 2.0**-1020
 _ROUND_UP = 1.0 + 2.0**-40
-
-
-@dataclass(frozen=True)
-class HistogramEstimate:
-    """A histogram estimate together with its provenance (k, n used)."""
-
-    fn: PiecewiseDyadicFn
-    k: int
-    n: int
 
 
 def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,12 +212,12 @@ def _running_cells(keys, counts, sums, js: np.ndarray, ys: np.ndarray) -> list[n
     return [c[back], s[back], before[back], after[back]]
 
 
-def histogram_estimate(seq: SampleSequence, k: int, n: int) -> HistogramEstimate:
+def histogram_estimate(seq: SampleSequence, k: int, n: int) -> PiecewiseDyadicFn:
     """Resolution-k histogram from the first n pairs; empty cells are 0."""
     if not 1 <= n <= len(seq):
         raise ValueError(f"need 1 <= n <= {len(seq)}, got {n}")
     keys, counts, sums = _accumulate_cells(seq.x, seq.y, k, n)
-    return HistogramEstimate(PiecewiseDyadicFn(k, (keys, sums / counts), 0.0), k, n)
+    return PiecewiseDyadicFn(k, (keys, sums / counts), 0.0)
 
 
 def variation_check(fn: PiecewiseDyadicFn, budget: VariationBudget) -> bool:
@@ -533,7 +522,7 @@ def _frozen_checks(seq: SampleSequence, budget, tau: list[int], frozen: list) ->
             same = fn == PiecewiseDyadicFn(0, {0: float(seq.y[0])}, 0.0)
             results.append(("frozen[0]-is-first-y", same, f"tau_0={t}"))
             continue
-        rebuilt = histogram_estimate(seq, k, t).fn
+        rebuilt = histogram_estimate(seq, k, t)
         results.append((f"frozen[{k}]-matches-recomputation", rebuilt == fn, f"tau_{k}={t}"))
         results.append(
             (

@@ -19,8 +19,6 @@ convergence experiments) and the CLI's estimate subcommand both run it.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -104,20 +102,18 @@ def l2_error_quadrature(
 ) -> QuadratureResult:
     """Composite midpoint quadrature of (est - m)^2 d(mu) for black boxes.
 
-    `cells` must be a power of two >= 2^10: that many midpoints are placed
-    per segment, the rule is repeated at double resolution, and the two
-    estimates must agree within relative 1e-3; otherwise the result is
-    flagged NOT-CONVERGED (converged=False) with both values attached.
-    Atom contributions are exact in both.
+    est and m are called on 1-d arrays of points, as every fitted function,
+    regression model and h_k takes them.  `cells` must be a power of two
+    >= 2^10: that many midpoints are placed per segment, the rule is
+    repeated at double resolution, and the two estimates must agree within
+    relative 1e-3; otherwise the result is flagged NOT-CONVERGED
+    (converged=False) with both values attached.  Atom contributions are
+    exact in both.
     """
     if cells < 1 << 10 or cells & (cells - 1):
         raise ValueError("cells must be a power of two >= 2^10")
 
     def evaluate(f, xs: np.ndarray) -> np.ndarray:
-        if isinstance(f, PiecewiseDyadicFn):
-            return np.asarray(f.eval_many(xs), dtype=float)
-        if isinstance(f, RegressionModel):
-            return np.atleast_1d(np.asarray(f.eval(xs), dtype=float))
         return np.atleast_1d(np.asarray(f(xs), dtype=float))
 
     def rule(n_cells: int) -> float:
@@ -158,12 +154,8 @@ class ErrorCurve:
 
 
 def error_curve_csv_bytes(curve: ErrorCurve) -> bytes:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "kappa", "error"])
-    for n, kappa, err in curve.rows:
-        w.writerow([n, kappa, repr(float(err))])
-    return buf.getvalue().encode("utf-8")
+    rows = (f"{n},{kappa},{float(err)!r}\n" for n, kappa, err in curve.rows)
+    return ("n,kappa,error\n" + "".join(rows)).encode("utf-8")
 
 
 def stream_checkpoints(

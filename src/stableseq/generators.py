@@ -161,6 +161,8 @@ def _transition_matrix(transition) -> np.ndarray:
         raise GeneratorError("transition must be a square matrix")
     if np.any(t < 0):
         raise GeneratorError("transition entries must be nonnegative")
+    if not np.isfinite(t).all():  # a NaN row sum passes the check below
+        raise GeneratorError("transition entries must be finite")
     if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
         raise GeneratorError("transition rows must sum to 1 within 1e-12")
     s = t.shape[0]

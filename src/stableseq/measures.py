@@ -5,7 +5,11 @@ The interval class used everywhere is
     A = (a, b]   or   A = (-inf, b],   a < b real,
 
 with right-closed semantics: an atom sitting exactly at b belongs to A, one
-at a does not.  Distribution models are finite mixtures of point masses and
+at a does not.  Every measure of an interval -- mu(A), the plain and
+y-weighted empirical masses, nu(A) and nu_k(A) -- is read from its
+cumulative function, measure(-inf, t], by one rule (`_interval_measure`):
+the value at b, less the value at a unless A is left-unbounded.
+Distribution models are finite mixtures of point masses and
 constant-density segments, which makes every interval probability, CDF value
 and left limit exactly computable, and lets the supremum over the whole
 interval class of |empirical - model| be evaluated in closed form:
@@ -282,11 +286,17 @@ class DistributionModel:
         return cls(atoms=atoms, segments=segments)
 
 
+def _interval_measure(cumulative, A: IntervalA):
+    """The measure of A from its cumulative function, measure(-inf, t]:
+    cumulative(b), less cumulative(a) unless A is left-unbounded."""
+    if A.left_unbounded_kind:
+        return cumulative(A.b)
+    return cumulative(A.b) - cumulative(A.a)
+
+
 def interval_prob(model: DistributionModel, A: IntervalA) -> float:
     """mu(A) with right-closed semantics; empty overlap returns 0."""
-    hi = model.cdf(A.b)
-    lo = 0.0 if A.left_unbounded_kind else model.cdf(A.a)
-    return max(0.0, hi - lo)
+    return max(0.0, _interval_measure(model.cdf, A))
 
 
 def _compensated_cumsum(y: np.ndarray) -> np.ndarray:
@@ -402,18 +412,15 @@ def empirical_mass(seq: SampleSequence, A: IntervalA) -> float:
     """Fraction of samples inside A; exact count over n."""
     if len(seq) < 1:
         raise ValueError("need at least one sample")
-    hi = int(seq.count_le(A.b))
-    lo = 0 if A.left_unbounded_kind else int(seq.count_le(A.a))
-    return (hi - lo) / len(seq)
+    return int(_interval_measure(seq.count_le, A)) / len(seq)
 
 
 def empirical_weighted_mass(seq: SampleSequence, A: IntervalA) -> float:
     """(1/n) * sum of y_i over x_i in A, via prefix-sum differences."""
     if len(seq) < 1:
         raise ValueError("need at least one sample")
-    hi = int(seq.count_le(A.b))
-    lo = 0 if A.left_unbounded_kind else int(seq.count_le(A.a))
-    return float(seq.y_cumsum_sorted[hi] - seq.y_cumsum_sorted[lo]) / len(seq)
+    cum = seq.y_cumsum_sorted
+    return float(_interval_measure(lambda t: cum[seq.count_le(t)], A)) / len(seq)
 
 
 def _interval_sup(

@@ -162,7 +162,16 @@ class PiecewiseDyadicFn:
     def __repr__(self) -> str:
         return f"PiecewiseDyadicFn({self.k}, {dict(self.values)!r}, {self.default!r})"
 
-    def __call__(self, x: float) -> float:
+    @property
+    def dyadic_resolution(self) -> int:
+        """max(k, 1): f is constant on every cell of this resolution."""
+        return max(self.k, 1)
+
+    def __call__(self, x):
+        """f(x): a float for a scalar x, located by `cell_of` with its errors,
+        and `eval_many(x)` for an array."""
+        if np.ndim(x):
+            return self.eval_many(x)
         return self.value_at_cell(cell_of(x, self.k).j)
 
     def value_at_cell(self, j: int) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DistributionModel, IntervalA, _CumulativeTable
+from .measures import DistributionModel, IntervalA, _CumulativeTable, _interval_measure
 from .partitions import (
     PiecewiseDyadicFn, _int_keys, _numbers, _variation_inside, adjacent_jumps, cell_of
 )
@@ -278,9 +278,7 @@ class SignedMeasureModel:
         return self._cum.at(t, "left")
 
     def interval(self, A: IntervalA) -> float:
-        hi = self.cumulative(A.b)
-        lo = 0.0 if A.left_unbounded_kind else self.cumulative(A.a)
-        return float(hi - lo)
+        return float(_interval_measure(self.cumulative, A))
 
     def point_mass(self, u: float) -> float:
         return self.base.atom_mass(u) * float(self.regressor.eval(u))

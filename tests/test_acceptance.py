@@ -151,7 +151,7 @@ def test_criterion_3_estimator_certificates_and_batch_equality():
         for k, t in enumerate(st.tau):
             if k == 0:
                 continue
-            rebuilt = histogram_estimate(seq, k, t).fn
+            rebuilt = histogram_estimate(seq, k, t)
             assert dict(rebuilt.values) == dict(st.frozen[k].values), (
                 f"frozen[{k}] differs from recomputation at seed {spec['seed']}"
             )

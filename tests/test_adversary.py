@@ -512,3 +512,30 @@ class TestLadderAtLargeIndex:
             assert main(["adversary", "--config", str(cfg), "--out", str(d)]) == 0
             out[max_index] = [(d / f).read_bytes() for f in ("report.json", "sequence.csv")]
         assert out[1075] == out[10**8]
+
+
+class TestL2UnitDistanceCallsOnArrays:
+    """Values pinned from the distances taken before step functions were
+    called on arrays, when `l2_unit_distance` switched on their type."""
+
+    F = PiecewiseDyadicFn(3, {1: 0.25, 3: -1.0, 6: 2.5, 9: 7.0}, 0.125)
+
+    @pytest.mark.parametrize(
+        "f,g,value,coarse",
+        [
+            (F, RademacherFn(4), 1.126953125, 1.126953125),
+            (RademacherFn(4), F, 1.126953125, 1.126953125),
+            (PiecewiseDyadicFn(0, {0: 0.7}, 0.7), RademacherFn(2), 0.29, 0.29),
+            (RademacherFn(0), PiecewiseDyadicFn(0, {0: -0.3}, -0.3),
+             0.6400000000000001, 0.6400000000000001),
+            (F, lambda x: np.sin(3.0 * x), 0.9805263897825829, 0.980526289616062),
+            (lambda x: x * x, PiecewiseDyadicFn(5, {7: 1.5, 20: -2.0}, 0.0),
+             0.43786413607498176, 0.4378640150030719),
+            (PiecewiseDyadicFn(23, {5: 3.0, 1 << 22: -1.0}, 0.25), RademacherFn(1), 0.3125, 0.3125),
+        ],
+        ids=["step-hk", "hk-step", "k0-hk", "hk-k0", "step-array", "array-step", "deep-step-hk"],
+    )
+    def test_pinned(self, f, g, value, coarse):
+        r = l2_unit_distance(f, g, quad_cells=1 << 10)
+        assert r.converged
+        assert (r.value, r.coarse, r.fine) == (value, coarse, value)

@@ -270,7 +270,7 @@ class TestEstimate:
         k, n, i = int(line[1]), int(line[2]), int(line[3])
         chk = json.loads((tmp_path / "e" / "checkpoint.json").read_text())
         assert (k, n) == (len(chk["tau"]), chk["consumed"]) and 1 <= i <= k
-        fn = histogram_estimate(read_sequence_csv(seq_csv), k, n).fn
+        fn = histogram_estimate(read_sequence_csv(seq_csv), k, n)
         assert line[4] == repr(total_variation_window(fn, i))
         assert line[5] == repr(4.0 * (2.0 * i + 0.5))
         # the window that fails by the most, as exact sums order them
@@ -693,6 +693,22 @@ class TestAdversary:
         # each was truncated by int() and verified with exit 0
         assert self._verify_edited(tmp_path, edit, phi="oracle") == 2
         assert "is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("horizon", 8192.0), ("seed", 0.5), ("first_check", 16.0),
+         ("block_budget", 4096.5), ("horizon", True)],
+    )
+    def test_non_integer_config_field_exit2(self, tmp_path, capsys, field, value):
+        # horizon 8192.0 crashed (exit 70), True failed a check (exit 1), the rest verified
+        def edit(report):
+            report["config"][field] = value
+
+        assert self._verify_edited(tmp_path, edit, phi="oracle") == 2
+        assert f"{value!r} is not an integer" in capsys.readouterr().err
+
+    def test_unedited_oracle_report_verifies(self, tmp_path):
+        assert self._verify_edited(tmp_path, lambda report: None, phi="oracle") == 0
 
     def test_constant_phi_witness_exit5(self, tmp_path):
         cfg = write_json(

@@ -42,18 +42,18 @@ class TestHistogramEstimate:
     def test_ratio_cells(self):
         seq = SampleSequence(np.array([0.1, 0.3, 0.6]), np.array([1.0, 0.0, 1.0]))
         est = histogram_estimate(seq, 1, 3)
-        assert dict(est.fn.values) == {1: 0.5, 2: 1.0}
-        assert est.k == 1 and est.n == 3
+        assert dict(est.values) == {1: 0.5, 2: 1.0}
+        assert est.k == 1
 
     def test_whole_line_is_mean(self):
         seq = SampleSequence(np.array([5.0, -3.0, 0.25]), np.array([1.0, 2.0, 6.0]))
         est = histogram_estimate(seq, 0, 3)
-        assert dict(est.fn.values) == {0: 3.0}
+        assert dict(est.values) == {0: 3.0}
 
     def test_empty_cells_are_zero(self):
         seq = SampleSequence(np.array([0.1]), np.array([1.0]))
         est = histogram_estimate(seq, 3, 1)
-        assert est.fn(0.9) == 0.0
+        assert est(0.9) == 0.0
 
     def test_prefix_bound_checked(self):
         seq = SampleSequence(np.array([0.1]), np.array([1.0]))
@@ -179,7 +179,7 @@ class TestEstimatorState:
         for k, t in enumerate(st.tau):
             if k == 0:
                 continue
-            rebuilt = histogram_estimate(seq, k, t).fn
+            rebuilt = histogram_estimate(seq, k, t)
             assert dict(rebuilt.values) == dict(st.frozen[k].values)
             assert variation_check(rebuilt, st.budget)
 
@@ -684,7 +684,7 @@ def _binding_reference(state: EstimatorState) -> tuple[int, float, float]:
     at the search resolution, i the first window with the largest exact
     excess of its jump sum over 4 alpha(i), V_i its `total_variation_window`."""
     seq = SampleSequence(np.array(state.xs), np.array(state.ys))
-    h = histogram_estimate(seq, state.search_resolution, state.consumed).fn
+    h = histogram_estimate(seq, state.search_resolution, state.consumed)
     excess = _exact_excesses(h, state.budget)
     i = excess.index(max(excess)) + 1
     return i, total_variation_window(h, i), 4.0 * state.budget.alpha(i)

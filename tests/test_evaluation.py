@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -196,6 +198,21 @@ class TestConsistencyCurve:
         text = error_curve_csv_bytes(curve).decode()
         assert text.splitlines()[0] == "n,kappa,error"
         assert "8,2,0.25" in text
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((4, 1, math.nan), (8, 2, math.inf), (16, 2, -math.inf), (32, 3, -0.0),
+          (64, 3, 5e-324), (128, 4, 1e16), (256, 4, np.float64(0.1))),
+         ()],
+        ids=["special-floats", "no-rows"],
+    )
+    def test_csv_bytes_equal_the_csv_writer(self, rows):
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["n", "kappa", "error"])
+        for n, kappa, err in rows:
+            w.writerow([n, kappa, repr(float(err))])
+        assert error_curve_csv_bytes(ErrorCurve(rows)) == buf.getvalue().encode("utf-8")
 
 
 def _stream_checkpoints_per_pair(seq, budget, n_stop, checkpoints, patience, m, mu):

@@ -117,6 +117,16 @@ class TestGenMarkov:
         with pytest.raises(GeneratorError):
             gen_markov([0.25, 0.75], [[0.6, 0.3], [0.3, 0.7]], H1, 10, RandomSource(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad, capfd):
+        # a NaN row sum passed the row-sum check and reached lstsq
+        t = [[bad, 1.0], [0.5, 0.5]]
+        with pytest.raises(GeneratorError, match="transition entries must be finite"):
+            gen_markov([0.25, 0.75], t, H1, 10, RandomSource(1))
+        with pytest.raises(GeneratorError, match="transition entries must be finite"):
+            markov_stationary_model([0.25, 0.75], t)
+        assert capfd.readouterr().err == ""
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 7).flatmap(
         lambda s: st.lists(st.lists(st.integers(0, 3), min_size=s, max_size=s),

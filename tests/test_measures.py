@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_interval_sup, random_mixture_model
 from stableseq import measures
 from stableseq.generators import gen_harmonic_approach, gen_iid, RandomSource
+from stableseq.adversary import rademacher_cumulative, rademacher_integral
 from stableseq.measures import (
     DistributionModel,
     IntervalA,
@@ -707,3 +708,58 @@ class TestSequenceCsvArrayReader:
         p = self._write(tmp_path, f"i,x,y\n1,0.5,0.5\n\n3,{value},0.5\n")
         with pytest.raises(ValueError, match="line 4"):
             read_sequence_csv(p)
+
+
+class TestOneIntervalRule:
+    """The five interval measures against the rule each wrote out before
+    they shared one, bit for bit and type for type."""
+
+    @staticmethod
+    def _reference(A):
+        def rule(cum, zero):
+            lo = zero if A.left_unbounded_kind else cum(A.a)
+            return cum(A.b) - lo
+        return rule
+
+    def test_interval_functions_equal_the_written_out_rule(self):
+        rng = np.random.default_rng(24)
+        ends = [-math.inf, -0.0, 0.0, -2.5, 0.5, 1.0, 3.0]
+        for trial in range(60):
+            model = random_mixture_model(rng)
+            n = int(rng.integers(1, 40))
+            x = rng.choice([-0.0, 0.0, 0.5, 1.0, *rng.uniform(-3, 3, 8)], size=n)
+            seq = SampleSequence(x, rng.normal(size=n))
+            nu = SignedMeasureModel(model, RegressionModel.piecewise_linear([-1.0, 2.0], [3.0, -1.0]))
+            k = int(rng.integers(0, 6))
+            pts = sorted(rng.choice(ends + list(rng.uniform(-4, 4, 3)), size=2, replace=False))
+            if pts[0] == pts[1] or pts[1] == -math.inf:
+                continue
+            for A in (IntervalA(*pts), IntervalA.left_unbounded(pts[1])):
+                ref = self._reference(A)
+                cum = seq.y_cumsum_sorted
+                pairs = [
+                    (interval_prob(model, A), max(0.0, ref(model.cdf, 0.0))),
+                    (empirical_mass(seq, A), (int(ref(lambda t: int(seq.count_le(t)), 0))) / len(seq)),
+                    (empirical_weighted_mass(seq, A),
+                     float(ref(lambda t: cum[int(seq.count_le(t))], cum[0])) / len(seq)),
+                    (nu.interval(A), float(ref(nu.cumulative, 0.0))),
+                    (rademacher_integral(k, A), float(ref(lambda t: rademacher_cumulative(k, t), 0.0))),
+                ]
+                for got, want in pairs:
+                    assert type(got) is type(want)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (A, got, want)
+
+    def test_empty_overlap_and_signed_zero_ends(self):
+        seq = SampleSequence(np.array([0.25, 0.5]), np.array([1.0, -2.0]))
+        for A in (IntervalA(5.0, 6.0), IntervalA(-3.0, -0.0), IntervalA.left_unbounded(-0.0)):
+            assert interval_prob(UNIFORM, A) == 0.0
+            assert empirical_mass(seq, A) == 0.0
+            assert empirical_weighted_mass(seq, A) == 0.0
+        A = IntervalA(-0.0, 0.25)
+        assert (interval_prob(UNIFORM, A), empirical_mass(seq, A), empirical_weighted_mass(seq, A)) == (
+            0.25, 0.5, 0.5
+        )
+        with pytest.raises(ValueError, match="need at least one sample"):
+            empirical_mass(SampleSequence(np.array([]), np.array([])), IntervalA(0.0, 1.0))
+        with pytest.raises(ValueError, match="need at least one sample"):
+            empirical_weighted_mass(SampleSequence(np.array([]), np.array([])), IntervalA(0.0, 1.0))

@@ -293,3 +293,39 @@ class TestVariationBudget:
     def test_defined_on_positive_integers(self):
         with pytest.raises(ValueError):
             VariationBudget.const(1.0).alpha(0)
+
+
+class TestCallOnArrays:
+    F = PiecewiseDyadicFn(3, {-2: 4.0, 1: 0.25, 3: -1.0, 6: 2.5}, 0.125)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [np.array(0.3), np.array([-0.3, 0.0, -0.0, 0.125, 0.7, 9.0]),
+         np.linspace(-1.0, 1.0, 12).reshape(3, 4)],
+        ids=["0-d", "1-d", "2-d"],
+    )
+    def test_array_call_equals_eval_many(self, xs):
+        got = self.F(xs)
+        want = self.F.eval_many(xs)
+        assert np.shape(got) == np.shape(want) == xs.shape
+        assert np.array_equal(got, want)
+
+    def test_scalar_call_is_the_cell_value(self):
+        for x in (-0.3, 0.0, -0.0, 0.125, 0.7, 9.0):
+            got = self.F(x)
+            assert type(got) is float
+            assert got == self.F.value_at_cell(cell_of(x, 3).j)
+
+    def test_scalar_errors_are_cell_of_errors(self):
+        with pytest.raises(ValueError):
+            self.F(math.nan)
+        with pytest.raises(OverflowError):
+            self.F(1e308)
+        # the one cell holds every scalar, as cell_of places it
+        f0 = PiecewiseDyadicFn(0, {0: 1.5}, 1.5)
+        assert f0(math.nan) == 1.5 and f0(math.inf) == 1.5
+        with pytest.raises(ValueError):
+            f0(np.array([math.nan]))
+
+    def test_dyadic_resolution(self):
+        assert [PiecewiseDyadicFn(k).dyadic_resolution for k in (0, 1, 7)] == [1, 1, 7]
