@@ -154,6 +154,7 @@ def rademacher_cumulative(k: int, t) -> np.ndarray | float:
         np.minimum(out, 0.5, out=out)
         out *= 2.0
         out += q
+        del q
         np.ldexp(out, -k, out=out)
         np.multiply(tt, 0.5, out=out, where=tt >= top)
     return float(out[0]) if scalar else out
@@ -582,8 +583,9 @@ class BlockStreams:
         if self.config.block_source == "iid":
             gen = RandomSource(self.config.seed).generator(stream=k)
             return np.clip(gen.random(count), 1e-12, 1.0 - 1e-12)
-        base = van_der_corput(count)
-        return np.mod(base + k * self.config.shift, 1.0)
+        raw = van_der_corput(count)
+        raw += k * self.config.shift
+        return np.mod(raw, 1.0, out=raw)
 
     def _make(self, k: int) -> SampleSequence:
         horizon = self.config.horizon
@@ -605,7 +607,8 @@ class BlockStreams:
             del both
             fresh[np.searchsorted(s, shared)] = False  # its first copy in s
         kept = order[fresh]  # raw indices of the kept values, ascending by value
-        del s, order, fresh, firsts
+        s = s[fresh]  # the kept values, ascending
+        del order, fresh, firsts
         keep = np.zeros(len(raw), dtype=bool)
         keep[kept] = True
         xs = raw[keep][:horizon]
@@ -613,8 +616,8 @@ class BlockStreams:
             raise RuntimeError("collision filtering exhausted the stream slack")
         rank = np.cumsum(keep)[kept] - 1  # positions in xs, in sorted order
         ys = rademacher_eval(k, xs)
-        order = rank[rank < horizon]
-        return SampleSequence._presorted(xs, ys, order, xs[order])
+        inside = rank < horizon
+        return SampleSequence._presorted(xs, ys, rank[inside], s[inside])
 
     def _sequence(self, k: int) -> SampleSequence:
         if k not in self._presorted:

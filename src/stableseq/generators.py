@@ -72,29 +72,39 @@ class RandomSource:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
 def van_der_corput(n: int, start: int = 1) -> np.ndarray:
     """First n base-2 radical inverses of start, start+1, ...
 
     The radical inverse of i with nbits binary digits is rev(i) / 2^nbits,
-    where rev reverses those digits.  The reversal runs in place on one
-    unsigned integer array (32-bit when the indices fit), one pass per bit,
-    so memory stays a few arrays of length n.  Exact: rev(i) < 2^53
-    converts to float64 without rounding, and ldexp only moves the exponent.
+    where rev reverses those digits.  The reversal runs a byte at a time on
+    unsigned integer arrays (32-bit when the indices fit), each byte
+    reversed by a 256-entry table, so it takes ceil(nbits / 8) passes and
+    memory stays a few arrays of length n.  It reverses whole bytes, so it
+    gives rev(i) * 2^s with s = 8 ceil(nbits / 8) - nbits, divided by
+    2^(nbits + s).  Exact: rev(i) < 2^53 converts to float64 without
+    rounding (above that, rounding does not depend on the factor 2^s), and
+    ldexp only moves the exponent.
     """
     if n <= 0:
         return np.zeros(0, dtype=float)
-    nbits = int(start + n - 1).bit_length()
-    word = np.uint32 if nbits <= 32 else np.uint64
+    nbytes = -(-int(start + n - 1).bit_length() // 8)
+    word = np.uint32 if nbytes <= 4 else np.uint64
+    table = _REVERSED_BYTE.astype(word)
     ii = np.arange(start, start + n, dtype=word)
     rev = np.zeros(n, dtype=word)
-    bit = np.empty(n, dtype=word)
-    for _ in range(nbits):
-        np.bitwise_and(ii, 1, out=bit)
-        rev <<= 1
-        rev |= bit
-        ii >>= 1
-    del ii, bit
-    return np.ldexp(rev, -nbits)
+    byte = np.empty(n, dtype=np.intp)
+    reversed_byte = np.empty(n, dtype=word)
+    for _ in range(nbytes):
+        np.bitwise_and(ii, 0xFF, out=byte)
+        np.take(table, byte, out=reversed_byte, mode="clip")  # unbuffered; no byte is clipped
+        rev <<= 8
+        rev |= reversed_byte
+        ii >>= 8
+    del ii, byte, reversed_byte
+    return np.ldexp(rev, -8 * nbytes)
 
 
 def _apply_noise(base: np.ndarray, noise: str, delta: float, gen) -> np.ndarray:

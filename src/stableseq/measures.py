@@ -300,7 +300,8 @@ def interval_prob(model: DistributionModel, A: IntervalA) -> float:
 
 
 def _compensated_cumsum(y: np.ndarray) -> np.ndarray:
-    """Prefix sums with chunked exact correction.
+    """Prefix sums of y, written over y and returned, with chunked exact
+    correction.
 
     Within 4096-element chunks an ordinary cumsum is used; chunk offsets are
     fsum-exact, so accumulated error stays O(chunk * eps) regardless of n.
@@ -309,17 +310,17 @@ def _compensated_cumsum(y: np.ndarray) -> np.ndarray:
     """
     n = len(y)
     if n <= 1_000_000:
-        return np.cumsum(y)
-    out = np.empty(n, dtype=float)
+        return np.cumsum(y, out=y)
     chunk = 4096
     offset = 0.0
     parts: list[float] = []
     for s in range(0, n, chunk):
-        e = min(s + chunk, n)
-        out[s:e] = np.cumsum(y[s:e]) + offset
-        parts.append(math.fsum(y[s:e].tolist()))
+        part = y[s:s + chunk]
+        parts.append(math.fsum(part.tolist()))
+        np.cumsum(part, out=part)
+        part += offset
         offset = math.fsum(parts)
-    return out
+    return y
 
 
 @dataclass(frozen=True)
@@ -350,6 +351,10 @@ class SampleSequence:
     @cached_property
     def sorted_index(self) -> np.ndarray:
         """The stable argsort of x."""
+        masked = vars(self).pop("_masked_index", None)
+        if masked is not None:  # a masked prefix view's, see `prefix`
+            index, keep = masked
+            return index.take(keep)
         return np.argsort(self.x, kind="stable")
 
     @cached_property
@@ -360,7 +365,13 @@ class SampleSequence:
     @cached_property
     def y_cumsum_sorted(self) -> np.ndarray:
         """Prefix sums of y in sorted order, with a leading 0."""
-        return np.concatenate([[0.0], _compensated_cumsum(self.y[self.sorted_index])])
+        cum = np.empty(len(self) + 1)
+        cum[0] = 0.0
+        # the index is in range, so "clip" moves none; it writes straight
+        # into cum, where the default mode would fill a full-size buffer first
+        np.take(self.y, self.sorted_index, out=cum[1:], mode="clip")
+        _compensated_cumsum(cum[1:])
+        return cum
 
     @classmethod
     def _presorted(cls, x, y, order, x_sorted) -> "SampleSequence":
@@ -378,15 +389,18 @@ class SampleSequence:
         the prefix keeps the parent's order of its indices, so its sorted
         view is the parent's masked to indices below m (which builds the
         parent's); below n/16 the prefix sorts itself on first use, which
-        costs less than masking all n, and gives the same."""
+        costs less than masking all n, and gives the same.  The masked view
+        gathers its sorted values at once and its `sorted_index` when that
+        is first read, which the uniform scan never does; until then it
+        holds the parent's index and the positions kept, and neither after."""
         if not 0 <= m <= len(self):
             raise ValueError(f"prefix length {m} out of range")
-        if 16 * m < len(self):
-            return SampleSequence(self.x[:m], self.y[:m])
-        keep = np.flatnonzero(self.sorted_index < m)  # one mask, two gathers
-        return SampleSequence._presorted(
-            self.x[:m], self.y[:m], self.sorted_index.take(keep), self.x_sorted.take(keep)
-        )
+        view = SampleSequence(self.x[:m], self.y[:m])
+        if 16 * m >= len(self):
+            keep = np.flatnonzero(self.sorted_index < m)
+            vars(view).update(x_sorted=self.x_sorted.take(keep),
+                              _masked_index=(self.sorted_index, keep))
+        return view
 
     # -- counting -------------------------------------------------------------
     def count_le(self, t) -> np.ndarray | int:
@@ -453,17 +467,17 @@ def _interval_sup(
     else:  # ties or NaN
         right = cum[np.searchsorted(xs, xs, side="right")]
         left = cum[np.searchsorted(xs, xs, side="left")]
-    d_right = right / n
-    d_right -= right_at_xs
-    d_left = left / n
-    d_left -= left_at_xs
     e_right = cum[np.searchsorted(xs, extra, side="right")] / n - target.cumulative(extra)
     e_left = cum[np.searchsorted(xs, extra, side="left")] / n - target.cumulative_left(extra)
+    d = np.divide(right, n)  # one buffer: the right deviations, then the left
+    d -= right_at_xs
     # np.maximum/np.minimum propagate NaN as one max over all candidates would
-    hi = max(float(np.maximum(d_right.max(), e_right.max())),
-             float(np.maximum(d_left.max(), e_left.max())), 0.0)
-    lo = min(float(np.minimum(d_right.min(), e_right.min())),
-             float(np.minimum(d_left.min(), e_left.min())), 0.0)
+    hi_right = np.maximum(d.max(), e_right.max())
+    lo_right = np.minimum(d.min(), e_right.min())
+    np.divide(left, n, out=d)
+    d -= left_at_xs
+    hi = max(float(hi_right), float(np.maximum(d.max(), e_left.max())), 0.0)
+    lo = min(float(lo_right), float(np.minimum(d.min(), e_left.min())), 0.0)
     return hi - lo
 
 

@@ -89,10 +89,10 @@ def cell_of(x: float, k: int) -> DyadicCell:
     """
     if k < 0:
         raise ValueError(f"resolution must be >= 0, got {k}")
-    if k == 0:
-        return DyadicCell(0, 0)
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot locate {x!r} in a dyadic cell")
+    if k == 0:
+        return DyadicCell(0, 0)
     j = math.ceil(math.ldexp(x, k))
     if j.bit_length() > 256:
         raise OverflowError(

@@ -140,6 +140,33 @@ def test_van_der_corput_matches_bit_matrix_form_at_block_size():
         assert np.array_equal(got[lo:hi], bits(ref_van_der_corput(hi - lo, lo + 1)))
 
 
+def ref_van_der_corput_bitwise(n, start=1):
+    """The one-bit-per-pass reversal the byte table replaced."""
+    if n <= 0:
+        return np.zeros(0, dtype=float)
+    nbits = int(start + n - 1).bit_length()
+    word = np.uint32 if nbits <= 32 else np.uint64
+    ii = np.arange(start, start + n, dtype=word)
+    rev = np.zeros(n, dtype=word)
+    for _ in range(nbits):
+        rev <<= 1
+        rev |= ii & 1
+        ii >>= 1
+    return np.ldexp(rev, -nbits)
+
+
+@pytest.mark.parametrize("nbits", [1, 7, 8, 9, 16, 17, 24, 32, 33])
+def test_van_der_corput_equals_one_bit_per_pass(nbits):
+    top = 1 << nbits
+    for n in {1, min(top // 2, 300)}:
+        start = top - n  # the last index, top - 1, has exactly nbits digits
+        got, want = van_der_corput(n, start), ref_van_der_corput_bitwise(n, start)
+        assert np.array_equal(bits(got), bits(want)), (nbits, n, start)
+    assert van_der_corput(0).shape == (0,) and van_der_corput(0, 1 << 40).shape == (0,)
+    start = (1 << 63) - 1000  # the last bits of a 64-bit word round to float64
+    assert np.array_equal(bits(van_der_corput(999, start)), bits(ref_van_der_corput_bitwise(999, start)))
+
+
 def test_van_der_corput_wide_indices():
     # indices past 2^32 take the 64-bit path
     start = (1 << 40) + 12345
@@ -358,6 +385,66 @@ def _block_thresholds_equal_dense_scans(k, blk, horizon):
         assert compute_block_thresholds(k, blk, horizon) == (last_plain + 1, last_wt + 1)
 
 
+# -- masked prefix views and the one-buffer scan ----------------------------------------
+
+def test_masked_prefix_view_gathers_its_index_on_first_read():
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 40, size=400) / 40.0  # ties
+    seq = SampleSequence(x, rng.normal(size=400))
+    for m in (25, 26, 100, 399, 400):
+        view = seq.prefix(m)
+        assert "sorted_index" not in vars(view)
+        assert np.array_equal(view.x_sorted, np.sort(x[:m], kind="stable"))
+        direct = SampleSequence(x[:m], seq.y[:m])
+        assert bits(view.y_cumsum_sorted).tobytes() == bits(direct.y_cumsum_sorted).tobytes()
+        assert np.array_equal(view.sorted_index, np.argsort(x[:m], kind="stable"))
+        assert "_masked_index" not in vars(view)  # the parent's index is let go
+        for j in (m // 2, m - 1):  # a prefix of a prefix is the direct prefix
+            a, b = view.prefix(j), seq.prefix(j)
+            for name in ("sorted_index", "x_sorted", "y_cumsum_sorted"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (m, j, name)
+
+
+def ref_interval_sup(xs, cum, right_at_xs, left_at_xs, target):
+    """`_interval_sup` with one array for the right deviations and one for the left."""
+    n = len(xs)
+    bks = np.asarray(target.breakpoints(), dtype=float)
+    tail = max(float(xs[-1]), float(bks.max()) if len(bks) else -math.inf) + 1.0
+    extra = np.append(bks, tail)
+    if np.all(xs[1:] > xs[:-1]):
+        right, left = cum[1:], cum[:-1]
+    else:
+        right = cum[np.searchsorted(xs, xs, side="right")]
+        left = cum[np.searchsorted(xs, xs, side="left")]
+    d_right = right / n - right_at_xs
+    d_left = left / n - left_at_xs
+    e_right = cum[np.searchsorted(xs, extra, side="right")] / n - target.cumulative(extra)
+    e_left = cum[np.searchsorted(xs, extra, side="left")] / n - target.cumulative_left(extra)
+    hi = max(float(np.maximum(d_right.max(), e_right.max())),
+             float(np.maximum(d_left.max(), e_left.max())), 0.0)
+    lo = min(float(np.minimum(d_right.min(), e_right.min())),
+             float(np.minimum(d_left.min(), e_left.min())), 0.0)
+    return hi - lo
+
+
+@settings(max_examples=200, deadline=None)
+@given(_xs, st.integers(0, 4), st.booleans(), st.data())
+def test_interval_sup_equals_two_buffer_form(xs, k, with_nan, data):
+    from stableseq.measures import _interval_sup
+
+    x = np.sort(np.array(xs, dtype=float))
+    y = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=len(x), max_size=len(x))),
+                 dtype=float)
+    if with_nan:
+        y[data.draw(st.integers(0, len(y) - 1))] = math.nan
+    target = RademacherFn(k)
+    cum = np.concatenate([[0.0], np.cumsum(y)])
+    t = np.asarray(target.cumulative(x), dtype=float)
+    got = _interval_sup(x, cum, t, t, target)
+    want = ref_interval_sup(x, cum, t, t, target)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 # -- collision filtering ------------------------------------------------------------------
 
 class PlantedStreams(BlockStreams):
@@ -392,6 +479,64 @@ def test_collision_filtering_equals_unique_isin_reference():
         assert np.array_equal(blk.sorted_index, plain.sorted_index)
         assert np.array_equal(bits(blk.x_sorted), bits(plain.x_sorted))
         assert np.array_equal(bits(blk.y_cumsum_sorted), bits(plain.y_cumsum_sorted))
+
+
+class GatherStreams(BlockStreams):
+    """The block maker before the sorted values came from the sorted
+    stream: the shift added out of place, and x_sorted gathered as xs[order]."""
+
+    def _raw(self, k, count):
+        if self.config.block_source == "iid":
+            return super()._raw(k, count)
+        return np.mod(ref_van_der_corput_bitwise(count) + k * self.config.shift, 1.0)
+
+    def _make(self, k):
+        horizon = self.config.horizon
+        raw = self._raw(k, horizon + 64)
+        order = np.argsort(raw, kind="stable")
+        s = raw[order]
+        fresh = np.empty(len(s), dtype=bool)
+        fresh[:1] = True
+        np.not_equal(s[1:], s[:-1], out=fresh[1:])
+        firsts = s[fresh]
+        for prev in self._sorted[:k - 1]:
+            both = np.sort(np.concatenate((prev, firsts)), kind="stable")
+            shared = both[1:][both[1:] == both[:-1]]
+            fresh[np.searchsorted(s, shared)] = False
+        kept = order[fresh]
+        keep = np.zeros(len(raw), dtype=bool)
+        keep[kept] = True
+        xs = raw[keep][:horizon]
+        rank = np.cumsum(keep)[kept] - 1
+        order = rank[rank < horizon]
+        return SampleSequence._presorted(xs, rademacher_eval(k, xs), order, xs[order])
+
+
+@pytest.mark.parametrize("source, shift", [("vdc_shift", math.sqrt(2.0)),
+                                           ("vdc_shift", -math.pi), ("iid", math.sqrt(2.0))])
+def test_make_equals_gathered_form(source, shift):
+    cfg = AdversaryConfig(n_blocks=5, horizon=3000, block_source=source, shift=shift)
+    got, want = BlockStreams(cfg), GatherStreams(cfg)
+    for k in range(1, 6):
+        a, b = got.block(k), want.block(k)
+        for name in ("x", "y", "sorted_index", "x_sorted"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (k, name)
+
+
+def test_make_equals_gathered_form_with_collisions():
+    raws = _edge_case_raws("vdc_shift", "skip-a-block", 256)
+    raws[1][[3, 40, 41]] = raws[1][2]  # in-stream repeats too
+    cfg = AdversaryConfig(n_blocks=5, horizon=256)
+
+    class Planted(GatherStreams):
+        def _raw(self, k, count):
+            return raws[k - 1][:count]
+
+    got, want = PlantedStreams(cfg, raws), Planted(cfg)
+    for k in range(1, 6):
+        a, b = got.block(k), want.block(k)
+        for name in ("x", "y", "sorted_index", "x_sorted"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (k, name)
 
 
 def _edge_case_raws(source, case, horizon):
@@ -478,6 +623,33 @@ def test_five_block_materialization_peak_memory():
         BlockStreams(AdversaryConfig(n_blocks=5, horizon=1 << 16)).xs(5)
 
     assert _peak_bytes(five_blocks) < 10 * 2**20
+
+
+def _peak_above(fn):
+    """Peak bytes fn allocates above what is allocated when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_and_scan_peaks_in_full_size_arrays():
+    # in full-size float arrays (8 bytes a pair) at horizon 2^16: making
+    # block 5 (its four kept arrays included) peaks at 8.3, and one uniform
+    # or weighted evaluation at m = n at 5.0 (6.0 with the index gathered
+    # at once and the deviations in two buffers)
+    n = 1 << 16
+    full = 8 * n
+    streams = BlockStreams(AdversaryConfig(n_blocks=5, horizon=n))
+    for k in range(1, 5):
+        streams.block(k)
+    assert _peak_above(lambda: streams.block(5)) < 8.5 * full
+    blk, target = streams.block(5), RademacherFn(5)
+    assert _peak_above(lambda: uniform_prefix_discrepancy(blk.prefix(n))) < 5.25 * full
+    assert _peak_above(lambda: weighted_prefix_discrepancy(blk.prefix(n), target)) < 5.25 * full
 
 
 def test_block_is_freed_once_its_thresholds_are_computed():

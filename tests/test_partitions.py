@@ -321,11 +321,13 @@ class TestCallOnArrays:
             self.F(math.nan)
         with pytest.raises(OverflowError):
             self.F(1e308)
-        # the one cell holds every scalar, as cell_of places it
+        # at k = 0 too, a non-finite point has no cell, scalar or array
         f0 = PiecewiseDyadicFn(0, {0: 1.5}, 1.5)
-        assert f0(math.nan) == 1.5 and f0(math.inf) == 1.5
-        with pytest.raises(ValueError):
-            f0(np.array([math.nan]))
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                f0(x)
+            with pytest.raises(ValueError):
+                f0(np.array([x]))
 
     def test_dyadic_resolution(self):
         assert [PiecewiseDyadicFn(k).dyadic_resolution for k in (0, 1, 7)] == [1, 1, 7]
