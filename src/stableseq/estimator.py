@@ -416,18 +416,13 @@ class EstimatorState:
     def _window_margin(self) -> float | None:
         """None when the cells pass `variation_check`, by the same walk and
         comparisons.  Otherwise the limit of the certified span: the double
-        below fl(D), or -1.0 when D <= 0.  Each window's jumps are summed
-        once, with -4 alpha(i), into E_i; V_i is summed alone only where E_i
-        is within one ulp of 4 alpha(i) below 0, where E_i cannot decide
-        fl(V_i) < 4 alpha(i)."""
+        below fl(D), or -1.0 when D <= 0.  Only a failing window's jumps are
+        summed with -4 alpha(i): a window with E_i > 0 fails."""
         passed, worst = True, -math.inf
         for i, terms in _windows(self._histogram()):
             lim = self._alpha4[i - 1]
-            excess = math.fsum([*terms, -lim])  # E_i, rounded once
-            # E_i >= 0 fails and E_i < -ulp(lim) passes (fl(V_i) < lim); in
-            # between, the sum rounded to fl(V_i) decides
-            if not excess < -math.ulp(lim) and (excess >= 0 or not math.fsum(terms) < lim):
-                passed, worst = False, max(worst, excess)
+            if not math.fsum(terms) < lim:
+                passed, worst = False, max(worst, math.fsum([*terms, -lim]))
         if passed:
             return None
         return math.nextafter(worst, 0.0) if worst > 0 else -1.0

@@ -140,37 +140,20 @@ def test_van_der_corput_matches_bit_matrix_form_at_block_size():
         assert np.array_equal(got[lo:hi], bits(ref_van_der_corput(hi - lo, lo + 1)))
 
 
-def ref_van_der_corput_bitwise(n, start=1):
-    """The one-bit-per-pass reversal the byte table replaced."""
-    if n <= 0:
-        return np.zeros(0, dtype=float)
-    nbits = int(start + n - 1).bit_length()
-    word = np.uint32 if nbits <= 32 else np.uint64
-    ii = np.arange(start, start + n, dtype=word)
-    rev = np.zeros(n, dtype=word)
-    for _ in range(nbits):
-        rev <<= 1
-        rev |= ii & 1
-        ii >>= 1
-    return np.ldexp(rev, -nbits)
-
-
-@pytest.mark.parametrize("nbits", [1, 7, 8, 9, 16, 17, 24, 32, 33])
-def test_van_der_corput_equals_one_bit_per_pass(nbits):
-    top = 1 << nbits
-    for n in {1, min(top // 2, 300)}:
-        start = top - n  # the last index, top - 1, has exactly nbits digits
-        got, want = van_der_corput(n, start), ref_van_der_corput_bitwise(n, start)
-        assert np.array_equal(bits(got), bits(want)), (nbits, n, start)
-    assert van_der_corput(0).shape == (0,) and van_der_corput(0, 1 << 40).shape == (0,)
-    start = (1 << 63) - 1000  # the last bits of a 64-bit word round to float64
-    assert np.array_equal(bits(van_der_corput(999, start)), bits(ref_van_der_corput_bitwise(999, start)))
-
-
 def test_van_der_corput_wide_indices():
     # indices past 2^32 take the 64-bit path
     start = (1 << 40) + 12345
     assert np.array_equal(bits(van_der_corput(1000, start)), bits(ref_van_der_corput(1000, start)))
+    # digit counts at and either side of each byte of the table reversal,
+    # the last index with exactly nbits digits
+    for nbits in (1, 7, 8, 9, 16, 17, 24, 32, 33):
+        top = 1 << nbits
+        for n in {1, min(top // 2, 300)}:
+            got, want = van_der_corput(n, top - n), ref_van_der_corput(n, top - n)
+            assert np.array_equal(bits(got), bits(want)), (nbits, n)
+    start = (1 << 63) - 1000  # the last bits of a 64-bit word round to float64
+    assert np.array_equal(bits(van_der_corput(999, start)), bits(ref_van_der_corput(999, start)))
+    assert van_der_corput(0).shape == (0,) and van_der_corput(0, 1 << 40).shape == (0,)
 
 
 # -- sort-once prefix scans ---------------------------------------------------------------
@@ -481,64 +464,6 @@ def test_collision_filtering_equals_unique_isin_reference():
         assert np.array_equal(bits(blk.y_cumsum_sorted), bits(plain.y_cumsum_sorted))
 
 
-class GatherStreams(BlockStreams):
-    """The block maker before the sorted values came from the sorted
-    stream: the shift added out of place, and x_sorted gathered as xs[order]."""
-
-    def _raw(self, k, count):
-        if self.config.block_source == "iid":
-            return super()._raw(k, count)
-        return np.mod(ref_van_der_corput_bitwise(count) + k * self.config.shift, 1.0)
-
-    def _make(self, k):
-        horizon = self.config.horizon
-        raw = self._raw(k, horizon + 64)
-        order = np.argsort(raw, kind="stable")
-        s = raw[order]
-        fresh = np.empty(len(s), dtype=bool)
-        fresh[:1] = True
-        np.not_equal(s[1:], s[:-1], out=fresh[1:])
-        firsts = s[fresh]
-        for prev in self._sorted[:k - 1]:
-            both = np.sort(np.concatenate((prev, firsts)), kind="stable")
-            shared = both[1:][both[1:] == both[:-1]]
-            fresh[np.searchsorted(s, shared)] = False
-        kept = order[fresh]
-        keep = np.zeros(len(raw), dtype=bool)
-        keep[kept] = True
-        xs = raw[keep][:horizon]
-        rank = np.cumsum(keep)[kept] - 1
-        order = rank[rank < horizon]
-        return SampleSequence._presorted(xs, rademacher_eval(k, xs), order, xs[order])
-
-
-@pytest.mark.parametrize("source, shift", [("vdc_shift", math.sqrt(2.0)),
-                                           ("vdc_shift", -math.pi), ("iid", math.sqrt(2.0))])
-def test_make_equals_gathered_form(source, shift):
-    cfg = AdversaryConfig(n_blocks=5, horizon=3000, block_source=source, shift=shift)
-    got, want = BlockStreams(cfg), GatherStreams(cfg)
-    for k in range(1, 6):
-        a, b = got.block(k), want.block(k)
-        for name in ("x", "y", "sorted_index", "x_sorted"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (k, name)
-
-
-def test_make_equals_gathered_form_with_collisions():
-    raws = _edge_case_raws("vdc_shift", "skip-a-block", 256)
-    raws[1][[3, 40, 41]] = raws[1][2]  # in-stream repeats too
-    cfg = AdversaryConfig(n_blocks=5, horizon=256)
-
-    class Planted(GatherStreams):
-        def _raw(self, k, count):
-            return raws[k - 1][:count]
-
-    got, want = PlantedStreams(cfg, raws), Planted(cfg)
-    for k in range(1, 6):
-        a, b = got.block(k), want.block(k)
-        for name in ("x", "y", "sorted_index", "x_sorted"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (k, name)
-
-
 def _edge_case_raws(source, case, horizon):
     """Five raw streams of `source` with one kind of cross-block collision planted."""
     count = horizon + 64
@@ -564,20 +489,34 @@ def _edge_case_raws(source, case, horizon):
     return raws
 
 
+def _assert_blocks_equal(streams, want):
+    """Each block of `streams` against `want`'s xs and the argsort of a plain sequence."""
+    for k, xs in enumerate(want, start=1):
+        blk = streams.block(k)
+        plain = SampleSequence(xs, rademacher_eval(k, xs))
+        assert np.array_equal(bits(blk.x), bits(plain.x))
+        assert np.array_equal(bits(blk.y), bits(plain.y))
+        assert np.array_equal(blk.sorted_index, plain.sorted_index)
+        assert np.array_equal(bits(blk.x_sorted), bits(plain.x_sorted))
+
+
+@pytest.mark.parametrize("source, shift", [("vdc_shift", math.sqrt(2.0)),
+                                           ("vdc_shift", -math.pi), ("iid", math.sqrt(2.0))])
+def test_blocks_equal_unique_isin_reference(source, shift):
+    horizon = 3000
+    streams = BlockStreams(AdversaryConfig(n_blocks=5, horizon=horizon, block_source=source,
+                                           shift=shift))
+    want = ref_materialize([streams._raw(k, horizon + 64) for k in range(1, 6)], horizon)
+    _assert_blocks_equal(streams, want)
+
+
 @pytest.mark.parametrize("source", ["vdc_shift", "iid"])
 @pytest.mark.parametrize("case", ["run-ends", "signed-zero", "skip-a-block"])
 def test_collision_filtering_edge_cases(source, case):
     horizon = 256
     raws = _edge_case_raws(source, case, horizon)
     want = ref_materialize(raws, horizon)
-    streams = PlantedStreams(AdversaryConfig(n_blocks=5, horizon=horizon), raws)
-    for k in range(1, 6):
-        blk = streams.block(k)
-        plain = SampleSequence(want[k - 1], rademacher_eval(k, want[k - 1]))
-        assert np.array_equal(bits(blk.x), bits(plain.x))
-        assert np.array_equal(bits(blk.y), bits(plain.y))
-        assert np.array_equal(blk.sorted_index, plain.sorted_index)
-        assert np.array_equal(bits(blk.x_sorted), bits(plain.x_sorted))
+    _assert_blocks_equal(PlantedStreams(AdversaryConfig(n_blocks=5, horizon=horizon), raws), want)
     # the planted values reach the filter: block 1 keeps them, block 3 drops them
     planted = {"run-ends": raws[0][:2], "signed-zero": raws[0][2:3]}.get(case)
     if planted is not None:
@@ -637,19 +576,20 @@ def _peak_above(fn):
 
 
 def test_block_and_scan_peaks_in_full_size_arrays():
-    # in full-size float arrays (8 bytes a pair) at horizon 2^16: making
-    # block 5 (its four kept arrays included) peaks at 8.3, and one uniform
-    # or weighted evaluation at m = n at 5.0 (6.0 with the index gathered
-    # at once and the deviations in two buffers)
+    # in full-size float arrays (8 bytes a pair) at horizon 2^16, numpy 2.4:
+    # making block 5 (its four kept arrays included) peaks at 8.26, and one
+    # uniform or weighted evaluation at m = n at 5.01.  Each bound is the
+    # measured peak plus half an array, room for numpy's own temporaries to
+    # move between versions, while one more full-size array fails it.
     n = 1 << 16
     full = 8 * n
     streams = BlockStreams(AdversaryConfig(n_blocks=5, horizon=n))
     for k in range(1, 5):
         streams.block(k)
-    assert _peak_above(lambda: streams.block(5)) < 8.5 * full
+    assert _peak_above(lambda: streams.block(5)) < (8.26 + 0.5) * full
     blk, target = streams.block(5), RademacherFn(5)
-    assert _peak_above(lambda: uniform_prefix_discrepancy(blk.prefix(n))) < 5.25 * full
-    assert _peak_above(lambda: weighted_prefix_discrepancy(blk.prefix(n), target)) < 5.25 * full
+    assert _peak_above(lambda: uniform_prefix_discrepancy(blk.prefix(n))) < (5.01 + 0.5) * full
+    assert _peak_above(lambda: weighted_prefix_discrepancy(blk.prefix(n), target)) < (5.01 + 0.5) * full
 
 
 def test_block_is_freed_once_its_thresholds_are_computed():
