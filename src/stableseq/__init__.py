@@ -30,7 +30,6 @@ from .measures import (
     write_sequence_csv,
 )
 from .partitions import (
-    DyadicCell,
     PiecewiseDyadicFn,
     VariationBudget,
     cell_of,

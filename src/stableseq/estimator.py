@@ -23,11 +23,15 @@ serves `variation_check` -- the public function a from-scratch audit
 calls -- and the streaming decision, so both compare the same V_i with
 the same 4 alpha(i).  The walk reads a histogram's jumps, a
 `PiecewiseDyadicFn` on sorted arrays, from the one enumerator
-`partitions.adjacent_jumps`.  Per-cell y-sums accumulate in
-arrival order both here and in `histogram_estimate`, so all three paths
-(streaming, batch reference, certificate replay) see identical cell
-values.  Ingest rejects |y| >= 2^512 (the paper assumes bounded y): below
-it no cell sum, jump or window sum can overflow.
+`partitions.adjacent_jumps`.  Window i holds the boundaries
+1 - i*2^k <= b < i*2^k, so the jump at b joins at window (|b| >> k) + 1.
+The boundaries are sorted, so no window past the one the outermost jump
+joins adds a jump: the walk stops there, or at window k if that comes
+first.  Per-cell y-sums accumulate in arrival order both here and in
+`histogram_estimate`, so all three paths (streaming, batch reference,
+certificate replay) see identical cell values.  Ingest rejects
+|y| >= 2^512 (the paper assumes bounded y): below it no cell sum, jump or
+window sum can overflow.
 
 State.  The prefix lives in two float64 arrays that double when full, and
 the occupied cells in sorted keys (as `_int_keys` makes them), int64
@@ -93,7 +97,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 
 import numpy as np
 
@@ -150,25 +153,23 @@ def _accumulate_cells(xs, ys, k: int, n: int) -> tuple[np.ndarray, np.ndarray, n
     return _int_keys(keys), counts, sums
 
 
-@lru_cache(maxsize=16)  # bounded: the edges of resolution k are 2k ints of k bits
-def _edges(k: int) -> np.ndarray:
-    """Window i = 1..k of resolution k holds the jump boundaries
-    1 - i*2^k <= b < i*2^k: the k starts, then the k ends, as int64 or,
-    beyond it, Python ints; read-only, as every caller shares it."""
-    spans = [i << k for i in range(1, k + 1)]
-    edges = np.array([1 - s for s in spans] + spans)
-    edges.flags.writeable = False
-    return edges
-
-
 def _windows(fn: PiecewiseDyadicFn):
     """Yield (i, the |jumps| inside window i, a list) for window 1 and each
     later window up to fn.k that adds a jump: one that adds none, as alpha
-    does not decrease, neither fails where the one before passes nor exceeds it."""
+    does not decrease, neither fails where the one before passes nor exceeds it.
+    The jump at b joins at window (|b| >> k) + 1, so only windows 1..top,
+    top the one the outermost jump joins (at most k), are located.  Their
+    edges are int64 while every edge fits, else Python ints: left to infer,
+    numpy makes floats of a list with ints beyond int64, and a float edge
+    can misplace a boundary beside it."""
     b, d = adjacent_jumps(fn)
-    at = np.searchsorted(b, _edges(fn.k)).tolist()
+    k = fn.k
+    top = min(k, (max(abs(int(b[0])), abs(int(b[-1]))) >> k) + 1 if len(b) else 1)
+    spans = [i << k for i in range(1, top + 1)]
+    edges = np.array([1 - s for s in spans] + spans, dtype=np.int64 if top << k < 2**63 else object)
+    at = np.searchsorted(b, edges).tolist()
     terms, seen = np.abs(d).tolist(), None
-    for i, inside in enumerate(zip(at, at[fn.k:]), 1):
+    for i, inside in enumerate(zip(at, at[top:]), 1):
         if inside != seen:
             yield i, terms[inside[0]:inside[1]]
             seen = inside
@@ -266,7 +267,6 @@ class EstimatorState:
         self._keys = np.empty(0, dtype=np.int64)  # occupied cells, ascending
         self._counts = np.empty(0, dtype=np.int64)
         self._sums = np.empty(0)
-        self._alpha4: list[float] = []  # 4*alpha(i), i = 1.._k
 
     # -- public views -----------------------------------------------------------
     @property
@@ -310,10 +310,10 @@ class EstimatorState:
         4 alpha counts as the largest double."""
         best = None
         for j, terms in _windows(self._histogram()):
-            lim = min(self._alpha4[j - 1], np.finfo(float).max)
+            lim = min(4.0 * self.budget.alpha(j), np.finfo(float).max)
             if best is None or math.fsum([*terms, *(-t for t in best[1]), best[2], -lim]) > 0:
                 best = j, terms, lim
-        return best and (best[0], math.fsum(best[1]), self._alpha4[best[0] - 1])
+        return best and (best[0], math.fsum(best[1]), 4.0 * self.budget.alpha(best[0]))
 
     # -- ingestion ----------------------------------------------------------------
     def ingest(self, x: float, y: float) -> int | None:
@@ -325,15 +325,18 @@ class EstimatorState:
     def ingest_many(self, xs, ys) -> list[tuple[int, int]]:
         """Ingest a batch in order; returns [(frozen resolution, tau)] events.
 
-        xs and ys are first converted to float arrays.  A pair `_check_pair`
-        rejects at the search resolution raises there, with the pairs before
-        it ingested; so does a freeze whose next resolution cannot place a
-        stored x (see `_freeze`).  Any split of a stream into batches gives
-        the same state.  See "Certified spans" above.
+        xs and ys are first converted to float arrays; unless both are 1-d
+        and of equal length, ValueError is raised before any pair is
+        ingested.  A pair `_check_pair` rejects at the search resolution
+        raises there, with the pairs before it ingested; so does a freeze
+        whose next resolution cannot place a stored x (see `_freeze`).  Any
+        split of a stream into batches gives the same state.  See "Certified
+        spans" above.
         """
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        n = min(len(xs), len(ys))
-        xs, ys = xs[:n], ys[:n]
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise ValueError("x and y must be 1-d arrays of equal length")
+        n = len(xs)
         events: list[tuple[int, int]] = []
         i = 0
         while i < n:
@@ -420,7 +423,7 @@ class EstimatorState:
         summed with -4 alpha(i): a window with E_i > 0 fails."""
         passed, worst = True, -math.inf
         for i, terms in _windows(self._histogram()):
-            lim = self._alpha4[i - 1]
+            lim = 4.0 * self.budget.alpha(i)
             if not math.fsum(terms) < lim:
                 passed, worst = False, max(worst, math.fsum([*terms, -lim]))
         if passed:
@@ -444,7 +447,6 @@ class EstimatorState:
         self.tau.append(n)
         self.frozen.append(fn)
         self._k = k + 1
-        self._alpha4 = [4.0 * self.budget.alpha(i) for i in range(1, k + 2)]
         self._keys, self._counts, self._sums = cells
         return k
 
@@ -466,7 +468,7 @@ def batch_tau_search(
     k = 1
     keys, counts, sums = _accumulate_cells(xs, ys, k, 1)
     for n in range(2, n_total + 1):
-        j, y = cell_of(float(xs[n - 1]), k).j, float(ys[n - 1])
+        j, y = cell_of(float(xs[n - 1]), k), float(ys[n - 1])
         p = bisect_left(keys, j)
         if p < len(keys) and keys[p] == j:
             counts[p] += 1

@@ -55,30 +55,9 @@ def _numbers(values, integer: bool = False, finite: bool = False):
     return values
 
 
-@dataclass(frozen=True)
-class DyadicCell:
-    """Cell A_{k,j} = ((j-1)/2^k, j/2^k]; k = 0 is the whole line."""
-
-    k: int
-    j: int
-
-    def bounds(self) -> tuple[float, float]:
-        if self.k == 0:
-            return (-math.inf, math.inf)
-        w = math.ldexp(1.0, -self.k)
-        return ((self.j - 1) * w, self.j * w)
-
-    def parent(self) -> "DyadicCell":
-        if self.k == 0:
-            raise ValueError("the whole-line cell has no parent")
-        if self.k == 1:
-            return DyadicCell(0, 0)
-        # child j of level k sits inside cell ceil(j/2) of level k-1
-        return DyadicCell(self.k - 1, -((-self.j) // 2))
-
-
-def cell_of(x: float, k: int) -> DyadicCell:
-    """Return the unique resolution-k cell containing x.
+def cell_of(x: float, k: int) -> int:
+    """Return the index j of the unique resolution-k cell A_{k,j} containing
+    x; k = 0 has the one cell, index 0.
 
     Exact on boundaries at every resolution: ldexp scales x by 2^k with no
     rounding, so ceil() never sees a rounded value.  Boundary points
@@ -92,17 +71,17 @@ def cell_of(x: float, k: int) -> DyadicCell:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot locate {x!r} in a dyadic cell")
     if k == 0:
-        return DyadicCell(0, 0)
+        return 0
     j = math.ceil(math.ldexp(x, k))
     if j.bit_length() > 256:
         raise OverflowError(
             f"cell index at resolution {k} exceeds the supported integer range"
         )
-    return DyadicCell(k, j)
+    return j
 
 
 def _cell_indices(xs, k: int):
-    """`cell_of(x, k).j` for every x of a float array, as integral floats;
+    """`cell_of(x, k)` for every x of a float array, as integral floats;
     NaN where x is non-finite or, for k >= 1, where the index is at or
     beyond 2^256 (where `cell_of` raises)."""
     if k == 0:  # the one cell, index 0
@@ -172,7 +151,7 @@ class PiecewiseDyadicFn:
         and `eval_many(x)` for an array."""
         if np.ndim(x):
             return self.eval_many(x)
-        return self.value_at_cell(cell_of(x, self.k).j)
+        return self.value_at_cell(cell_of(x, self.k))
 
     def value_at_cell(self, j: int) -> float:
         return float(self._at(_int_keys(np.array([j], dtype=object)))[0])

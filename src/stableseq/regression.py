@@ -317,15 +317,15 @@ def average_over_partition(
     for a, b, d in mu.segments:
         if d == 0:
             continue
-        j0 = cell_of(a, k).j
+        j0 = cell_of(a, k)
         if a == j0 * w:  # a sits on a boundary: (a, b] starts in the next cell
             j0 += 1
-        j1 = cell_of(b, k).j
+        j1 = cell_of(b, k)
         if j1 - j0 > 5_000_000:
             raise ValueError("partition too fine for exhaustive cell enumeration")
         cells.update(range(j0, j1 + 1))
     for u, _ in mu.atoms:
-        cells.add(cell_of(u, k).j)
+        cells.add(cell_of(u, k))
     keys = _int_keys(np.array(sorted(cells), dtype=object))
     js = keys.astype(float)
     left = (js - 1.0) * w

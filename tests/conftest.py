@@ -101,13 +101,12 @@ def cells_view(k, keys, counts, sums) -> dict:
 def state_view(state) -> dict:
     """Every field of the state as comparable values: the prefix and the cell
     arrays as lists (floats as reprs), the frozen estimates as their cells and
-    value reprs, and the budget tables as they are."""
+    value reprs, and the budget as it is."""
     return {
         "budget": state.budget, "tau": state.tau,
         "xs": float_reprs(state.xs), "ys": float_reprs(state.ys),
         "frozen": [(f.k, f.cells.tolist(), float_reprs(f.vals), f.default) for f in state.frozen],
         "cells": cells_view(state._k, state._keys, state._counts, state._sums),
-        "_alpha4": state._alpha4,
     }
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +75,62 @@ class TestVariationCheck:
         assert variation_check(H2_FN, VariationBudget.const(1.01))
 
 
+def _edge_table_walk(fn: PiecewiseDyadicFn):
+    """The window walk over every window's edges: window i = 1..k holds the
+    boundaries 1 - i*2^k <= b < i*2^k, each located by `bisect_left` on the
+    boundaries as Python ints; yields window 1 and each later window whose
+    jumps differ from the one before."""
+    b, d = adjacent_jumps(fn)
+    b, terms, seen = b.tolist(), np.abs(d).tolist(), None
+    for i in range(1, fn.k + 1):
+        inside = bisect_left(b, 1 - (i << fn.k)), bisect_left(b, i << fn.k)
+        if inside != seen:
+            yield i, terms[inside[0]:inside[1]]
+            seen = inside
+
+
+@st.composite
+def _walk_fns(draw):
+    """Step functions at k = 0..70 whose cells sit at, and within 2 of, 0,
+    +-2^62, +-2^63 and the window edges +-i*2^k, i = 1..3, so jumps fall on
+    and beside the edges and int64 and object keys both occur."""
+    k = draw(st.integers(0, 70))
+    vals = st.sampled_from([0.0, 1.0, -2.5, 0.5, 2.0**-60])
+    if k == 0:
+        return PiecewiseDyadicFn(0, draw(st.dictionaries(st.just(0), vals, max_size=1)))
+    anchors = st.sampled_from([0, 2**62, 2**63, 1 << k, 2 << k, 3 << k])
+    cell = st.builds(lambda a, sign, o: sign * a + o, anchors, st.sampled_from([1, -1]),
+                     st.integers(-2, 2))
+    cells = draw(st.dictionaries(cell, vals, max_size=12))
+    return PiecewiseDyadicFn(k, cells, draw(st.sampled_from([0.0, 1.0])))
+
+
+class TestWindowWalk:
+    # at k = 62 a jump at -2^62 makes windows 1 and 2 the ones to search:
+    # edges 1 - 2^62, 1 - 2^63, 2^62 and 2^63, which numpy reads as floats
+    @example(fn=PiecewiseDyadicFn(62, {-2**62 + 1: 1.0}))
+    @example(fn=PiecewiseDyadicFn(61, {2**62: 1.0, 2**62 + 1: 0.5, -2**62 + 1: 2.0}))
+    @example(fn=PiecewiseDyadicFn(70, {2**63: 1.0, -2**63 + 1: 0.5}))
+    @example(fn=PiecewiseDyadicFn(3, {}, 1.0))
+    @settings(max_examples=300, deadline=None)
+    @given(_walk_fns())
+    def test_equals_the_edge_table_walk(self, fn):
+        assert list(estimator._windows(fn)) == list(_edge_table_walk(fn))
+
+    def test_a_freeze_at_every_pair_stays_small(self):
+        # (0, 0) has no jump at any resolution, so each pair freezes; the
+        # walk searches window 1 alone, and no per-resolution table is kept
+        state = EstimatorState(VariationBudget.const(1.0))
+        tracemalloc.start()
+        try:
+            state.ingest_many(np.zeros(3000), np.zeros(3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.search_resolution == 3000
+        assert peak < 8 * 2**20
+
+
 class TestKappa:
     def test_examples(self):
         assert kappa_index([1, 3, 7, 15], 8) == 2
@@ -109,6 +167,19 @@ class TestEstimatorState:
         pair = (bad, 0.5) if bad_is_x else (0.5, bad)
         with pytest.raises(ValueError):
             state.ingest(*pair)
+        assert state_view(state) == before
+
+    @pytest.mark.parametrize(
+        "xs,ys",
+        [([0.1, 0.2], [1.0]), ([0.1], [1.0, 2.0]), ([[0.1, 0.2]], [[1.0, 2.0]]), (0.1, 1.0)],
+        ids=["fewer-ys", "fewer-xs", "2-d", "0-d"],
+    )
+    def test_batch_of_unequal_or_not_1d_arrays_rejected(self, xs, ys):
+        state = EstimatorState(VariationBudget.const(2.0))
+        state.ingest_many([0.3, 0.7], [0.5, 0.25])
+        before = state_view(state)
+        with pytest.raises(ValueError, match="x and y must be 1-d arrays of equal length"):
+            state.ingest_many(xs, ys)
         assert state_view(state) == before
 
     @pytest.mark.parametrize("n_before", [0, 1, 5, 40])
@@ -362,12 +433,10 @@ def _reference(budget, xs, ys):
     tau, frozen = found
     k = len(tau)
     keys, counts, sums = _accumulate_cells(xs, ys, k, n)
-    alpha4 = [4.0 * budget.alpha(i) for i in range(1, k + 1)]
     state = {
         "budget": budget, "xs": float_reprs(xs[:n]), "ys": float_reprs(ys[:n]), "tau": tau,
         "frozen": [(f.k, f.cells.tolist(), float_reprs(f.vals), f.default) for f in frozen],
         "cells": cells_view(k, keys, counts, sums),
-        "_alpha4": alpha4,
     }
     return state, err
 

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stableseq.partitions import (
-    DyadicCell,
     PiecewiseDyadicFn,
     VariationBudget,
     cell_of,
@@ -29,10 +28,10 @@ class TestCellOf:
         ],
     )
     def test_examples(self, x, k, j):
-        assert cell_of(x, k).j == j
+        assert cell_of(x, k) == j
 
     def test_whole_line_cell(self):
-        assert cell_of(123.4, 0) == DyadicCell(0, 0)
+        assert cell_of(123.4, 0) == 0
 
     def test_negative_resolution_rejected(self):
         with pytest.raises(ValueError):
@@ -46,20 +45,23 @@ class TestCellOf:
     def test_boundary_is_right_closed(self, j, k):
         # the point j/2^k is exactly the right end of cell j
         x = math.ldexp(float(j), -k)
-        assert cell_of(x, k).j == j
+        assert cell_of(x, k) == j
 
     @given(
         st.floats(min_value=-100, max_value=100, allow_nan=False),
         st.integers(0, 30),
     )
     def test_refinement_child(self, x, k):
+        # child j of level k + 1 sits inside cell ceil(j / 2) of level k >= 1;
+        # level 0 is the one cell, index 0
         child = cell_of(x, k + 1)
-        assert child.parent() == cell_of(x, k)
+        assert (-(-child // 2) if k else 0) == cell_of(x, k)
 
     @given(st.floats(min_value=-100, max_value=100, allow_nan=False), st.integers(1, 40))
     def test_membership(self, x, k):
-        lo, hi = cell_of(x, k).bounds()
-        assert lo < x <= hi
+        # x lies in cell j = ((j - 1)/2^k, j/2^k]
+        j = cell_of(x, k)
+        assert math.ldexp(j - 1, -k) < x <= math.ldexp(j, -k)
 
 
 def _frexp_cell_index(x: float, k: int) -> int:
@@ -94,7 +96,7 @@ class TestCellIndexFormula:
     def test_matches_reference(self, points, k):
         located = [x for x in points if _located(x, k)]
         cells = [_frexp_cell_index(x, k) for x in located]
-        assert [cell_of(x, k).j for x in located] == cells
+        assert [cell_of(x, k) for x in located] == cells
         # every other cell holds a value; the rest take the default
         f = PiecewiseDyadicFn(k, {j: float(i) for i, j in enumerate(cells[::2])}, -1.0)
         assert f.eval_many(np.array(located)).tolist() == [f.value_at_cell(j) for j in cells]
@@ -217,10 +219,10 @@ class TestPiecewiseDyadicFn:
     def test_eval_many_equals_scalar_beyond_int64(self, k, mapped, others):
         # at k >= 60 cell indices reach past 2^62, where the cells, the
         # located indices or both are Python ints of dtype object
-        cells = {cell_of(x, k).j: v for x, v in mapped}
+        cells = {cell_of(x, k): v for x, v in mapped}
         f = PiecewiseDyadicFn(k, cells, 0.25)
         xs = [x for x, _ in mapped] + others
-        expect = [cells.get(cell_of(x, k).j, 0.25) for x in xs]
+        expect = [cells.get(cell_of(x, k), 0.25) for x in xs]
         assert f.eval_many(np.array(xs)).tolist() == [f(x) for x in xs] == expect
 
     def test_eval_many_mixes_index_kinds(self):
@@ -314,7 +316,7 @@ class TestCallOnArrays:
         for x in (-0.3, 0.0, -0.0, 0.125, 0.7, 9.0):
             got = self.F(x)
             assert type(got) is float
-            assert got == self.F.value_at_cell(cell_of(x, 3).j)
+            assert got == self.F.value_at_cell(cell_of(x, 3))
 
     def test_scalar_errors_are_cell_of_errors(self):
         with pytest.raises(ValueError):
