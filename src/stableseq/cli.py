@@ -238,11 +238,15 @@ def _default_checkpoints(n: int) -> list[int]:
 def cmd_generate(cfg: dict, out: Path) -> int:
     seq, mu, m, extra = build_generated_sequence(cfg)
     checkpoints = _get(cfg, "diagnostic_checkpoints", [int], None, lo=1)
+    try:  # a dyadic regression too fine to integrate exactly
+        nu = SignedMeasureModel(mu, m)
+    except ValueError as e:
+        raise ConfigError(f"bad 'regression': {e}") from e
     out.mkdir(parents=True, exist_ok=True)
     (out / "sequence.csv").write_bytes(sequence_csv_bytes(seq))
     try:  # checkpoints out of order or beyond the sequence
         report = stability_diagnostic(
-            seq, mu, SignedMeasureModel(mu, m), checkpoints or _default_checkpoints(len(seq))
+            seq, mu, nu, checkpoints or _default_checkpoints(len(seq))
         ).to_dict()
     except ValueError as e:
         raise ConfigError(f"bad 'diagnostic_checkpoints': {e}") from e
@@ -253,16 +257,17 @@ def cmd_generate(cfg: dict, out: Path) -> int:
 
 def _read_sequence(path: str):
     try:
-        return read_sequence_csv(path)
+        seq = read_sequence_csv(path)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read sequence CSV {path!r}: {e}") from e
+    if len(seq) == 0:
+        raise ConfigError(f"sequence CSV {path!r} holds no pairs")
+    return seq
 
 
 def cmd_estimate(cfg: dict, out: Path) -> int:
     seq_path = _get(cfg, "sequence", str)
     seq = _read_sequence(seq_path)
-    if len(seq) == 0:
-        raise ConfigError(f"sequence CSV {seq_path!r} holds no pairs")
     budget = _parse(VariationBudget.from_dict, cfg, "alpha")
     n_max = min(_get(cfg, "horizon", int, len(seq), lo=1), len(seq))
     patience = _get(cfg, "stall_patience", int, None, lo=0)

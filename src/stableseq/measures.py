@@ -27,16 +27,14 @@ of nu(A) = integral of m over A against mu alike.
 One scan, `_interval_sup`, evaluates that supremum on points sorted by
 value, for the plain class and the y-weighted one alike: it counts with
 prefix sums (0..n, or the sums of y) against any target with a cumulative
-function, its left limits and its breakpoints.  One extra candidate past
-the data and the breakpoints carries the constant tail value, which the
-weighted curves need not share.  A monotone target (a non-negative
-measure, with a cumulative that is non-decreasing in floats) needs only
-its support ends as breakpoints: between two samples D only falls, so the
-samples' right values and left limits already hold its extremes.  A
-`SampleSequence` holds x and y in arrival order; its sorted view is built
-on first use, so only the scans pay for the sort.  One prefix view,
-`SampleSequence.prefix`, gives the scan a sequence's first m points, for
-the stability diagnostic and the adversary's scans alike.
+function, its left limits and its breakpoints, every atom among them.  It
+reads the cumulative once at the points, and the left limits only at the
+points on a breakpoint.  One extra candidate past the data and the
+breakpoints carries the constant tail value, which the weighted curves
+need not share.  A `SampleSequence` holds x and y in arrival order; its
+sorted view is built on first use, so only the scans pay for the sort.
+One prefix view, `SampleSequence.prefix`, gives the scan a sequence's
+first m points, for the stability diagnostic and the adversary alike.
 
 A separate, weaker statistic is the Levy metric between the empirical CDF
 and the model CDF (`levy_distance`).  It metrizes pointwise CDF convergence
@@ -135,8 +133,8 @@ class _CumulativeTable:
         """The measure of (lo, tt] on each piece p, tt clipped to the piece:
         d*(c*(tt - lo) + (0.5*s)*(tt*tt - lo*lo)), computed in tt's memory."""
         lo = self.lo[p]
-        np.minimum(tt, self.hi[p], out=tt)
-        np.maximum(tt, lo, out=tt)
+        np.fmin(tt, self.hi[p], out=tt)  # NaN reads the whole piece
+        np.fmax(tt, lo, out=tt)
         q = self._sloped[p]
         slope = np.square(tt[q])
         slope -= np.square(lo[q])
@@ -149,15 +147,15 @@ class _CumulativeTable:
         return tt
 
     def at(self, t, side: str) -> np.ndarray | float:
-        """The measure of (-inf, t] (side "right") or (-inf, t) ("left")."""
+        """The measure of (-inf, t] (side "right") or (-inf, t) ("left").  A t
+        past every piece, or NaN, reads all of the last one: piece_cum[-1], bit for bit."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        p = np.searchsorted(self.hi, t, side="left")
-        inside = p < len(self.hi)
-        out = self.piece_cum[np.minimum(p, len(self.hi))]
-        p = p[inside]
-        out[inside] += self._integral(p, t[inside])
-        del p, inside  # before the atom lookup makes its own arrays
+        out = 0.0  # the atoms alone when there are no pieces
+        if len(self.hi):
+            p = np.minimum(np.searchsorted(self.hi, t, side="left"), len(self.hi) - 1)
+            out = self._integral(p, t.copy())
+            out += self.piece_cum[p]
         if len(self.locs):
             out += self.atom_cum[np.searchsorted(self.locs, t, side=side)]
         return float(out[0]) if scalar else out
@@ -437,16 +435,14 @@ def empirical_weighted_mass(seq: SampleSequence, A: IntervalA) -> float:
     return float(_interval_measure(lambda t: cum[seq.count_le(t)], A)) / len(seq)
 
 
-def _interval_sup(
-    xs: np.ndarray, cum: np.ndarray, right_at_xs: np.ndarray, left_at_xs: np.ndarray, target
-) -> float:
+def _interval_sup(xs: np.ndarray, cum: np.ndarray, at_xs: np.ndarray, target) -> float:
     """sup over the interval class of |cum-weighted empirical mass - target|.
 
     `xs` holds the n >= 1 points in stable x order and cum[i] the counted
-    weight of xs[:i], i = 0..n.  `right_at_xs` and `left_at_xs` are
-    target.cumulative(xs) and target.cumulative_left(xs).  Returns max - min
-    of D = cum/n - target over the candidates (xs, the target's breakpoints
-    and one anchor past both; right values and left limits) and 0.
+    weight of xs[:i], i = 0..n, and at_xs = target.cumulative(xs).  Returns
+    max - min of D = cum/n - target over the candidates (xs, the target's
+    breakpoints and one anchor past both; right values and left limits) and
+    0.  Only points on a breakpoint, which every atom is, read left limits.
 
     Precondition: the computed target.cumulative is monotone between any
     two consecutive candidates; then so is D, whose counted weight is
@@ -467,15 +463,19 @@ def _interval_sup(
     else:  # ties or NaN
         right = cum[np.searchsorted(xs, xs, side="right")]
         left = cum[np.searchsorted(xs, xs, side="left")]
-    e_right = cum[np.searchsorted(xs, extra, side="right")] / n - target.cumulative(extra)
-    e_left = cum[np.searchsorted(xs, extra, side="left")] / n - target.cumulative_left(extra)
+    first, past = np.searchsorted(xs, extra, side="left"), np.searchsorted(xs, extra, side="right")
+    e_right = cum[past] / n - target.cumulative(extra)
+    e_left = cum[first] / n - target.cumulative_left(extra)
     d = np.divide(right, n)  # one buffer: the right deviations, then the left
-    d -= right_at_xs
+    d -= at_xs
     # np.maximum/np.minimum propagate NaN as one max over all candidates would
     hi_right = np.maximum(d.max(), e_right.max())
     lo_right = np.minimum(d.min(), e_right.min())
     np.divide(left, n, out=d)
-    d -= left_at_xs
+    d -= at_xs
+    on = np.concatenate([np.arange(a, b) for a, b in zip(first.tolist(), past.tolist())])
+    if len(on):  # the points on a breakpoint: xs[first[j]:past[j]] on the j-th
+        d[on] = left[on] / n - target.cumulative_left(xs[on])
     hi = max(float(hi_right), float(np.maximum(d.max(), e_left.max())), 0.0)
     lo = min(float(lo_right), float(np.minimum(d.min(), e_left.min())), 0.0)
     return hi - lo
@@ -490,20 +490,19 @@ def sup_interval_discrepancy(seq: SampleSequence, model: DistributionModel) -> f
     the exact supremum: D is piecewise linear between the candidates.
     """
     xs = seq.x_sorted
-    counts = np.arange(len(xs) + 1, dtype=float)
-    return _interval_sup(xs, counts, model.cdf(xs), model.cdf_left(xs), model)
+    return _interval_sup(xs, np.arange(len(xs) + 1, dtype=float), model.cdf(xs), model)
 
 
 def sup_weighted_discrepancy(seq: SampleSequence, target) -> float:
     """sup over the interval class of |y-weighted empirical mass - target|.
 
     `target` must expose cumulative(t), cumulative_left(t) (vectorized) and
-    breakpoints().  The scan is that of `sup_interval_discrepancy`, counting
-    with the prefix sums of y instead of 1 per point.
+    breakpoints(), every atom among them.  The scan is that of
+    `sup_interval_discrepancy`, counting with the prefix sums of y.
     """
     xs = seq.x_sorted
-    right, left = target.cumulative(xs), target.cumulative_left(xs)
-    return _interval_sup(xs, seq.y_cumsum_sorted, right, left, target)
+    at_xs = target.cumulative(xs)  # before the prefix sums: a lower peak
+    return _interval_sup(xs, seq.y_cumsum_sorted, at_xs, target)
 
 
 def cramer_distance(seq: SampleSequence, model: DistributionModel) -> float:

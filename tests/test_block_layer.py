@@ -42,7 +42,8 @@ from stableseq.adversary import (
     weighted_prefix_discrepancy,
 )
 from stableseq.generators import van_der_corput
-from stableseq.measures import SampleSequence
+from stableseq.measures import DistributionModel, SampleSequence
+from stableseq.regression import RegressionModel, SignedMeasureModel
 
 
 # -- reference forms ----------------------------------------------------------------
@@ -410,21 +411,32 @@ def ref_interval_sup(xs, cum, right_at_xs, left_at_xs, target):
     return hi - lo
 
 
+# targets with atoms on the grid of `_xs`, so points sit on them: mu with
+# atoms and a segment, nu of it (the atom values signed), and atoms alone
+_ATOMIC = DistributionModel(atoms=((0.0, 0.25), (0.5, 0.25)), segments=((0.25, 1.25, 0.5),))
+_ATOM_TARGETS = [
+    _ATOMIC,
+    SignedMeasureModel(_ATOMIC, RegressionModel.piecewise_linear([0.0, 1.0], [1.0, -1.0])),
+    DistributionModel.atomic([(0.125, 0.5), (0.5, 0.5)]),
+]
+
+
 @settings(max_examples=200, deadline=None)
-@given(_xs, st.integers(0, 4), st.booleans(), st.data())
+@given(_xs, st.integers(0, 4 + len(_ATOM_TARGETS)), st.booleans(), st.data())
 def test_interval_sup_equals_two_buffer_form(xs, k, with_nan, data):
     from stableseq.measures import _interval_sup
 
+    target = RademacherFn(k) if k <= 4 else _ATOM_TARGETS[k - 5]
     x = np.sort(np.array(xs, dtype=float))
     y = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=len(x), max_size=len(x))),
                  dtype=float)
     if with_nan:
         y[data.draw(st.integers(0, len(y) - 1))] = math.nan
-    target = RademacherFn(k)
     cum = np.concatenate([[0.0], np.cumsum(y)])
-    t = np.asarray(target.cumulative(x), dtype=float)
-    got = _interval_sup(x, cum, t, t, target)
-    want = ref_interval_sup(x, cum, t, t, target)
+    right = np.asarray(target.cumulative(x), dtype=float)
+    left = np.asarray(target.cumulative_left(x), dtype=float)
+    got = _interval_sup(x, cum, right, target)
+    want = ref_interval_sup(x, cum, right, left, target)
     assert got == want or (math.isnan(got) and math.isnan(want))
 
 

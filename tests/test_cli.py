@@ -144,6 +144,15 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "'regression'" in err and "is not a finite number" in err
 
+    def test_regression_too_fine_names_the_regression(self, tmp_path, capsys):
+        # the error named 'diagnostic_checkpoints', a key the config does not hold
+        fine = {"kind": "dyadic", "fn": {"k": 40, "cells": [[1, 0.5]], "default": 0.0}}
+        cfg = write_json(tmp_path / "c.json", {"kind": "iid", "n": 64, "seed": 1,
+                                               "distribution": UNIT_UNIFORM, "regression": fine})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "bad 'regression': dyadic refinement too fine" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_ragged_transition_exit3(self, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -707,6 +716,27 @@ class TestAdversary:
         assert self._verify_edited(tmp_path, edit, phi="oracle") == 2
         assert f"{value!r} is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit", [lambda r: r.pop("phi"), lambda r: r.update(phi=5)], ids=["absent", "number"]
+    )
+    def test_phi_not_a_name_exit2(self, tmp_path, capsys, edit):
+        # each verified with exit 0 and two SKIP lines
+        assert self._verify_edited(tmp_path, edit, phi="oracle") == 2
+        captured = capsys.readouterr()
+        assert "bad report" in captured.err and "phi" in captured.err
+        assert "SKIP" not in captured.out
+
+    @pytest.mark.parametrize(
+        "name",
+        ["oracle(max_index=12)", "oracle(max_index=0012)",
+         "oracle(max_index=99999999999999999999)", "plugin_histogram(offset=05)",
+         "plugin_histogram(offset=5, max_depth=16)"],
+    )
+    def test_phi_that_no_run_writes_exit2(self, tmp_path, capsys, name):
+        # each rebuilt a procedure under another name and verified with exit 0
+        assert self._verify_edited(tmp_path, lambda r: r.update(phi=name), phi="oracle") == 2
+        assert f"phi {name!r} is no name a run writes" in capsys.readouterr().err
+
     def test_unedited_oracle_report_verifies(self, tmp_path):
         assert self._verify_edited(tmp_path, lambda report: None, phi="oracle") == 0
 
@@ -1071,6 +1101,26 @@ class TestVerify:
         report = write_json(tmp_path / "r.json", {"tau": [1]})
         assert self._verify(tmp_path, str(tmp_path / "absent.csv"), report) == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "adversary"])
+    def test_header_only_sequence_exit2(self, tmp_path, capsys, kind):
+        # the report was blamed: an IndexError for a checkpoint, "need at
+        # least one sample" for an adversary report
+        if kind == "checkpoint":
+            ecfg = write_json(tmp_path / "e.json", {
+                "sequence": self._sequence(tmp_path), "alpha": {"kind": "constant", "c": 2.0}})
+            assert main(["estimate", "--config", ecfg, "--out", str(tmp_path / "r")]) == 0
+            report = tmp_path / "r" / "checkpoint.json"
+        else:
+            acfg = write_json(tmp_path / "a.json", {"phi": "oracle", "n_blocks": 2,
+                                                    "horizon": 1 << 12, "block_budget": 1 << 11})
+            assert main(["adversary", "--config", acfg, "--out", str(tmp_path / "r")]) == 0
+            report = tmp_path / "r" / "report.json"
+        (tmp_path / "empty.csv").write_text("i,x,y\n")
+        capsys.readouterr()
+        assert self._verify(tmp_path, str(tmp_path / "empty.csv"), str(report)) == 2
+        err = capsys.readouterr().err
+        assert "empty.csv" in err and "holds no pairs" in err and "bad report" not in err
 
     def test_missing_report_exit2(self, tmp_path):
         assert self._verify(tmp_path, self._sequence(tmp_path), str(tmp_path / "absent.json")) == 2

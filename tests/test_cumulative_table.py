@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableseq.cli import main
-from stableseq.measures import DistributionModel
+from stableseq.measures import DistributionModel, _CumulativeTable
 from stableseq.partitions import PiecewiseDyadicFn
 from stableseq.regression import RegressionModel, SignedMeasureModel
 
@@ -183,3 +183,82 @@ def test_generate_on_a_far_flat_segment_writes_no_nan(tmp_path):
     assert main(["generate", "--config", str(path), "--out", str(tmp_path)]) == 0
     text = (tmp_path / "stability_report.json").read_text(encoding="utf-8")
     assert "NaN" not in text and "Infinity" not in text
+
+
+class SplitTable:
+    """`measures._CumulativeTable` as it evaluated before its one formula:
+    a point inside the pieces reads its piece, one past every piece (or
+    NaN) the closing piece_cum entry, and the atoms' cumulative is a 0.0
+    put before their running sums."""
+
+    def __init__(self, atoms, pieces, coefs=None):
+        self.locs, vals = np.array(atoms, dtype=float).reshape(-1, 2).T.copy()
+        self.atom_cum = np.concatenate([[0.0], np.cumsum(vals)])
+        self.lo, self.hi, self.d = np.array(pieces, dtype=float).reshape(-1, 3).T.copy()
+        mids = (self.lo + self.hi) / 2.0
+        self.c, self.s = coefs(mids) if coefs else (None, np.zeros_like(mids))
+        self._sloped = self.s != 0
+        whole = self._integral(np.arange(len(mids)), self.hi.copy())
+        self.piece_cum = np.cumsum(np.concatenate([[0.0], whole]))
+
+    def _integral(self, p, tt):
+        lo = self.lo[p]
+        np.minimum(tt, self.hi[p], out=tt)
+        np.maximum(tt, lo, out=tt)
+        q = self._sloped[p]
+        slope = np.square(tt[q])
+        slope -= np.square(lo[q])
+        slope *= 0.5 * self.s[p[q]]
+        tt -= lo
+        if self.c is not None:
+            tt *= self.c[p]
+        tt[q] += slope
+        tt *= self.d[p]
+        return tt
+
+    def at(self, t, side):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        p = np.searchsorted(self.hi, t, side="left")
+        inside = p < len(self.hi)
+        out = self.piece_cum[np.minimum(p, len(self.hi))]
+        out[inside] += self._integral(p[inside], t[inside])
+        if len(self.locs):
+            out += self.atom_cum[np.searchsorted(self.locs, t, side=side)]
+        return out
+
+
+def table_args(model: DistributionModel, regressor: RegressionModel | None):
+    """The atoms, pieces and coefficients mu's table (regressor None) or
+    nu's is built from."""
+    if regressor is None:
+        return model.atoms, model.segments, None
+    pieces = []
+    for a, b, d in model.segments:
+        cuts = [a, *map(float, regressor.breakpoints_in(a, b)), b]
+        pieces += [(lo, hi, d) for lo, hi in zip(cuts, cuts[1:])]
+    atoms = [(u, m * float(regressor.eval(u))) for u, m in model.atoms]
+    return atoms, pieces, regressor._linear_pieces
+
+
+# atoms alone, the first of nu's signed -0.0
+ATOMS_ONLY = [
+    (DistributionModel.atomic([(-0.5, 0.25), (0.0, 0.5), (2.0, 0.25)]), None),
+    (DistributionModel.atomic([(0.0, 0.5), (1.0, 0.5)]),
+     RegressionModel.piecewise_linear([0.0, 1.0], [-0.0, 1.0])),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixtures(), regressors(), st.lists(st.floats(), max_size=8))
+def test_at_equals_the_split_form(model, regressor, extra):
+    for base, m in [(model, None), (model, regressor), *ATOMS_ONLY]:
+        args = table_args(base, m)
+        table, ref = _CumulativeTable(*args), SplitTable(*args)
+        ends = np.concatenate([table.lo, table.hi])
+        past = [np.nextafter(ends, np.inf), ends + 1.0, np.array([1e300, 4.0])]
+        t = np.concatenate([query_points(extra, base, SignedMeasureModel(base, m or regressor)),
+                            ends, *past])
+        for side in ("right", "left"):
+            assert same_bits(table.at(t, side), ref.at(t, side)), (side, args)
+            for u in (math.nan, math.inf, -math.inf, 0.0, -0.0):
+                assert repr(table.at(u, side)) == repr(float(ref.at(u, side)[0]))
